@@ -17,6 +17,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 from .lang import (
@@ -56,10 +57,7 @@ def multi_run(partitions: Sequence[Partition]) -> Partition:
     reveal."""
     if not partitions:
         raise AnalysisError("multi_run needs at least one partition")
-    acc = partitions[0]
-    for p in partitions[1:]:
-        acc = join(acc, p)
-    return acc
+    return reduce(join, partitions)
 
 
 def leaks_same_information(runs: Sequence[Partition]) -> tuple[bool, tuple[int, int] | None]:

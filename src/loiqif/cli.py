@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import (
     LoopAnalysis,
@@ -107,8 +107,7 @@ def _load_program(path: str) -> Program:
 def _load_config(args) -> AttackerConfig:
     cfg = config_from_json(_read_json(args.config))
     if getattr(args, "budget", None):
-        cfg = AttackerConfig(cfg.high_vars, cfg.low_vars, cfg.observed_vars,
-                             cfg.mode, args.budget, cfg.enumeration_cap)
+        cfg = replace(cfg, step_budget=args.budget)
     return cfg
 
 
@@ -125,7 +124,7 @@ def _resolve_distribution(args, domain: Domain) -> tuple[Distribution, str]:
 def _partition_text(x: Partition) -> str:
     if x.domain.size <= 64:
         return str(x)
-    sizes = Counter(len(b) for b in x.blocks)
+    sizes = Counter(Counter(x.labels).values())
     shape = ",".join(f"{s}x{c}" for s, c in sorted(sizes.items(), reverse=True))
     return f"<{block_count(x)} blocks over {x.domain.size} atoms; sizes {shape}>"
 
@@ -223,6 +222,8 @@ def _print_witness(label: str, w: OrderWitness) -> None:
 
 
 def cmd_compare(args) -> int:
+    if args.trials < 1:
+        raise QifError(f"--trials must be >= 1, got {args.trials}")
     p1 = _load_program(args.program1)
     p2 = _load_program(args.program2)
     cfg = _load_config(args)

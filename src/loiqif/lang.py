@@ -541,12 +541,22 @@ class AttackerConfig:
                               self.mode, self.step_budget, self.enumeration_cap)
 
 
+def _config_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_json(obj) -> AttackerConfig:
     if not isinstance(obj, dict):
         raise ConfigError("configuration must be a JSON object")
     try:
-        high = tuple((d["name"], d["bits"]) for d in obj.get("high", []))
-        low = tuple((d["name"], d["bits"], d.get("value")) for d in obj.get("low", []))
+        high = tuple((d["name"], _config_int(d["bits"], f"bits of {d['name']!r}"))
+                     for d in obj.get("high", []))
+        low = tuple((d["name"], _config_int(d["bits"], f"bits of {d['name']!r}"),
+                     None if d.get("value") is None
+                     else _config_int(d["value"], f"value of {d['name']!r}"))
+                    for d in obj.get("low", []))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad variable declaration: {exc}") from None
     return AttackerConfig(
@@ -554,8 +564,8 @@ def config_from_json(obj) -> AttackerConfig:
         low_vars=low,
         observed_vars=tuple(obj.get("observe", [])),
         mode=obj.get("mode", ACTIVE),
-        step_budget=int(obj.get("budget", DEFAULT_BUDGET)),
-        enumeration_cap=int(obj.get("cap", DEFAULT_CAP)),
+        step_budget=_config_int(obj.get("budget", DEFAULT_BUDGET), "budget"),
+        enumeration_cap=_config_int(obj.get("cap", DEFAULT_CAP), "cap"),
     )
 
 

@@ -1,13 +1,18 @@
 """Quantitative valuations of a partition under an exact distribution.
 
-Probability mass is ``fractions.Fraction`` end to end, so every purely
-probabilistic measure (guessing probabilities, expected guess counts,
-guessing-entropy leakage) is exact.  Only logarithmic quantities
-(entropies, min-entropy leakage, channel capacity, the information
-distance) are floats; they are computed from the exact rationals with a
-single rounding per logarithm and are good to well below 1e-9, the
-tolerance the test suite pins.  Logs are base 2 throughout: results are
-in bits.
+A ``Distribution`` holds one non-negative integer weight per domain
+position over a common positive total.  Every measure depends only on the
+block masses and on the masses inside each block in sorted order, so it
+adds up or sorts integer weights per block (blocks come from the
+partition's labels) and makes one exact ``Fraction`` when it returns.
+Every purely probabilistic measure (guessing probabilities, expected
+guess counts, guessing-entropy leakage) is therefore exact, and every
+probability the API takes or returns is a ``fractions.Fraction``.  Only
+logarithmic quantities (entropies, min-entropy leakage, channel capacity,
+the information distance) are floats; they are computed from the exact
+integers with a single rounding per logarithm and are good to well below
+1e-9, the tolerance the test suite pins.  Logs are base 2 throughout:
+results are in bits.
 
 Measures implemented, for a partition X under a distribution mu:
 
@@ -29,8 +34,8 @@ Measures implemented, for a partition X under a distribution mu:
 * ``channel_capacity``      log2(number of blocks), the maximum of H(X, ·)
                             over all distributions.
 
-Ranking for the guessing measures is by descending mass with ties broken
-by domain order; tie order is provably irrelevant to the values.
+Ranking for the guessing measures is by descending mass; the order among
+equal masses is provably irrelevant to the values.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .partition import (
     Atom,
     Domain,
     DomainMismatchError,
+    InvalidPartitionError,
     Partition,
     QifError,
     atom_key,
@@ -65,33 +71,56 @@ class Distribution:
 
     Every atom carries an entry (zero mass is allowed) and the total is
     exactly 1.  Immutable once built.
+
+    Held as non-negative integer ``weights``, one per domain position,
+    over a positive ``total``, both divided by their gcd, so equal
+    distributions have equal fields: the atom at position i has mass
+    ``weights[i] / total``.  ``mass``, ``items()``, indexing and
+    ``block_mass`` give masses as ``Fraction``; ``mass`` is built on first
+    use.
     """
 
-    __slots__ = ("domain", "mass")
+    __slots__ = ("domain", "weights", "total", "_mass")
 
     def __init__(self, domain: Domain, mass: Mapping[Atom, Fraction | int | str]):
         for a in mass:
             if a not in domain:
                 raise InvalidDistributionError(f"mass entry for unknown atom {a!r}")
-        out: dict[Atom, Fraction] = {}
+        values: list[Fraction] = []
         for a in domain.atoms:
             if a not in mass:
                 raise InvalidDistributionError(f"no mass entry for atom {a!r}")
             v = Fraction(mass[a])
             if v < 0:
-                raise InvalidDistributionError(f"negative mass {v} on atom {a!r}")
-            out[a] = v
-        total = sum(out.values())
-        if total != 1:
+                raise InvalidDistributionError(
+                    f"negative mass {_rational_text(v)} on atom {a!r}")
+            values.append(v)
+        d = math.lcm(*(v.denominator for v in values))
+        self._set(domain, [v.numerator * (d // v.denominator) for v in values], d)
+
+    def _set(self, domain: Domain, weights: Sequence[int], total: int) -> None:
+        """Store non-negative integer weights over ``total``, which they
+        must add up to, divided by their gcd."""
+        weight_sum = sum(weights)
+        if weight_sum != total:
+            q = Fraction(weight_sum, total)
             raise InvalidDistributionError(
-                f"total mass is {total}, off from 1 by {1 - total}")
+                f"total mass is {_rational_text(q)}, off from 1 by {_rational_text(1 - q)}")
+        g = math.gcd(total, *weights)
         self.domain = domain
-        self.mass = out
+        self.weights: tuple[int, ...] = tuple([w // g for w in weights])
+        self.total: int = total // g
+        self._mass: dict[Atom, Fraction] | None = None
+
+    @classmethod
+    def _of(cls, domain: Domain, weights: Sequence[int], total: int) -> Distribution:
+        mu = object.__new__(cls)
+        mu._set(domain, weights, total)
+        return mu
 
     @classmethod
     def uniform(cls, domain: Domain) -> Distribution:
-        p = Fraction(1, domain.size)
-        return cls(domain, {a: p for a in domain.atoms})
+        return cls._of(domain, [1] * domain.size, domain.size)
 
     @classmethod
     def uniform_on(cls, domain: Domain, atoms: Iterable[Atom]) -> Distribution:
@@ -99,11 +128,12 @@ class Distribution:
         support = list(atoms)
         if not support:
             raise InvalidDistributionError("empty support")
-        p = Fraction(1, len(support))
-        mass = {a: Fraction(0) for a in domain.atoms}
+        weights = [0] * domain.size
         for a in support:
-            mass[a] = p
-        return cls(domain, mass)
+            if a not in domain:
+                raise InvalidDistributionError(f"mass entry for unknown atom {a!r}")
+            weights[domain.position(a)] = 1
+        return cls._of(domain, weights, len(support))
 
     @classmethod
     def from_weights(cls, domain: Domain, weights: Mapping[Atom, int] | Sequence[int]) -> Distribution:
@@ -113,7 +143,12 @@ class Distribution:
         total = sum(weights.values())
         if total <= 0:
             raise InvalidDistributionError("weights must have a positive total")
-        return cls(domain, {a: Fraction(weights.get(a, 0), total) for a in domain.atoms})
+        ws = [weights.get(a, 0) for a in domain.atoms]
+        for a, w in zip(domain.atoms, ws):
+            if w < 0:
+                raise InvalidDistributionError(
+                    f"negative mass {Fraction(w, total)} on atom {a!r}")
+        return cls._of(domain, ws, total)
 
     @classmethod
     def random(cls, domain: Domain, rng: random.Random,
@@ -128,16 +163,27 @@ class Distribution:
                    for _ in domain.atoms]
         if not any(weights):
             weights[rng.randrange(domain.size)] = rng.randint(1, max_weight)
-        return cls.from_weights(domain, weights)
+        return cls._of(domain, weights, sum(weights))
+
+    @property
+    def mass(self) -> dict[Atom, Fraction]:
+        """Every atom's mass, in domain order."""
+        if self._mass is None:
+            total = self.total
+            self._mass = {a: Fraction(w, total)
+                          for a, w in zip(self.domain.atoms, self.weights)}
+        return self._mass
 
     def __getitem__(self, atom: Atom) -> Fraction:
         try:
-            return self.mass[atom]
-        except KeyError:
+            i = self.domain.position(atom)
+        except InvalidPartitionError:
             raise DomainMismatchError(f"atom {atom!r} is not in the distribution domain") from None
+        return Fraction(self.weights[i], self.total)
 
     def block_mass(self, block: Iterable[Atom]) -> Fraction:
-        return sum((self.mass[a] for a in block), Fraction(0))
+        pos, weights = self.domain.position, self.weights
+        return Fraction(sum(weights[pos(a)] for a in block), self.total)
 
     def items(self):
         return self.mass.items()
@@ -145,14 +191,24 @@ class Distribution:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Distribution)
                 and self.domain == other.domain
-                and self.mass == other.mass)
+                and self.total == other.total
+                and self.weights == other.weights)
 
     def __hash__(self) -> int:
-        return hash((self.domain, tuple(self.mass.values())))
+        return hash((self.domain, self.weights, self.total))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{a!r}: {m}" for a, m in self.mass.items())
         return f"Distribution({{{inner}}})"
+
+
+def _rational_text(q: Fraction) -> str:
+    """``str(q)``, or only its order of magnitude when the exact form would
+    run to more than about 60 digits."""
+    if max(q.numerator.bit_length(), q.denominator.bit_length()) <= 200:
+        return str(q)
+    magnitude = math.log10(abs(q.numerator)) - math.log10(q.denominator)
+    return f"{'-' if q < 0 else ''}about 10^{magnitude:.0f}"
 
 
 def _check(x: Partition, mu: Distribution) -> None:
@@ -165,22 +221,41 @@ def _log2_fraction(q: Fraction) -> float:
     return math.log2(q.numerator) - math.log2(q.denominator)
 
 
-def _entropy_of_masses(masses: Iterable[Fraction]) -> float:
-    # Over a common denominator D with counts c_i, H = log2(D) - sum(c_i log2 c_i)/D.
-    # Keeps the all-equal case (uniform over k events) exactly log2(k).
-    positive = [m for m in masses if m > 0]
-    if len(positive) <= 1:
-        return 0.0
-    d = math.lcm(*(m.denominator for m in positive))
-    counts = [m.numerator * (d // m.denominator) for m in positive]
-    clogc = math.fsum(c * math.log2(c) for c in counts)
-    return math.log2(d) - clogc / d
+def _block_weights(x: Partition, mu: Distribution) -> list[int]:
+    """Weight of each block, in block order."""
+    sums = [0] * x.n_blocks
+    for label, w in zip(x.labels, mu.weights):
+        sums[label] += w
+    return sums
+
+
+def _ranked_weights(x: Partition, mu: Distribution) -> list[list[int]]:
+    """Positive atom weights of each block, best guess first.  Equal
+    weights are interchangeable, so the tie order does not matter."""
+    groups: list[list[int]] = [[] for _ in range(x.n_blocks)]
+    for label, w in zip(x.labels, mu.weights):
+        if w:
+            groups[label].append(w)
+    for g in groups:
+        g.sort(reverse=True)
+    return groups
 
 
 def entropy(x: Partition, mu: Distribution) -> float:
     """Shannon entropy of the block masses, in bits."""
     _check(x, mu)
-    return _entropy_of_masses(mu.block_mass(b) for b in x.blocks)
+    positive = [w for w in _block_weights(x, mu) if w]
+    if len(positive) <= 1:
+        return 0.0
+    # Divided by their gcd, the block weights are counts c_i over the least
+    # common denominator d = sum(c_i) of the block masses, and
+    # H = log2(d) - sum(c_i log2 c_i)/d.  Uniform over k blocks gives
+    # exactly log2(k).
+    g = math.gcd(*positive)
+    counts = [w // g for w in positive]
+    d = sum(counts)
+    clogc = math.fsum(c * math.log2(c) for c in counts)
+    return math.log2(d) - clogc / d
 
 
 def joint_entropy(x: Partition, y: Partition, mu: Distribution) -> float:
@@ -202,45 +277,32 @@ def conditional_mutual_information(x: Partition, y: Partition, z: Partition,
     return conditional_entropy(x, z, mu) - conditional_entropy(x, join(y, z), mu)
 
 
-def _ranked_block_masses(block: Sequence[Atom], mu: Distribution) -> list[Fraction]:
-    """Atom masses of a block, best guess first (descending mass, domain
-    order on ties; blocks are stored in domain order, so stable sort does it)."""
-    return sorted((mu.mass[a] for a in block), reverse=True)
-
-
 def guess_prob(x: Partition, mu: Distribution, n: int) -> Fraction:
     """G_n: expected probability of guessing the secret within n tries
     after observing the block, optimal guessing order."""
     if n < 1:
         raise ValueError(f"number of tries must be >= 1, got {n}")
     _check(x, mu)
-    total = Fraction(0)
-    for block in x.blocks:
-        masses = _ranked_block_masses(block, mu)
-        total += sum(masses[:n], Fraction(0))
-    return total
+    return Fraction(sum(sum(ws[:n]) for ws in _ranked_weights(x, mu)), mu.total)
 
 
 def expected_guesses(x: Partition, mu: Distribution) -> Fraction:
     """NG: expected number of guesses to identify the secret exactly,
     guessing likeliest-first within the observed block."""
     _check(x, mu)
-    total = Fraction(0)
-    for block in x.blocks:
-        for i, m in enumerate(_ranked_block_masses(block, mu), start=1):
-            if m == 0:
-                break
-            total += i * m
-    return total
+    return Fraction(sum(i * w for ws in _ranked_weights(x, mu)
+                        for i, w in enumerate(ws, start=1)), mu.total)
 
 
 def one_try_gain(x: Partition, mu: Distribution) -> Fraction:
     """G_1(X) / G_1(no observation), the exact factor by which one
     observation multiplies the one-try guessing probability."""
     _check(x, mu)
-    best_prior = max(mu.mass.values())
-    g1 = sum((max(mu.mass[a] for a in block) for block in x.blocks), Fraction(0))
-    return g1 / best_prior
+    best = [0] * x.n_blocks
+    for label, w in zip(x.labels, mu.weights):
+        if w > best[label]:
+            best[label] = w
+    return Fraction(sum(best), max(mu.weights))
 
 
 def me_leakage(x: Partition, mu: Distribution) -> float:
@@ -251,69 +313,27 @@ def me_leakage(x: Partition, mu: Distribution) -> float:
     return _log2_fraction(one_try_gain(x, mu))
 
 
-def me_leakage_direct(x: Partition, mu: Distribution) -> Fraction:
-    """The one-try gain computed the long way round, as the before/after
-    difference of -log2(best guess probability): returns the exact ratio
-    2^(before-uncertainty − after-uncertainty).
-
-    After observing X, the conditional probability of the best guess in
-    block b is max_a mu(a)/mu(b); averaging with weight mu(b) gives the
-    posterior one-try success probability.  Zero-mass blocks carry no
-    weight.  Kept separate from ``one_try_gain`` so the two derivations
-    can be checked against each other.
-    """
-    _check(x, mu)
-    prior_best = max(mu.mass.values())
-    posterior = Fraction(0)
-    for block in x.blocks:
-        bm = mu.block_mass(block)
-        if bm == 0:
-            continue
-        cond_best = max(mu.mass[a] / bm for a in block)
-        posterior += bm * cond_best
-    return posterior / prior_best
-
-
 def ge_leakage(x: Partition, mu: Distribution) -> Fraction:
     """Guessing-entropy leakage: NG(no observation) − NG(X), exact."""
     _check(x, mu)
     return expected_guesses(bottom(x.domain), mu) - expected_guesses(x, mu)
 
 
-def ge_leakage_direct(x: Partition, mu: Distribution) -> Fraction:
-    """Guessing-entropy leakage as the before/after difference of
-    expected guess counts, with the posterior term computed from the
-    conditional distribution inside each positive-mass block.  Kept
-    separate from ``ge_leakage`` for cross-checking."""
-    _check(x, mu)
-    before = Fraction(0)
-    for i, m in enumerate(sorted(mu.mass.values(), reverse=True), start=1):
-        before += i * m
-    after = Fraction(0)
-    for block in x.blocks:
-        bm = mu.block_mass(block)
-        if bm == 0:
-            continue
-        cond = sorted((mu.mass[a] / bm for a in block), reverse=True)
-        after += bm * sum((i * c for i, c in enumerate(cond, start=1)), Fraction(0))
-    return before - after
-
-
 def me_prime(x: Partition, mu: Distribution) -> float:
     """-log2 of the largest block mass (blocks treated as the secrets)."""
     _check(x, mu)
-    best = max(mu.block_mass(b) for b in x.blocks)
-    if best == 1:
+    best = max(_block_weights(x, mu))
+    if best == mu.total:
         return 0.0   # not -0.0
-    return -_log2_fraction(best)
+    return -_log2_fraction(Fraction(best, mu.total))
 
 
 def ge_prime(x: Partition, mu: Distribution) -> Fraction:
     """Expected number of guesses to name the block itself, blocks ranked
     by descending mass (ties by least atom, i.e. canonical block order)."""
     _check(x, mu)
-    ranked = sorted((mu.block_mass(b) for b in x.blocks), reverse=True)
-    return sum((i * m for i, m in enumerate(ranked, start=1)), Fraction(0))
+    ranked = sorted(_block_weights(x, mu), reverse=True)
+    return Fraction(sum(i * w for i, w in enumerate(ranked, start=1)), mu.total)
 
 
 def shannon_distance(x: Partition, y: Partition, mu: Distribution) -> float:
@@ -394,14 +414,21 @@ def distribution_to_json(d: Distribution) -> dict:
 
 
 def distribution_from_json(obj) -> Distribution:
+    """Distribution from its JSON form.  Masses are strings (``"3/8"``,
+    ``"0.25"``) or JSON numbers; atoms without an entry get mass 0."""
     if not isinstance(obj, dict) or "domain" not in obj or "mass" not in obj:
         raise InvalidDistributionError('expected {"domain": [...], "mass": {...}}')
+    if not isinstance(obj["mass"], dict):
+        raise InvalidDistributionError('"mass" must be a JSON object keyed by atom')
     domain = domain_from_json(obj["domain"])
     by_key = {atom_key(a): a for a in domain.atoms}
-    mass: dict[Atom, Fraction] = {a: Fraction(0) for a in domain.atoms}
+    mass: dict[Atom, Fraction] = dict.fromkeys(domain.atoms, Fraction(0))
     for key, text in obj["mass"].items():
         if key not in by_key:
             raise InvalidDistributionError(f"mass entry for unknown atom {key!r}")
+        if isinstance(text, bool) or not isinstance(text, (str, int, float)):
+            raise InvalidDistributionError(
+                f"bad mass {text!r} for atom {key!r}: expected a number or a string")
         try:
             mass[by_key[key]] = Fraction(str(text))
         except (ValueError, ZeroDivisionError) as exc:

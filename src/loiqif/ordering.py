@@ -87,11 +87,17 @@ def find_split_block(x: Partition, y: Partition) -> tuple[Atom, ...] | None:
     blocks of ``x``; None when ``x`` is below ``y`` (no such block)."""
     if x.domain != y.domain:
         raise DomainMismatchError("partitions live on different domains")
-    for block in y.blocks:
-        home = x.block_of(block[0])
-        if any(x.block_of(a) != home for a in block[1:]):
-            return block
-    return None
+    home = [-1] * y.n_blocks      # x-label of each y-block's first atom
+    split: set[int] = set()
+    for yl, xl in zip(y.labels, x.labels):
+        if home[yl] < 0:
+            home[yl] = xl
+        elif home[yl] != xl:
+            split.add(yl)
+    if not split:
+        return None
+    first = min(split)
+    return tuple(a for a, yl in zip(y.domain.atoms, y.labels) if yl == first)
 
 
 def verify_witness(w: OrderWitness, x: Partition, y: Partition) -> bool:

@@ -14,11 +14,16 @@ of one domain form a complete lattice:
   of the two block relations (what both observations agree on);
 * ``top``/``bottom`` — all singletons / one block.
 
-Partitions are held in a canonical form (atoms in domain order inside a
-block, blocks ordered by least atom), so structural equality is partition
-equality.  Every value is immutable and every operation is a pure
-function returning a new value; everything here is safe to share across
-threads.
+A partition is stored as one integer label per domain position, in
+restricted-growth form: blocks are numbered in order of their least atom,
+so equal partitions have equal label tuples.  The lattice operations work
+on labels alone (``join`` pairs them, ``leq`` checks that the y-to-x label
+map is a function, ``meet`` is union-find over block numbers).  The
+canonical ``blocks`` (atoms in domain order inside a block, blocks ordered
+by least atom) are derived from the labels on first use and cached.
+Every value is immutable once built and every operation is a pure
+function returning a new value; filling the ``blocks`` cache twice is
+harmless, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ class Domain:
         return atom in self._pos
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Domain) and self.atoms == other.atoms
+        return self is other or (isinstance(other, Domain) and self.atoms == other.atoms)
 
     def __hash__(self) -> int:
         return hash(self.atoms)
@@ -96,38 +101,68 @@ class Partition:
     The constructor accepts blocks in any order and canonicalizes them;
     it rejects overlaps, gaps, empty blocks and foreign atoms with a
     diagnostic naming the offending atom.
+
+    ``labels[i]`` is the number of the block holding the atom at domain
+    position ``i``, in restricted-growth form (blocks numbered in order of
+    their least atom); ``n_blocks`` is the block count.
     """
 
-    __slots__ = ("domain", "blocks", "_block_of")
+    __slots__ = ("domain", "labels", "n_blocks", "_blocks")
 
     def __init__(self, domain: Domain, blocks: Iterable[Iterable[Atom]]):
-        self.domain = domain
-        canon: list[tuple[Atom, ...]] = []
-        block_of: dict[Atom, int] = {}
+        canon: list[list[int]] = []
         for block in blocks:
-            batoms = sorted(block, key=domain.position)
-            if not batoms:
+            positions = sorted(map(domain.position, block))
+            if not positions:
                 raise InvalidPartitionError("empty block")
-            canon.append(tuple(batoms))
-        canon.sort(key=lambda b: domain.position(b[0]))
-        for i, block in enumerate(canon):
-            for a in block:
-                if a in block_of:
+            canon.append(positions)
+        canon.sort(key=lambda b: b[0])
+        labels = [-1] * domain.size
+        for i, positions in enumerate(canon):
+            for p in positions:
+                if labels[p] >= 0:
                     raise InvalidPartitionError(
-                        f"atom {a!r} appears in more than one block")
-                block_of[a] = i
-        if len(block_of) != domain.size:
-            missing = next(a for a in domain.atoms if a not in block_of)
+                        f"atom {domain.atoms[p]!r} appears in more than one block")
+                labels[p] = i
+        if -1 in labels:
+            missing = domain.atoms[labels.index(-1)]
             raise InvalidPartitionError(f"atom {missing!r} is not covered by any block")
-        self.blocks: tuple[tuple[Atom, ...], ...] = tuple(canon)
-        self._block_of = block_of
+        self._set(domain, tuple(labels), len(canon))
+
+    def _set(self, domain: Domain, labels: tuple[int, ...], n_blocks: int) -> None:
+        self.domain = domain
+        self.labels = labels
+        self.n_blocks = n_blocks
+        self._blocks = None
+
+    @classmethod
+    def _from_labels(cls, domain: Domain, labels: tuple[int, ...], n_blocks: int) -> Partition:
+        """Trusted constructor: ``labels`` is already in restricted-growth form."""
+        x = object.__new__(cls)
+        x._set(domain, labels, n_blocks)
+        return x
+
+    @classmethod
+    def _relabel(cls, domain: Domain, keys: Iterable[Hashable]) -> Partition:
+        """Partition grouping domain positions by equal key, one key per
+        position in domain order."""
+        ids: dict[Hashable, int] = {}
+        labels = tuple([ids.setdefault(k, len(ids)) for k in keys])
+        return cls._from_labels(domain, labels, len(ids))
+
+    @property
+    def blocks(self) -> tuple[tuple[Atom, ...], ...]:
+        """The blocks in canonical order, atoms in domain order inside each."""
+        if self._blocks is None:
+            groups: list[list[Atom]] = [[] for _ in range(self.n_blocks)]
+            for a, label in zip(self.domain.atoms, self.labels):
+                groups[label].append(a)
+            self._blocks = tuple(map(tuple, groups))
+        return self._blocks
 
     def block_of(self, atom: Atom) -> int:
         """Index of the block containing ``atom``."""
-        try:
-            return self._block_of[atom]
-        except KeyError:
-            raise InvalidPartitionError(f"atom {atom!r} is not in the domain") from None
+        return self.labels[self.domain.position(atom)]
 
     def block_containing(self, atom: Atom) -> tuple[Atom, ...]:
         return self.blocks[self.block_of(atom)]
@@ -139,10 +174,10 @@ class Partition:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Partition)
                 and self.domain == other.domain
-                and self.blocks == other.blocks)
+                and self.labels == other.labels)
 
     def __hash__(self) -> int:
-        return hash((self.domain, self.blocks))
+        return hash((self.domain, self.labels))
 
     def __str__(self) -> str:
         inner = ",".join("{" + ",".join(str(a) for a in b) + "}" for b in self.blocks)
@@ -162,14 +197,14 @@ def kernel(domain: Domain, f: Callable[[Atom], Hashable] | Mapping[Atom, Hashabl
         get = f
     else:
         get = f.__getitem__
-    groups: dict[Hashable, list[Atom]] = {}
-    for a in domain.atoms:
+
+    def value(a: Atom) -> Hashable:
         try:
-            v = get(a)
+            return get(a)
         except KeyError:
             raise MissingMappingError(f"kernel map is undefined on atom {a!r}") from None
-        groups.setdefault(v, []).append(a)
-    return Partition(domain, groups.values())
+
+    return Partition._relabel(domain, map(value, domain.atoms))
 
 
 def _check_domains(x: Partition, y: Partition) -> None:
@@ -178,30 +213,26 @@ def _check_domains(x: Partition, y: Partition) -> None:
 
 
 def leq(x: Partition, y: Partition) -> bool:
-    """Refinement order: every block of ``y`` lies inside a block of ``x``."""
+    """Refinement order: every block of ``y`` lies inside a block of ``x``,
+    i.e. the map from y-labels to x-labels is a function."""
     _check_domains(x, y)
-    for block in y.blocks:
-        home = x.block_of(block[0])
-        for a in block[1:]:
-            if x.block_of(a) != home:
-                return False
-    return True
+    return len(set(zip(y.labels, x.labels))) == y.n_blocks
 
 
 def join(x: Partition, y: Partition) -> Partition:
     """Least upper bound: non-empty intersections of an x-block with a y-block."""
     _check_domains(x, y)
-    groups: dict[tuple[int, int], list[Atom]] = {}
-    for a in x.domain.atoms:
-        groups.setdefault((x.block_of(a), y.block_of(a)), []).append(a)
-    return Partition(x.domain, groups.values())
+    m = y.n_blocks
+    return Partition._relabel(x.domain, [i * m + j for i, j in zip(x.labels, y.labels)])
 
 
 def meet(x: Partition, y: Partition) -> Partition:
     """Greatest lower bound: components of the union of both block relations."""
     _check_domains(x, y)
-    n = x.domain.size
-    parent = list(range(n))
+    # Union-find over x-blocks (0 .. nx-1) and y-blocks (nx ..): each atom
+    # ties its x-block to its y-block.
+    nx = x.n_blocks
+    parent = list(range(nx + y.n_blocks))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -209,35 +240,26 @@ def meet(x: Partition, y: Partition) -> Partition:
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
+    for i, j in dict.fromkeys(zip(x.labels, y.labels)):
+        ri, rj = find(i), find(nx + j)
         if ri != rj:
             parent[rj] = ri
-
-    pos = x.domain.position
-    for part in (x, y):
-        for block in part.blocks:
-            first = pos(block[0])
-            for a in block[1:]:
-                union(first, pos(a))
-    groups: dict[int, list[Atom]] = {}
-    for i, a in enumerate(x.domain.atoms):
-        groups.setdefault(find(i), []).append(a)
-    return Partition(x.domain, groups.values())
+    root = [find(i) for i in range(nx)]
+    return Partition._relabel(x.domain, [root[i] for i in x.labels])
 
 
 def top(domain: Domain) -> Partition:
     """The all-singletons partition (everything distinguished)."""
-    return Partition(domain, ([a] for a in domain.atoms))
+    return Partition._from_labels(domain, tuple(range(domain.size)), domain.size)
 
 
 def bottom(domain: Domain) -> Partition:
     """The one-block partition (nothing distinguished)."""
-    return Partition(domain, [domain.atoms])
+    return Partition._from_labels(domain, (0,) * domain.size, 1)
 
 
 def block_count(x: Partition) -> int:
-    return len(x.blocks)
+    return x.n_blocks
 
 
 # ---------------------------------------------------------------------------

@@ -127,3 +127,75 @@ def expected_guesses_oracle(x: Partition, mu: Distribution) -> Fraction:
             sum((i * mu.mass[a] for i, a in enumerate(order, start=1)), Fraction(0))
             for order in itertools.permutations(block))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles: the measures recomputed from per-atom ``Fraction``
+# masses, block by block, the way the definitions read.
+
+def entropy_lcm_reference(x: Partition, mu: Distribution) -> float:
+    """Entropy over the least common denominator d of the block masses,
+    with counts c_i: H = log2(d) - sum(c_i log2 c_i)/d.  The library must
+    return this float exactly."""
+    positive = [m for m in (mu.block_mass(b) for b in x.blocks) if m > 0]
+    if len(positive) <= 1:
+        return 0.0
+    d = math.lcm(*(m.denominator for m in positive))
+    counts = [m.numerator * (d // m.denominator) for m in positive]
+    clogc = math.fsum(c * math.log2(c) for c in counts)
+    return math.log2(d) - clogc / d
+
+
+def me_leakage_direct(x: Partition, mu: Distribution) -> Fraction:
+    """The one-try gain computed the long way round, as the before/after
+    difference of -log2(best guess probability): returns the exact ratio
+    2^(before-uncertainty − after-uncertainty).
+
+    After observing X, the conditional probability of the best guess in
+    block b is max_a mu(a)/mu(b); averaging with weight mu(b) gives the
+    posterior one-try success probability.  Zero-mass blocks carry no
+    weight.
+    """
+    prior_best = max(mu.mass.values())
+    posterior = Fraction(0)
+    for block in x.blocks:
+        bm = mu.block_mass(block)
+        if bm == 0:
+            continue
+        cond_best = max(mu.mass[a] / bm for a in block)
+        posterior += bm * cond_best
+    return posterior / prior_best
+
+
+def ge_leakage_direct(x: Partition, mu: Distribution) -> Fraction:
+    """Guessing-entropy leakage as the before/after difference of
+    expected guess counts, with the posterior term computed from the
+    conditional distribution inside each positive-mass block."""
+    before = Fraction(0)
+    for i, m in enumerate(sorted(mu.mass.values(), reverse=True), start=1):
+        before += i * m
+    after = Fraction(0)
+    for block in x.blocks:
+        bm = mu.block_mass(block)
+        if bm == 0:
+            continue
+        cond = sorted((mu.mass[a] / bm for a in block), reverse=True)
+        after += bm * sum((i * c for i, c in enumerate(cond, start=1)), Fraction(0))
+    return before - after
+
+
+def me_prime_reference(x: Partition, mu: Distribution) -> float:
+    """-log2 of the largest block mass, from the reduced Fraction."""
+    best = max(mu.block_mass(b) for b in x.blocks)
+    if best == 1:
+        return 0.0
+    return -(math.log2(best.numerator) - math.log2(best.denominator))
+
+
+def ge_prime_oracle(x: Partition, mu: Distribution) -> Fraction:
+    """Expected guesses to name the block, minimized over every order of
+    the blocks (partitions must be small)."""
+    masses = [mu.block_mass(b) for b in x.blocks]
+    return min(
+        sum((i * m for i, m in enumerate(order, start=1)), Fraction(0))
+        for order in itertools.permutations(masses))

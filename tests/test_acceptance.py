@@ -45,13 +45,15 @@ from loiqif import (
 )
 from loiqif.cli import main
 from loiqif.lang import PASSIVE, low_projection
-from loiqif.measures import ge_leakage_direct, me_leakage_direct, one_try_gain
+from loiqif.measures import one_try_gain
 from loiqif.ordering import OrderWitness
 
 from helpers import (
     all_partitions,
     conditional_entropy_oracle,
     entropy_oracle,
+    ge_leakage_direct,
+    me_leakage_direct,
     random_partition,
 )
 

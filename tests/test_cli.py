@@ -361,3 +361,67 @@ def test_budget_flag_overrides_config(workspace, capsys):
     small = json.loads(out_small)["partition"]["blocks"]
     big = json.loads(out_big)["partition"]["blocks"]
     assert len(small) < len(big)
+
+
+def test_distribution_mass_not_an_object_exits_two(workspace, capsys):
+    m1 = workspace("m1.wh", M1_SRC)
+    cfg = workspace("cfg.json", CFG_2BIT)
+    dist = workspace("mu.json", {"domain": [0, 1, 2, 3],
+                                 "mass": ["1/4", "1/4", "1/4", "1/4"]})
+    code, _, err = run_cli(capsys, "analyze", m1, "--config", cfg, "--dist", dist)
+    assert code == 2
+    assert '"mass"' in err
+
+
+@pytest.mark.parametrize("bad", [["1/4"], {"p": "1/4"}, True])
+def test_distribution_mass_value_of_wrong_type_exits_two(workspace, capsys, bad):
+    m1 = workspace("m1.wh", M1_SRC)
+    cfg = workspace("cfg.json", CFG_2BIT)
+    dist = workspace("mu.json", {"domain": [0, 1, 2, 3],
+                                 "mass": {"0": bad, "1": "1/4", "2": "1/4",
+                                          "3": "1/4"}})
+    code, _, err = run_cli(capsys, "analyze", m1, "--config", cfg, "--dist", dist)
+    assert code == 2
+    assert "bad mass" in err and "'0'" in err
+
+
+@pytest.mark.parametrize("huge, message", [
+    ("1e999999", "total mass is about 10^999999"),
+    ("-1e999999", "negative mass -about 10^999999"),
+])
+def test_huge_distribution_mass_exits_two_with_short_message(workspace, capsys,
+                                                             huge, message):
+    m1 = workspace("m1.wh", M1_SRC)
+    cfg = workspace("cfg.json", CFG_2BIT)
+    dist = workspace("mu.json", {"domain": [0, 1, 2, 3],
+                                 "mass": {"0": huge, "1": "0", "2": "0", "3": "0"}})
+    code, _, err = run_cli(capsys, "analyze", m1, "--config", cfg, "--dist", dist)
+    assert code == 2
+    assert message in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("cfg_obj", [
+    dict(CFG_2BIT, budget="abc"),
+    dict(CFG_2BIT, high=[{"name": "h", "bits": "x"}]),
+    dict(CFG_2BIT, cap=1.5),
+    {"high": [{"name": "h", "bits": 2}],
+     "low": [{"name": "l", "bits": 2, "value": "one"}],
+     "observe": ["o"], "mode": "active"},
+])
+def test_non_integer_config_fields_exit_two(workspace, capsys, cfg_obj):
+    m1 = workspace("m1.wh", M1_SRC)
+    cfg = workspace("cfg.json", cfg_obj)
+    code, _, err = run_cli(capsys, "analyze", m1, "--config", cfg, "--uniform")
+    assert code == 2
+    assert "must be an integer" in err
+
+
+def test_compare_zero_trials_exits_two(workspace, capsys):
+    m1 = workspace("m1.wh", M1_SRC)
+    m2 = workspace("m2.wh", M2_SRC)
+    cfg = workspace("cfg.json", CFG_2BIT)
+    code, out, err = run_cli(capsys, "compare", m1, m2, "--config", cfg,
+                             "--trials", "0")
+    assert code == 2 and out == ""
+    assert "--trials" in err

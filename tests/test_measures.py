@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from loiqif import (
     Distribution,
@@ -36,8 +37,6 @@ from loiqif.measures import (
     distribution_from_json,
     distribution_to_json,
     format_real,
-    ge_leakage_direct,
-    me_leakage_direct,
     measure_report_to_json,
     one_try_gain,
 )
@@ -46,8 +45,13 @@ from helpers import (
     all_partitions,
     conditional_entropy_oracle,
     entropy_oracle,
+    entropy_lcm_reference,
     expected_guesses_oracle,
+    ge_leakage_direct,
+    ge_prime_oracle,
     guess_prob_oracle,
+    me_leakage_direct,
+    me_prime_reference,
     random_partition,
 )
 
@@ -384,6 +388,63 @@ def test_zero_mass_atoms_change_nothing():
     assert ge_leakage(x_small, mu_small) == ge_leakage(x_big, mu_big)
     assert me_prime(x_small, mu_small) == me_prime(x_big, mu_big)
     assert ge_prime(x_small, mu_small) == ge_prime(x_big, mu_big)
+
+
+# ---------------------------------------------------------------------------
+# Integer weights against the Fraction oracles
+
+def test_equal_distributions_from_unreduced_weights():
+    d = Domain(range(3))
+    a = Distribution.from_weights(d, [2, 2, 0])
+    b = Distribution.from_weights(d, [1, 1, 0])
+    assert a == b and hash(a) == hash(b)
+    assert a.weights == (1, 1, 0) and a.total == 2
+
+
+@st.composite
+def _measured_pairs(draw):
+    """A partition on up to 6 atoms, a distribution, and the same
+    distribution built another way.  Weights come from 0..3, so zero and
+    tied masses are common; the distribution is built from JSON masses
+    written as decimals, from a multiple of the weights (not reduced), or
+    from the weights themselves."""
+    size = draw(st.integers(1, 6))
+    d = Domain(range(size))
+    labels = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    x = kernel(d, dict(zip(d.atoms, labels)))
+    form = draw(st.sampled_from(["decimal", "scaled", "weights"]))
+    if form == "decimal":
+        cuts = sorted(draw(st.lists(st.integers(0, 100), min_size=size - 1,
+                                    max_size=size - 1)))
+        hundredths = [b - a for a, b in zip([0] + cuts, cuts + [100])]
+        obj = {"domain": list(d.atoms),
+               "mass": {str(a): f"{h // 100}.{h % 100:02d}"
+                        for a, h in zip(d.atoms, hundredths)}}
+        return x, distribution_from_json(obj), Distribution.from_weights(d, hundredths)
+    weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    if not any(weights):
+        weights[0] = 1
+    mu = Distribution.from_weights(d, weights)
+    if form == "scaled":
+        k = draw(st.integers(2, 5))
+        return x, Distribution.from_weights(d, [k * w for w in weights]), mu
+    total = sum(weights)
+    return x, mu, Distribution(d, {a: Fraction(w, total) for a, w in zip(d.atoms, weights)})
+
+
+@given(_measured_pairs())
+def test_measures_match_fraction_oracles(case):
+    x, mu, twin = case
+    assert mu == twin and hash(mu) == hash(twin)
+    assert math.gcd(mu.total, *mu.weights) == 1
+    assert entropy(x, mu) == entropy_lcm_reference(x, mu)
+    for n in range(1, x.domain.size + 2):
+        assert guess_prob(x, mu, n) == guess_prob_oracle(x, mu, n)
+    assert expected_guesses(x, mu) == expected_guesses_oracle(x, mu)
+    assert one_try_gain(x, mu) == me_leakage_direct(x, mu)
+    assert ge_leakage(x, mu) == ge_leakage_direct(x, mu)
+    assert me_prime(x, mu) == me_prime_reference(x, mu)
+    assert ge_prime(x, mu) == ge_prime_oracle(x, mu)
 
 
 # ---------------------------------------------------------------------------
