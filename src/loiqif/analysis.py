@@ -193,6 +193,7 @@ def _find_top_level_loop(s: Stmt) -> While | None:
 
 
 _ELSEWHERE = "<other iteration count>"
+_UNRESOLVED = "<never resolved>"
 
 
 def loop_analyze(p: Program, cfg: AttackerConfig,
@@ -253,25 +254,18 @@ def _collision_partition(domain: Domain,
     counts": an output seen at two or more counts pulls all its inputs
     into one block; everything else stays on its own.  Inputs that never
     resolved share a single block."""
-    by_output: dict[Observable, list[Atom]] = {}
     counts: dict[Observable, set[int]] = {}
-    unresolved: list[Atom] = []
-    for a in domain.atoms:
+    for obs, iterations in traces.values():
+        if iterations is not None:
+            counts.setdefault(obs, set()).add(iterations)
+
+    def key(a: Atom):
         obs, iterations = traces[a]
         if iterations is None:
-            unresolved.append(a)
-            continue
-        by_output.setdefault(obs, []).append(a)
-        counts.setdefault(obs, set()).add(iterations)
-    blocks: list[list[Atom]] = []
-    for obs, atoms in by_output.items():
-        if len(counts[obs]) >= 2:
-            blocks.append(atoms)
-        else:
-            blocks.extend([a] for a in atoms)
-    if unresolved:
-        blocks.append(unresolved)
-    return Partition(domain, blocks)
+            return _UNRESOLVED
+        return obs if len(counts[obs]) >= 2 else (a,)
+
+    return kernel(domain, key)
 
 
 def program_capacity(p: Program, cfg: AttackerConfig) -> float:

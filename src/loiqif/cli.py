@@ -90,7 +90,10 @@ def analysis_report_to_json(r: AnalysisReport) -> dict:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise QifError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _read_json(path: str):
@@ -106,7 +109,7 @@ def _load_program(path: str) -> Program:
 
 def _load_config(args) -> AttackerConfig:
     cfg = config_from_json(_read_json(args.config))
-    if getattr(args, "budget", None):
+    if args.budget is not None:
         cfg = replace(cfg, step_budget=args.budget)
     return cfg
 

@@ -16,11 +16,14 @@ Grammar (C-like expression syntax, ``//`` comments)::
 
 Values are integers (booleans are 1/0).  A variable declared in the
 attacker configuration has a bit width; assignments to it wrap modulo
-2^width (unsigned).  Undeclared variables are unbounded.  Division,
-modulo and shifts use Python integer semantics; division or modulo by
-zero and negative or absurdly large shift counts are runtime faults.
-Both operands of ``&&``/``||`` are always evaluated (expressions have no
-side effects, so short-circuiting would be unobservable anyway).
+2^width (unsigned).  Undeclared variables are unbounded.  Every operator
+is one entry of ``_BINARY_OPS`` or ``_UNARY_OPS``, a function of the
+operand values with Python integer semantics.  Division or modulo by
+zero, a negative shift count and a left shift by more than 2^20 are
+runtime faults; a right shift by more than 2^20 shifts by 2^20.  Both
+operands of ``&&``/``||`` are always evaluated (expressions have no side
+effects, so short-circuiting would be unobservable anyway).  ``parse``
+rejects syntax trees deeper than ``MAX_DEPTH`` levels.
 
 Running a program on an initial store yields an ``Observable``: the
 observed variables' final values on normal termination, a single
@@ -38,6 +41,7 @@ output looks the same.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -227,6 +231,12 @@ _BINARY_LEVELS: tuple[tuple[str, ...], ...] = (
 )
 
 
+# Deepest AST ``parse`` accepts.  Evaluation, printing and self-composition
+# recurse once per level and parsing the printed form twice, which stays
+# well inside the interpreter's default recursion limit of 1000 frames.
+MAX_DEPTH = 300
+
+
 class _Parser:
     def __init__(self, toks: list[_Token]):
         self.toks = toks
@@ -351,7 +361,16 @@ class _Parser:
 
 def parse(source: str) -> Program:
     parser = _Parser(_tokenize(source))
-    return parser.program()
+    try:
+        program = parser.program()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError("nesting too deep for the parser", tok.line, tok.col) from None
+    depth = max(d for _, d in _walk(program))
+    if depth > MAX_DEPTH:
+        raise ParseError(f"program nests {depth} levels deep; the limit is {MAX_DEPTH}",
+                         1, 1)
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -413,52 +432,47 @@ def program_to_source(p: Program) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Variable census
+# AST shape and variable census
+
+def _children(node) -> tuple:
+    """The direct sub-nodes of a program, statement or expression."""
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, (Var, IntLit, BoolLit, Skip)):
+        return ()
+    if isinstance(node, Assign):
+        return (node.expr,)
+    if isinstance(node, Seq):
+        return node.stmts
+    if isinstance(node, If):
+        return (node.cond, node.then_branch, node.else_branch)
+    if isinstance(node, While):
+        return (node.cond, node.body)
+    if isinstance(node, Program):
+        return (node.body,)
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _walk(node):
+    """(node, depth) for every node under ``node``, itself at depth 1,
+    with an explicit stack so that no nesting can exhaust the interpreter's."""
+    stack = [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        stack.extend((child, depth + 1) for child in _children(node))
+
 
 def read_vars(node) -> set[str]:
     """Names read anywhere in an expression or statement."""
-    if isinstance(node, Program):
-        return read_vars(node.body)
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, (IntLit, BoolLit, Skip)):
-        return set()
-    if isinstance(node, Unary):
-        return read_vars(node.operand)
-    if isinstance(node, Binary):
-        return read_vars(node.left) | read_vars(node.right)
-    if isinstance(node, Assign):
-        return read_vars(node.expr)
-    if isinstance(node, Seq):
-        out: set[str] = set()
-        for s in node.stmts:
-            out |= read_vars(s)
-        return out
-    if isinstance(node, If):
-        return read_vars(node.cond) | read_vars(node.then_branch) | read_vars(node.else_branch)
-    if isinstance(node, While):
-        return read_vars(node.cond) | read_vars(node.body)
-    raise TypeError(f"not an AST node: {node!r}")
+    return {n.name for n, _ in _walk(node) if isinstance(n, Var)}
 
 
 def assigned_vars(node) -> set[str]:
     """Names assigned anywhere in a statement."""
-    if isinstance(node, Program):
-        return assigned_vars(node.body)
-    if isinstance(node, Skip):
-        return set()
-    if isinstance(node, Assign):
-        return {node.name}
-    if isinstance(node, Seq):
-        out: set[str] = set()
-        for s in node.stmts:
-            out |= assigned_vars(s)
-        return out
-    if isinstance(node, If):
-        return assigned_vars(node.then_branch) | assigned_vars(node.else_branch)
-    if isinstance(node, While):
-        return assigned_vars(node.body)
-    raise TypeError(f"not a statement: {node!r}")
+    return {n.name for n, _ in _walk(node) if isinstance(n, Assign)}
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +573,13 @@ def config_from_json(obj) -> AttackerConfig:
                     for d in obj.get("low", []))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad variable declaration: {exc}") from None
+    observe = obj.get("observe", [])
+    if not isinstance(observe, list) or not all(isinstance(n, str) for n in observe):
+        raise ConfigError(f"observe must be a JSON array of variable names, got {observe!r}")
     return AttackerConfig(
         high_vars=high,
         low_vars=low,
-        observed_vars=tuple(obj.get("observe", [])),
+        observed_vars=tuple(observe),
         mode=obj.get("mode", ACTIVE),
         step_budget=_config_int(obj.get("budget", DEFAULT_BUDGET), "budget"),
         enumeration_cap=_config_int(obj.get("cap", DEFAULT_CAP), "cap"),
@@ -627,72 +644,72 @@ class _RunState:
             raise _OutOfSteps
 
 
-def _eval_expr(e: Expr, store: dict[str, int], state: _RunState) -> int:
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, BoolLit):
-        return 1 if e.value else 0
+def _div(left: int, right: int) -> int:
+    if right == 0:
+        raise _Fault
+    return left // right
+
+
+def _mod(left: int, right: int) -> int:
+    if right == 0:
+        raise _Fault
+    return left % right
+
+
+def _shl(left: int, right: int) -> int:
+    if right < 0 or right > _SHIFT_LIMIT:
+        raise _Fault
+    return left << right
+
+
+def _shr(left: int, right: int) -> int:
+    if right < 0:
+        raise _Fault
+    return left >> min(right, _SHIFT_LIMIT)
+
+
+_BINARY_OPS = {
+    "||": lambda left, right: 1 if left or right else 0,
+    "&&": lambda left, right: 1 if left and right else 0,
+    "|": operator.or_,
+    "^": operator.xor,
+    "&": operator.and_,
+    "==": lambda left, right: 1 if left == right else 0,
+    "!=": lambda left, right: 1 if left != right else 0,
+    "<": lambda left, right: 1 if left < right else 0,
+    "<=": lambda left, right: 1 if left <= right else 0,
+    ">": lambda left, right: 1 if left > right else 0,
+    ">=": lambda left, right: 1 if left >= right else 0,
+    "<<": _shl,
+    ">>": _shr,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "%": _mod,
+}
+
+_UNARY_OPS = {
+    "!": lambda v: 0 if v else 1,
+    "-": operator.neg,
+    "~": operator.invert,
+}
+
+
+def _eval_expr(e: Expr, store: dict[str, int]) -> int:
+    if isinstance(e, Binary):
+        return _BINARY_OPS[e.op](_eval_expr(e.left, store), _eval_expr(e.right, store))
     if isinstance(e, Var):
         try:
             return store[e.name]
         except KeyError:
             raise ConfigError(
                 f"variable {e.name!r} read before assignment") from None
+    if isinstance(e, IntLit):
+        return e.value
     if isinstance(e, Unary):
-        v = _eval_expr(e.operand, store, state)
-        if e.op == "-":
-            return -v
-        if e.op == "!":
-            return 0 if v else 1
-        return ~v
-    left = _eval_expr(e.left, store, state)
-    right = _eval_expr(e.right, store, state)
-    op = e.op
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise _Fault
-        return left // right
-    if op == "%":
-        if right == 0:
-            raise _Fault
-        return left % right
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "<<":
-        if right < 0 or right > _SHIFT_LIMIT:
-            raise _Fault
-        return left << right
-    if op == ">>":
-        if right < 0:
-            raise _Fault
-        return left >> min(right, _SHIFT_LIMIT)
-    if op == "==":
-        return 1 if left == right else 0
-    if op == "!=":
-        return 1 if left != right else 0
-    if op == "<":
-        return 1 if left < right else 0
-    if op == "<=":
-        return 1 if left <= right else 0
-    if op == ">":
-        return 1 if left > right else 0
-    if op == ">=":
-        return 1 if left >= right else 0
-    if op == "&&":
-        return 1 if (left != 0 and right != 0) else 0
-    if op == "||":
-        return 1 if (left != 0 or right != 0) else 0
-    raise TypeError(f"unknown operator {op!r}")
+        return _UNARY_OPS[e.op](_eval_expr(e.operand, store))
+    return 1 if e.value else 0
 
 
 def _exec_stmt(s: Stmt, store: dict[str, int], state: _RunState) -> None:
@@ -701,7 +718,7 @@ def _exec_stmt(s: Stmt, store: dict[str, int], state: _RunState) -> None:
         return
     if isinstance(s, Assign):
         state.spend()
-        v = _eval_expr(s.expr, store, state)
+        v = _eval_expr(s.expr, store)
         width = state.widths.get(s.name)
         store[s.name] = v if width is None else v & ((1 << width) - 1)
         return
@@ -711,33 +728,18 @@ def _exec_stmt(s: Stmt, store: dict[str, int], state: _RunState) -> None:
         return
     if isinstance(s, If):
         state.spend()
-        branch = s.then_branch if _eval_expr(s.cond, store, state) != 0 else s.else_branch
+        branch = s.then_branch if _eval_expr(s.cond, store) != 0 else s.else_branch
         _exec_stmt(branch, store, state)
         return
     if isinstance(s, While):
         state.spend()
-        while _eval_expr(s.cond, store, state) != 0:
+        while _eval_expr(s.cond, store) != 0:
             _exec_stmt(s.body, store, state)
             if s is state.counted_loop:
                 state.iterations += 1
             state.spend()
         return
     raise TypeError(f"not a statement: {s!r}")
-
-
-def _run(p: Program, store: dict[str, int], widths: dict[str, int],
-         budget: int, counted_loop: While | None = None
-         ) -> tuple[str, dict[str, int] | None, int | None]:
-    """Returns (kind, final store or None, completed iterations of the
-    counted loop — None when the run exhausts its budget)."""
-    state = _RunState(widths=widths, steps_left=budget, counted_loop=counted_loop)
-    try:
-        _exec_stmt(p.body, store, state)
-        return TERMINATED, store, state.iterations
-    except _OutOfSteps:
-        return NON_TERMINATION, None, None
-    except _Fault:
-        return RUNTIME_ERROR, None, state.iterations
 
 
 def eval_program(p: Program, initial: Mapping[str, int], cfg: AttackerConfig,
@@ -754,15 +756,17 @@ def run_counting_loop(p: Program, initial: Mapping[str, int], cfg: AttackerConfi
     executions of ``loop`` (compared by identity) the run performed;
     None when the run exhausts its budget."""
     store = dict(initial)
-    kind, final, iterations = _run(p, store, cfg.widths(),
-                                   cfg.step_budget if budget is None else budget,
-                                   counted_loop=loop)
-    if kind == TERMINATED:
-        assert final is not None
-        obs = Observable(TERMINATED, tuple(final.get(v) for v in cfg.observed_vars))
-    else:
-        obs = Observable(kind)
-    return obs, iterations
+    state = _RunState(widths=cfg.widths(),
+                      steps_left=cfg.step_budget if budget is None else budget,
+                      counted_loop=loop)
+    try:
+        _exec_stmt(p.body, store, state)
+    except _OutOfSteps:
+        return Observable(NON_TERMINATION), None
+    except _Fault:
+        return Observable(RUNTIME_ERROR), state.iterations
+    return (Observable(TERMINATED, tuple(store.get(v) for v in cfg.observed_vars)),
+            state.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -811,26 +815,13 @@ def enumerate_domain(cfg: AttackerConfig) -> Domain:
     return Domain((lp, hp) for lp in lows for hp in highs)
 
 
-def _split_atom(cfg: AttackerConfig, atom: Atom) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    low_names, _, high_names, _ = _enumeration_plan(cfg)
-
-    def widen(part, count: int) -> tuple[int, ...]:
-        return (part,) if count == 1 else tuple(part)
-
-    if not low_names:
-        return (), widen(atom, len(high_names))
-    low_part, high_part = atom
-    return widen(low_part, len(low_names)), widen(high_part, len(high_names))
-
-
 def initial_store(cfg: AttackerConfig, atom: Atom) -> dict[str, int]:
     """Initial variable store for one enumerated atom."""
-    low_values, high_values = _split_atom(cfg, atom)
-    store: dict[str, int] = {}
     low_names, _, high_names, _ = _enumeration_plan(cfg)
-    store.update(zip(high_names, high_values))
+    low_part, high_part = atom if low_names else ((), atom)
+    store = dict(zip(high_names, (high_part,) if len(high_names) == 1 else high_part))
     if low_names:
-        store.update(zip(low_names, low_values))
+        store.update(zip(low_names, (low_part,) if len(low_names) == 1 else low_part))
     else:
         store.update({n: v for n, _, v in cfg.low_vars if v is not None})
     return store

@@ -264,10 +264,15 @@ def witness_to_json(w: OrderWitness) -> dict:
 def witness_from_json(obj) -> OrderWitness:
     if not isinstance(obj, dict) or not {"distribution", "n", "violated_block"} <= set(obj):
         raise QifError('expected {"distribution": ..., "n": ..., "violated_block": [...]}')
+    n, block = obj["n"], obj["violated_block"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise QifError(f'witness "n" must be an integer, got {n!r}')
+    if not isinstance(block, list):
+        raise QifError(f'witness "violated_block" must be an array, got {block!r}')
     return OrderWitness(
         distribution=distribution_from_json(obj["distribution"]),
-        n=int(obj["n"]),
-        violated_block=tuple(atom_from_json(a) for a in obj["violated_block"]),
+        n=n,
+        violated_block=tuple(atom_from_json(a) for a in block),
     )
 
 

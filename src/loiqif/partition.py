@@ -295,7 +295,11 @@ def domain_to_json(domain: Domain) -> list:
 def domain_from_json(obj) -> Domain:
     if not isinstance(obj, list):
         raise InvalidPartitionError("domain must be a JSON array of atoms")
-    return Domain(atom_from_json(v) for v in obj)
+    try:
+        return Domain(atom_from_json(v) for v in obj)
+    except (ValueError, TypeError) as exc:
+        # duplicate or no atoms, or an unhashable (JSON object) atom
+        raise InvalidPartitionError(f"bad domain: {exc}") from None
 
 
 def partition_to_json(x: Partition) -> dict:

@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 
 from loiqif import Distribution, Domain, Partition
+from loiqif.lang import _SHIFT_LIMIT, BoolLit, IntLit, Unary, Var, _Fault
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -199,3 +200,71 @@ def ge_prime_oracle(x: Partition, mu: Distribution) -> Fraction:
     return min(
         sum((i * m for i, m in enumerate(order, start=1)), Fraction(0))
         for order in itertools.permutations(masses))
+
+
+# ---------------------------------------------------------------------------
+# Expression reference: the interpreter's operators as one if-chain, the
+# way the language description reads.  Faults raise ``_Fault``.
+
+def eval_expr_reference(e, store: dict[str, int]) -> int:
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, BoolLit):
+        return 1 if e.value else 0
+    if isinstance(e, Var):
+        return store[e.name]
+    if isinstance(e, Unary):
+        v = eval_expr_reference(e.operand, store)
+        if e.op == "-":
+            return -v
+        if e.op == "!":
+            return 0 if v else 1
+        return ~v
+    left = eval_expr_reference(e.left, store)
+    right = eval_expr_reference(e.right, store)
+    op = e.op
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if right == 0:
+            raise _Fault
+        return left // right
+    if op == "%":
+        if right == 0:
+            raise _Fault
+        return left % right
+    if op == "&":
+        return left & right
+    if op == "|":
+        return left | right
+    if op == "^":
+        return left ^ right
+    if op == "<<":
+        if right < 0 or right > _SHIFT_LIMIT:
+            raise _Fault
+        return left << right
+    if op == ">>":
+        if right < 0:
+            raise _Fault
+        return left >> min(right, _SHIFT_LIMIT)
+    if op == "==":
+        return 1 if left == right else 0
+    if op == "!=":
+        return 1 if left != right else 0
+    if op == "<":
+        return 1 if left < right else 0
+    if op == "<=":
+        return 1 if left <= right else 0
+    if op == ">":
+        return 1 if left > right else 0
+    if op == ">=":
+        return 1 if left >= right else 0
+    if op == "&&":
+        return 1 if (left != 0 and right != 0) else 0
+    if op == "||":
+        return 1 if (left != 0 or right != 0) else 0
+    raise TypeError(f"unknown operator {op!r}")

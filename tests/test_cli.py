@@ -4,7 +4,7 @@ import pytest
 
 from loiqif import Distribution, Domain, Partition, loi, parse
 from loiqif.cli import main
-from loiqif.lang import AttackerConfig
+from loiqif.lang import MAX_DEPTH, AttackerConfig
 from loiqif.measures import distribution_to_json
 from loiqif.partition import partition_from_json
 
@@ -425,3 +425,85 @@ def test_compare_zero_trials_exits_two(workspace, capsys):
                              "--trials", "0")
     assert code == 2 and out == ""
     assert "--trials" in err
+
+
+# ---------------------------------------------------------------------------
+# hostile inputs exit 2
+
+_DEPTH_LIMIT_PROGRAMS = {
+    "at the limit": ("o = " + "+".join(["h"] * (MAX_DEPTH - 3)) + ";\n", 0),
+    "one past the limit": ("o = " + "+".join(["h"] * (MAX_DEPTH - 2)) + ";\n", 2),
+    "3000 parentheses": ("o = " + "(" * 3000 + "h" + ")" * 3000 + ";\n", 2),
+    "1500-term chain": ("o = " + "+".join(["h"] * 1500) + ";\n", 2),
+    "1000 unary minus": ("o = " + "-" * 1000 + "h;\n", 2),
+    "1000 nested if": ("if (h) " * 1000 + "o = h;\n", 2),
+    "3000 nested braces": ("{" * 3000 + "}" * 3000 + "\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_DEPTH_LIMIT_PROGRAMS))
+def test_nesting_depth_exit_codes(workspace, capsys, name):
+    source, want = _DEPTH_LIMIT_PROGRAMS[name]
+    prog = workspace("deep.wh", source)
+    cfg = workspace("cfg.json", CFG_2BIT)
+    code, out, err = run_cli(capsys, "analyze", prog, "--config", cfg, "--uniform")
+    assert code == want
+    if want == 2:
+        assert out == "" and "deep" in err
+
+
+@pytest.mark.parametrize("observe", [5, "out", ["o", 1]])
+def test_observe_must_be_an_array_of_names(workspace, capsys, observe):
+    m1 = workspace("m1.wh", M1_SRC)
+    cfg = workspace("cfg.json", dict(CFG_2BIT, observe=observe))
+    code, _, err = run_cli(capsys, "analyze", m1, "--config", cfg, "--uniform")
+    assert code == 2
+    assert "observe must be a JSON array" in err
+
+
+@pytest.mark.parametrize("which", ["program", "config"])
+def test_non_utf8_file_exits_two(workspace, capsys, tmp_path, which):
+    m1 = workspace("m1.wh", M1_SRC)
+    cfg = workspace("cfg.json", CFG_2BIT)
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'{"high": [{"name": "h\xff", "bits": 2}]}\n' if which == "config"
+                    else b"o = h; // \xff\n")
+    args = (["analyze", str(bad), "--config", cfg] if which == "program"
+            else ["analyze", m1, "--config", str(bad)])
+    code, _, err = run_cli(capsys, *args, "--uniform")
+    assert code == 2
+    assert "not UTF-8" in err
+
+
+def test_zero_budget_exits_two(workspace, capsys):
+    m1 = workspace("m1.wh", M1_SRC)
+    cfg = workspace("cfg.json", CFG_2BIT)
+    code, _, err = run_cli(capsys, "analyze", m1, "--config", cfg, "--uniform",
+                           "--budget", "0")
+    assert code == 2
+    assert "budget" in err
+
+
+_WITNESS_DIST = {"domain": [0, 1, 2, 3], "mass": {"1": "1/2", "2": "1/2"}}
+
+
+@pytest.mark.parametrize("witness, message", [
+    ({"distribution": _WITNESS_DIST, "n": "abc", "violated_block": [1, 2]}, '"n"'),
+    ({"distribution": _WITNESS_DIST, "n": 1e400, "violated_block": [1, 2]}, '"n"'),
+    ({"distribution": _WITNESS_DIST, "n": 1.7, "violated_block": [1, 2]}, '"n"'),
+    ({"distribution": _WITNESS_DIST, "n": 1, "violated_block": 5}, '"violated_block"'),
+    ({"distribution": {"domain": [0, 0, 2, 3], "mass": {"2": "1"}}, "n": 1,
+      "violated_block": [2]}, "duplicate atom"),
+    ({"distribution": {"domain": [0, {}, 2, 3], "mass": {"2": "1"}}, "n": 1,
+      "violated_block": [2]}, "unhashable"),
+])
+def test_bad_witness_exits_two(workspace, capsys, witness, message):
+    m1 = workspace("m1.wh", M1_SRC)
+    m2 = workspace("m2.wh", M2_SRC)
+    cfg = workspace("cfg.json", CFG_2BIT)
+    # json.dumps spells an infinite float "Infinity"; keep the literal 1e400
+    w = workspace("w.json", json.dumps(witness).replace("Infinity", "1e400"))
+    code, _, err = run_cli(capsys, "witness-check", m1, m2, "--config", cfg,
+                           "--witness", w)
+    assert code == 2
+    assert message in err

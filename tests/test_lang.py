@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from loiqif import (
     ConfigError,
@@ -21,10 +21,14 @@ from loiqif import (
     loi,
     parse,
     program_to_source,
+    self_compose,
     top,
 )
 from loiqif.lang import (
+    _BINARY_LEVELS,
+    _BINARY_OPS,
     ACTIVE,
+    MAX_DEPTH,
     NON_TERMINATION,
     PASSIVE,
     RUNTIME_ERROR,
@@ -42,15 +46,20 @@ from loiqif.lang import (
     Unary,
     Var,
     While,
+    _eval_expr,
+    _Fault,
+    _walk,
+    assigned_vars,
     config_from_json,
     config_to_json,
     enumerate_domain,
     expr_to_source,
     initial_store,
     low_projection,
+    read_vars,
 )
 
-from helpers import conditional_entropy_oracle, entropy_oracle
+from helpers import conditional_entropy_oracle, entropy_oracle, eval_expr_reference
 
 
 def cfg_high(bits=2, observe=("o",), **kw):
@@ -123,6 +132,37 @@ def test_parse_error_carries_position_and_expectations():
 def test_unknown_character():
     with pytest.raises(ParseError, match="unknown character"):
         parse("x = 1 $ 2;")
+
+
+_AT_LIMIT = MAX_DEPTH - 3   # Program, Seq and the innermost leaf take three levels
+
+
+@pytest.mark.parametrize("source", [
+    "o = " + " + ".join(["h"] * _AT_LIMIT) + ";",
+    "o = " + "-" * (_AT_LIMIT - 1) + "h;",
+    "if (h) " * (_AT_LIMIT - 1) + "o = h;",
+    "while (h > 3) " * (_AT_LIMIT - 1) + "o = h;",
+], ids=["chain", "unary", "if", "while"])
+def test_program_at_depth_limit_runs_prints_and_composes(source):
+    p = parse(source)
+    assert max(d for _, d in _walk(p)) == MAX_DEPTH
+    cfg = cfg_high()
+    _, x = loi(p, cfg)
+    text = program_to_source(p)
+    assert program_to_source(parse(text)) == text
+    composed, composed_cfg = self_compose(p, p, cfg)
+    assert loi(composed, composed_cfg)[1] == x
+    program_to_source(composed)
+
+
+def test_census_walks_every_node():
+    p = parse("if (a < b) { while (c) d = e + -f; } else g = !h;")
+    assert read_vars(p) == {"a", "b", "c", "e", "f", "h"}
+    assert assigned_vars(p) == {"d", "g"}
+    chain = parse("o = " + "+".join(f"v{i}" for i in range(_AT_LIMIT)) + ";")
+    assert len(read_vars(chain)) == _AT_LIMIT
+    with pytest.raises(TypeError, match="not an AST node"):
+        read_vars("h")
 
 
 def test_missing_semicolon():
@@ -237,6 +277,34 @@ def test_division_and_modulo_by_zero_fault():
 def test_negative_shift_faults():
     cfg = cfg_high(observe=("x",))
     assert eval_program(parse("x = 1 << (0-1);"), {"h": 0}, cfg) == Observable(RUNTIME_ERROR)
+
+
+def test_shift_count_limits():
+    cfg = cfg_high(observe=("x",))
+    assert eval_program(parse("x = 1 << (1 << 21);"), {"h": 0}, cfg) == Observable(RUNTIME_ERROR)
+    # a right shift past the limit is clamped to it, not a fault
+    assert eval_program(parse("x = h >> (1 << 21);"), {"h": 3}, cfg) == Observable(TERMINATED, (0,))
+    assert eval_program(parse("x = (0 - h) >> (1 << 21);"), {"h": 3}, cfg) == \
+        Observable(TERMINATED, (-1,))
+
+
+def test_operator_table_covers_the_grammar():
+    assert set(_BINARY_OPS) == {op for level in _BINARY_LEVELS for op in level}
+
+
+_stores = st.fixed_dictionaries({n: st.integers(-300, 300) for n in ("h", "l", "o")})
+
+
+@settings(deadline=None, max_examples=400)
+@given(_exprs, _stores)
+def test_operator_table_matches_reference(e, store):
+    try:
+        want = eval_expr_reference(e, store)
+    except _Fault:
+        with pytest.raises(_Fault):
+            _eval_expr(e, store)
+    else:
+        assert _eval_expr(e, store) == want
 
 
 def test_assignment_wraps_at_declared_width():
