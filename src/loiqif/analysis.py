@@ -28,7 +28,6 @@ from .lang import (
     Expr,
     If,
     IntLit,
-    Observable,
     Program,
     Seq,
     Skip,
@@ -37,6 +36,7 @@ from .lang import (
     Var,
     While,
     assigned_vars,
+    attacker_view,
     enumerate_domain,
     initial_store,
     loi,
@@ -200,28 +200,31 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
                  max_iterations: int | None = None) -> LoopAnalysis:
     """Analyze the first top-level while loop of the program.
 
-    ``max_iterations`` caps the chain length; the default, one past the
-    size of the largest high-variable range, suffices for loops driven
-    by a single enumerated secret.
+    ``max_iterations`` caps the chain length.  The default is one past the
+    largest iteration count any run reached: no run finishes later, so by
+    then the chain has stopped growing and always stabilizes.  Partitions
+    are kernels of what the attacker sees of each run (``attacker_view``),
+    so a passive attacker also tells apart runs with different lows.
     """
     loop = _find_top_level_loop(p.body)
     if loop is None:
         raise AnalysisError("no top-level while loop to analyze")
-    if max_iterations is None:
-        max_iterations = (1 << max((b for _, b in cfg.high_vars), default=0)) + 1
-    if max_iterations < 1:
+    if max_iterations is not None and max_iterations < 1:
         raise AnalysisError("max_iterations must be >= 1")
 
     validate_program(p, cfg)
     domain = enumerate_domain(cfg)
-    traces: dict[Atom, tuple[Observable, int | None]] = {
-        a: run_counting_loop(p, initial_store(cfg, a), cfg, loop)
-        for a in domain.atoms
-    }
+    traces: dict[Atom, tuple[object, int | None]] = {}
+    for a in domain.atoms:
+        obs, iterations = run_counting_loop(p, initial_store(cfg, a), cfg, loop)
+        traces[a] = attacker_view(cfg, a, obs), iterations
+    elsewhere = {a: attacker_view(cfg, a, _ELSEWHERE) for a in domain.atoms}
     resolved_by = max((it for _, it in traces.values() if it is not None), default=0)
+    if max_iterations is None:
+        max_iterations = resolved_by + 1
 
     def w_partition(i: int) -> Partition:
-        return kernel(domain, lambda a: traces[a][0] if traces[a][1] == i else _ELSEWHERE)
+        return kernel(domain, lambda a: traces[a][0] if traces[a][1] == i else elsewhere[a])
 
     w_parts = [w_partition(0)]
     chain = [w_parts[0]]
@@ -235,7 +238,7 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
             stabilized = True
             break
 
-    collision = _collision_partition(domain, traces)
+    collision = _collision_partition(domain, cfg, traces)
     result = meet(chain[-1], collision)
     return LoopAnalysis(
         domain=domain,
@@ -248,22 +251,22 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
     )
 
 
-def _collision_partition(domain: Domain,
-                         traces: dict[Atom, tuple[Observable, int | None]]) -> Partition:
-    """Transitive closure of "same output from different iteration
-    counts": an output seen at two or more counts pulls all its inputs
-    into one block; everything else stays on its own.  Inputs that never
-    resolved share a single block."""
-    counts: dict[Observable, set[int]] = {}
-    for obs, iterations in traces.values():
+def _collision_partition(domain: Domain, cfg: AttackerConfig,
+                         traces: dict[Atom, tuple[object, int | None]]) -> Partition:
+    """Transitive closure of "same view from different iteration counts":
+    a view seen at two or more counts pulls all its inputs into one block;
+    everything else stays on its own.  Inputs that never resolved share
+    one block (one per low part for a passive attacker)."""
+    counts: dict[object, set[int]] = {}
+    for view, iterations in traces.values():
         if iterations is not None:
-            counts.setdefault(obs, set()).add(iterations)
+            counts.setdefault(view, set()).add(iterations)
 
     def key(a: Atom):
-        obs, iterations = traces[a]
+        view, iterations = traces[a]
         if iterations is None:
-            return _UNRESOLVED
-        return obs if len(counts[obs]) >= 2 else (a,)
+            return attacker_view(cfg, a, _UNRESOLVED)
+        return view if len(counts[view]) >= 2 else (a,)
 
     return kernel(domain, key)
 

@@ -45,7 +45,6 @@ from .ordering import (
     InternalInvariantError,
     OrderWitness,
     Relation,
-    compare,
     equivalence_audit,
     order_result_to_json,
     verify_witness,
@@ -232,8 +231,8 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args)
     _, x = loi(p1, cfg)
     _, y = loi(p2, cfg)
-    result = compare(x, y)
     audit = equivalence_audit(x, y, trials=args.trials, seed=args.seed)
+    result = audit.result
     if args.json:
         obj = order_result_to_json(result)
         obj["partition1"] = partition_to_json(x)
@@ -475,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     _add_common(p)
     p.add_argument("--max-iter", type=int, default=None, metavar="N",
-                   help="cap on analyzed iteration counts")
+                   help="cap on analyzed iteration counts (default: one past "
+                        "the largest count any run reaches)")
     p.set_defaults(func=cmd_loop)
 
     p = sub.add_parser("capacity", help="channel capacity of a program")

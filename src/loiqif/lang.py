@@ -40,7 +40,6 @@ output looks the same.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Mapping
@@ -222,13 +221,18 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent, one binary-operator level per precedence tier)
+# Parser (recursive descent for statements, precedence climbing for
+# binary operators)
 
 _BINARY_LEVELS: tuple[tuple[str, ...], ...] = (
     ("||",), ("&&",), ("|",), ("^",), ("&",),
     ("==", "!="), ("<", "<=", ">", ">="), ("<<", ">>"),
     ("+", "-"), ("*", "/", "%"),
 )
+# Binding strength of each binary operator, 1 (loosest) to 10; unary
+# operators bind tighter than all of them.
+_PREC = {op: lvl + 1 for lvl, ops in enumerate(_BINARY_LEVELS) for op in ops}
+_UNARY_PREC = len(_BINARY_LEVELS) + 1
 
 
 # Deepest AST ``parse`` accepts.  Evaluation, printing and self-composition
@@ -318,14 +322,13 @@ class _Parser:
             f"expected a statement but found '{tok.text}'", tok.line, tok.col,
             expected=("skip", "if", "while", "{", "identifier"))
 
-    def expression(self, level: int = 0) -> Expr:
-        if level == len(_BINARY_LEVELS):
-            return self.unary()
-        ops = _BINARY_LEVELS[level]
-        left = self.expression(level + 1)
-        while self.peek().kind in ops:
+    def expression(self, min_prec: int = 1) -> Expr:
+        """The longest expression whose binary operators all bind at least
+        as tightly as ``min_prec``; operators of one tier associate left."""
+        left = self.unary()
+        while (prec := _PREC.get(self.peek().kind, 0)) >= min_prec:
             op = self.advance().kind
-            left = Binary(op, left, self.expression(level + 1))
+            left = Binary(op, left, self.expression(prec + 1))
         return left
 
     def unary(self) -> Expr:
@@ -375,9 +378,6 @@ def parse(source: str) -> Program:
 
 # ---------------------------------------------------------------------------
 # Source formatting (re-parseable; used when emitting composed programs)
-
-_PREC = {op: lvl + 1 for lvl, ops in enumerate(_BINARY_LEVELS) for op in ops}
-_UNARY_PREC = len(_BINARY_LEVELS) + 1
 
 
 def expr_to_source(e: Expr, parent: int = 0, right_operand: bool = False) -> str:
@@ -797,10 +797,14 @@ def enumerate_domain(cfg: AttackerConfig) -> Domain:
     are (low part, high part) pairs.
     """
     low_names, low_ranges, high_names, high_ranges = _enumeration_plan(cfg)
-    size = math.prod(len(r) for r in low_ranges + high_ranges)
-    if size > cfg.enumeration_cap:
+    # A pinned low adds no atoms and a variable of b bits doubles them b
+    # times; the exponent keeps the message printable for any width.
+    bits = sum(b for _, b in cfg.high_vars)
+    if low_names:
+        bits += sum(b for _, b, v in cfg.low_vars if v is None)
+    if 1 << bits > cfg.enumeration_cap:
         raise EnumerationCapError(
-            f"{size} atoms to enumerate exceeds the cap of {cfg.enumeration_cap}")
+            f"2^{bits} atoms to enumerate exceeds the cap of {cfg.enumeration_cap}")
 
     def product(ranges) -> list[tuple[int, ...]]:
         out: list[tuple[int, ...]] = [()]
@@ -838,31 +842,32 @@ def validate_program(p: Program, cfg: AttackerConfig) -> None:
             raise ConfigError(f"observed variable {name!r} is never declared or assigned")
 
 
-def loi(p: Program, cfg: AttackerConfig) -> tuple[Domain, Partition]:
-    """The program's partition of the secret space: the kernel of the
-    map from input atoms to what the attacker sees of the run.
+def attacker_view(cfg: AttackerConfig, atom: Atom, seen):
+    """What the attacker sees of a run on ``atom`` whose output looks like
+    ``seen``.
 
     A passive attacker watches the public low inputs go in as well as
-    the observed variables come out, so with enumerated lows the kernel
-    key is the (low values, observable) pair; two atoms with different
-    low parts are always distinguished."""
+    the observed variables come out, so with enumerated lows the view is
+    the (low values, ``seen``) pair; two atoms with different low parts
+    always look different.  Otherwise the view is ``seen`` itself."""
+    return (atom[0], seen) if cfg.mode == PASSIVE and cfg.low_vars else seen
+
+
+def loi(p: Program, cfg: AttackerConfig) -> tuple[Domain, Partition]:
+    """The program's partition of the secret space: the kernel of the
+    map from input atoms to what the attacker sees of the run."""
     validate_program(p, cfg)
     domain = enumerate_domain(cfg)
-    eavesdrops_lows = cfg.mode == PASSIVE and bool(cfg.low_vars)
-
-    def view(a: Atom):
-        obs = eval_program(p, initial_store(cfg, a), cfg)
-        return (a[0], obs) if eavesdrops_lows else obs
-
-    return domain, kernel(domain, {a: view(a) for a in domain.atoms})
+    return domain, kernel(domain, {
+        a: attacker_view(cfg, a, eval_program(p, initial_store(cfg, a), cfg))
+        for a in domain.atoms})
 
 
 def low_projection(domain: Domain, cfg: AttackerConfig) -> Partition:
     """Partition of the atoms by their low part (one block per low value);
-    the one-block partition when lows are not enumerated."""
-    if cfg.mode == PASSIVE and cfg.low_vars:
-        return kernel(domain, lambda a: a[0])
-    return kernel(domain, lambda a: 0)
+    the one-block partition when lows are not enumerated.  It is what the
+    attacker sees of runs that all look alike."""
+    return kernel(domain, lambda a: attacker_view(cfg, a, None))
 
 
 def leakage(p: Program, cfg: AttackerConfig, mu: Distribution) -> float:

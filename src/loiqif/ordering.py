@@ -1,21 +1,26 @@
 """Refinement comparison with constructive counterexample distributions.
 
+The order correspondence is stated once, as the measure profile
+(G_n, G_1, −NG, H) of a partition under a distribution: refining the
+partition never lowers an entry (G_1 orders ME and −NG orders GE, each
+differing from its measure by a term of the prior alone).
+
 ``compare`` classifies a pair of partitions as equal, strictly related,
-or incomparable.  Whenever a refinement direction fails, it also builds
-an ``OrderWitness``: a distribution and a try count under which every
-measure strictly disagrees with that direction.  The recipe: pick the
-first block of the would-be finer partition that is split across blocks
-of the other one, put uniform mass on that block (zero elsewhere) and
-guess n = block size − 1 times.  Under that distribution the splitting
-partition guesses with certainty while the split one can still miss, its
-entropy is strictly higher, and it needs strictly fewer expected
-guesses.  Witnesses are re-verified before being returned.
+or incomparable.  Whenever a refinement direction X ⊑ Y fails, it also
+builds an ``OrderWitness``: a distribution and a try count under which
+X's profile is strictly larger than Y's in every entry.  The recipe:
+pick the first block of Y that is split across blocks of X, put uniform
+mass on that block (zero elsewhere) and guess n = block size − 1 times.
+X then guesses with certainty while Y can still miss, X's entropy is
+strictly higher, and X needs strictly fewer expected guesses.
+Witnesses are re-verified before being returned.
 
 ``equivalence_audit`` samples seeded random rational distributions (the
-constructed witnesses are always included) and checks that the empirical
-order of H, G_n, NG, ME and GE between the two partitions never
-contradicts the refinement relation; any violation it reports would be
-an implementation bug.
+constructed witnesses are always included) and checks that the profiles
+never contradict the refinement relation: no entry of the coarser
+partition's profile exceeds the finer one's, and equal partitions have
+equal profiles (exactly, and within ``ENTROPY_TOLERANCE`` for H).  Any
+violation it reports would be an implementation bug.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .partition import (
     QifError,
     atom_from_json,
     atom_to_json,
-    leq,
 )
 
 ENTROPY_TOLERANCE = 1e-9
@@ -100,6 +104,24 @@ def find_split_block(x: Partition, y: Partition) -> tuple[Atom, ...] | None:
     return tuple(a for a, yl in zip(y.domain.atoms, y.labels) if yl == first)
 
 
+# Names of the profile entries, in order, and the slack each comparison
+# of two profiles allows (floating-point entropy only).
+_PROFILE_NAMES = ("G_n", "ME", "NG", "H")
+_PROFILE_TOLERANCE = (0, 0, 0, ENTROPY_TOLERANCE)
+
+
+def _profile(p: Partition, mu: Distribution, n: int) -> tuple:
+    """(G_n, G_1, −NG, H) of ``p`` under ``mu``: no entry falls when ``p``
+    is refined."""
+    return (guess_prob(p, mu, n), guess_prob(p, mu, 1),
+            -expected_guesses(p, mu), entropy(p, mu))
+
+
+def _ahead(px: tuple, py: tuple) -> bool:
+    """Every measure strictly favors the first partition."""
+    return all(a > b for a, b in zip(px, py))
+
+
 def verify_witness(w: OrderWitness, x: Partition, y: Partition) -> bool:
     """Recompute all four measures under the witness distribution and
     confirm the refutation of X ⊑ Y: G_n(X) > G_n(Y), G_1(X) > G_1(Y),
@@ -109,24 +131,17 @@ def verify_witness(w: OrderWitness, x: Partition, y: Partition) -> bool:
         mu = w.distribution
         if mu.domain != x.domain or mu.domain != y.domain:
             return False
-        if guess_prob(x, mu, w.n) <= guess_prob(y, mu, w.n):
-            return False
-        if guess_prob(x, mu, 1) <= guess_prob(y, mu, 1):
-            return False
-        if entropy(x, mu) <= entropy(y, mu):
-            return False
-        if expected_guesses(x, mu) >= expected_guesses(y, mu):
-            return False
-        return True
+        return _ahead(_profile(x, mu, w.n), _profile(y, mu, w.n))
     except (QifError, ValueError):
         return False
 
 
-def _witness_refuting(x: Partition, y: Partition) -> OrderWitness:
-    """Witness distribution under which X ⊑ Y is measurably false."""
+def _witness_refuting(x: Partition, y: Partition) -> OrderWitness | None:
+    """Witness distribution under which X ⊑ Y is measurably false; None
+    when X ⊑ Y holds."""
     block = find_split_block(x, y)
     if block is None:
-        raise InternalInvariantError("no split block: the direction holds")
+        return None
     w = OrderWitness(
         distribution=Distribution.uniform_on(x.domain, block),
         n=len(block) - 1,
@@ -137,22 +152,21 @@ def _witness_refuting(x: Partition, y: Partition) -> OrderWitness:
     return w
 
 
+# Relation for (X ⊑ Y refuted, Y ⊑ X refuted).
+_RELATION = {
+    (False, False): Relation.EQUAL,
+    (False, True): Relation.COARSER_THAN,
+    (True, False): Relation.FINER_THAN,
+    (True, True): Relation.INCOMPARABLE,
+}
+
+
 def compare(x: Partition, y: Partition) -> OrderResult:
     """Classify the pair in the refinement order, with witnesses for
     every failing direction (self-verified before return)."""
-    below = leq(x, y)
-    above = leq(y, x)
-    if below and above:
-        return OrderResult(Relation.EQUAL)
-    if below:
-        return OrderResult(Relation.COARSER_THAN, witness_yx=_witness_refuting(y, x))
-    if above:
-        return OrderResult(Relation.FINER_THAN, witness_xy=_witness_refuting(x, y))
-    return OrderResult(
-        Relation.INCOMPARABLE,
-        witness_xy=_witness_refuting(x, y),
-        witness_yx=_witness_refuting(y, x),
-    )
+    wxy = _witness_refuting(x, y)
+    wyx = _witness_refuting(y, x)
+    return OrderResult(_RELATION[wxy is not None, wyx is not None], wxy, wyx)
 
 
 # ---------------------------------------------------------------------------
@@ -168,33 +182,29 @@ class AuditViolation:
 
 @dataclass(frozen=True)
 class AuditReport:
-    relation: Relation
+    result: OrderResult   # the comparison the audit checked against
     samples: int
     violations: tuple[AuditViolation, ...]
     x_ahead: int   # samples where every measure strictly favors X
     y_ahead: int
 
     @property
+    def relation(self) -> Relation:
+        return self.result.relation
+
+    @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def _sample_measures(p: Partition, mu: Distribution, n: int):
-    return (guess_prob(p, mu, n), guess_prob(p, mu, 1),
-            expected_guesses(p, mu), entropy(p, mu))
-
-
 def equivalence_audit(x: Partition, y: Partition, trials: int = 200,
                       seed: int = 0) -> AuditReport:
-    """Check measure orders against the refinement relation on sampled
-    distributions.
+    """Check the profiles of X and Y against their refinement relation on
+    the witnesses plus ``trials`` sampled distributions.
 
-    For related pairs every sample must order H, G_n, NG, ME and GE the
-    same way as the relation (exact comparisons for the rational
-    measures, 1e-9 for entropy) — violations are reported.  For
-    incomparable pairs the witnesses are part of the sample set, so both
-    strict orderings are observed; per-sample disagreement is expected
-    and only counted.
+    For related pairs each disagreement is a reported violation.  For
+    incomparable pairs both strict orderings are expected (the witnesses
+    show them) and are only counted.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -210,39 +220,22 @@ def equivalence_audit(x: Partition, y: Partition, trials: int = 200,
 
     violations: list[AuditViolation] = []
     x_ahead = y_ahead = 0
-
-    def expect(i: int, n: int, name: str, ordered: bool, detail: str) -> None:
-        if not ordered:
-            violations.append(AuditViolation(i, n, name, detail))
-
     for i, (mu, n) in enumerate(samples):
-        gx_n, gx_1, ng_x, h_x = _sample_measures(x, mu, n)
-        gy_n, gy_1, ng_y, h_y = _sample_measures(y, mu, n)
-        # ME order is the order of G_1 (shared prior term); GE order is
-        # the reversed order of NG (shared prior term).
-        if result.relation is Relation.EQUAL:
-            expect(i, n, "G_n", gx_n == gy_n, f"{gx_n} != {gy_n}")
-            expect(i, n, "NG", ng_x == ng_y, f"{ng_x} != {ng_y}")
-            expect(i, n, "ME", gx_1 == gy_1, f"{gx_1} != {gy_1}")
-            expect(i, n, "H", abs(h_x - h_y) <= ENTROPY_TOLERANCE, f"{h_x} vs {h_y}")
-        elif result.relation is Relation.COARSER_THAN:
-            expect(i, n, "G_n", gx_n <= gy_n, f"{gx_n} > {gy_n}")
-            expect(i, n, "NG", ng_y <= ng_x, f"{ng_y} > {ng_x}")
-            expect(i, n, "ME", gx_1 <= gy_1, f"{gx_1} > {gy_1}")
-            expect(i, n, "H", h_x <= h_y + ENTROPY_TOLERANCE, f"{h_x} > {h_y}")
-        elif result.relation is Relation.FINER_THAN:
-            expect(i, n, "G_n", gy_n <= gx_n, f"{gy_n} > {gx_n}")
-            expect(i, n, "NG", ng_x <= ng_y, f"{ng_x} > {ng_y}")
-            expect(i, n, "ME", gy_1 <= gx_1, f"{gy_1} > {gx_1}")
-            expect(i, n, "H", h_y <= h_x + ENTROPY_TOLERANCE, f"{h_y} > {h_x}")
-        else:
-            if gx_n > gy_n and gx_1 > gy_1 and ng_x < ng_y and h_x > h_y:
-                x_ahead += 1
-            elif gy_n > gx_n and gy_1 > gx_1 and ng_y < ng_x and h_y > h_x:
-                y_ahead += 1
+        px, py = _profile(x, mu, n), _profile(y, mu, n)
+        if result.relation is Relation.INCOMPARABLE:
+            x_ahead += _ahead(px, py)
+            y_ahead += _ahead(py, px)
+            continue
+        coarser, finer = (py, px) if result.relation is Relation.FINER_THAN else (px, py)
+        for k, name in enumerate(_PROFILE_NAMES):
+            c, f, tol = coarser[k], finer[k], _PROFILE_TOLERANCE[k]
+            if not (abs(c - f) <= tol if result.relation is Relation.EQUAL else c <= f + tol):
+                sign = -1 if name == "NG" else 1   # show NG, not the profile's −NG
+                violations.append(AuditViolation(
+                    i, n, name, f"X {sign * px[k]}, Y {sign * py[k]}"))
 
     return AuditReport(
-        relation=result.relation,
+        result=result,
         samples=len(samples),
         violations=tuple(violations),
         x_ahead=x_ahead,

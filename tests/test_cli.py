@@ -292,6 +292,31 @@ def test_loop_command_reports_non_stabilization_without_failing(workspace, capsy
     assert "cross-check result == direct loi: skipped" in out
 
 
+_PASSIVE_2x1 = {"high": [{"name": "h", "bits": 2}], "low": [{"name": "l", "bits": 1}],
+                "observe": ["o"], "mode": "passive"}
+_LOOPS_PAST_THE_OLD_CAP = {
+    "passive parity countdown": (
+        "x = h; o = 0; while (x > 0) { x = x - 1; o = 1 - o; }\n", _PASSIVE_2x1),
+    "passive count driven by lows": (
+        "x = h + l; o = 0; while (x > 0) { x = x - 1; o = o + 1; }\n",
+        dict(_PASSIVE_2x1, low=[{"name": "l", "bits": 2}])),
+    "100 iterations on a 2-bit secret": (
+        "x = 0; while (x < 100) x = x + 1; o = x + h;\n", CFG_2BIT),
+}
+
+
+@pytest.mark.parametrize("name", list(_LOOPS_PAST_THE_OLD_CAP))
+def test_loop_command_default_cap_and_passive_views(workspace, capsys, name):
+    source, cfg_obj = _LOOPS_PAST_THE_OLD_CAP[name]
+    prog = workspace("loop.wh", source)
+    cfg = workspace("cfg.json", cfg_obj)
+    code, out, err = run_cli(capsys, "loop", prog, "--config", cfg)
+    assert code == 0 and err == ""
+    assert "cross-check result == direct loi: pass" in out
+    if name.startswith("100"):
+        assert "iterations analyzed: 101 (stabilized: yes)" in out
+
+
 def test_partition_summary_for_large_domains(workspace, capsys):
     p1 = workspace("p1.wh", "if (h % 8 == 0) o = h; else o = 1;\n")
     cfg = workspace("cfg.json", {"high": [{"name": "h", "bits": 8}], "low": [],
@@ -329,6 +354,15 @@ def test_enumeration_cap_exits_three(workspace, capsys):
     code, _, err = run_cli(capsys, "analyze", m2, "--config", cfg, "--uniform")
     assert code == 3
     assert "cap" in err
+
+
+def test_sixty_four_bit_variable_exits_three(workspace, capsys):
+    m2 = workspace("m2.wh", M2_SRC)
+    cfg = workspace("cfg.json", {"high": [{"name": "h", "bits": 64}], "low": [],
+                                 "observe": ["o"], "mode": "active"})
+    code, out, err = run_cli(capsys, "capacity", m2, "--config", cfg)
+    assert code == 3 and out == ""
+    assert "cap" in err and "Traceback" not in err
 
 
 def test_bad_distribution_sum_exits_two(workspace, capsys):
@@ -433,6 +467,7 @@ def test_compare_zero_trials_exits_two(workspace, capsys):
 _DEPTH_LIMIT_PROGRAMS = {
     "at the limit": ("o = " + "+".join(["h"] * (MAX_DEPTH - 3)) + ";\n", 0),
     "one past the limit": ("o = " + "+".join(["h"] * (MAX_DEPTH - 2)) + ";\n", 2),
+    "200 parentheses": ("o = " + "(" * 200 + "h" + ")" * 200 + ";\n", 0),
     "3000 parentheses": ("o = " + "(" * 3000 + "h" + ")" * 3000 + ";\n", 2),
     "1500-term chain": ("o = " + "+".join(["h"] * 1500) + ";\n", 2),
     "1000 unary minus": ("o = " + "-" * 1000 + "h;\n", 2),

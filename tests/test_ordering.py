@@ -158,6 +158,8 @@ def test_witnesses_sound_and_complete_up_to_size_four():
         parts = all_partitions(Domain(range(size)))
         for x, y in itertools.product(parts, parts):
             result = compare(x, y)
+            assert leq(x, y) == (result.relation in (Relation.EQUAL, Relation.COARSER_THAN))
+            assert leq(y, x) == (result.relation in (Relation.EQUAL, Relation.FINER_THAN))
             if result.relation is Relation.INCOMPARABLE:
                 assert verify_witness(result.witness_xy, x, y)
                 assert verify_witness(result.witness_yx, y, x)
@@ -235,6 +237,41 @@ def test_audit_on_equal_pair_is_exact():
     assert audit.relation is Relation.EQUAL
     assert audit.ok
     assert audit.x_ahead == audit.y_ahead == 0
+
+
+def test_audit_reports_every_misordered_measure(monkeypatch):
+    import loiqif.ordering as ordering
+
+    coarse = Partition(D1234, [[1, 2], [3, 4]])
+    twin = Partition(D1234, [[2, 1], [4, 3]])
+    fine = top(D1234)
+    cases = ((coarse, fine, Relation.COARSER_THAN),
+             (fine, coarse, Relation.FINER_THAN),
+             (coarse, twin, Relation.EQUAL),
+             (twin, coarse, Relation.EQUAL))
+    results = {(id(x), id(y)): compare(x, y) for x, y, _ in cases}
+    # Measures that favor ``coarse`` over any other partition, even an
+    # equal one: every entry of every sample contradicts the relation.
+    values = {"G_n": (Fraction(9, 10), Fraction(1, 10)),
+              "NG": (Fraction(11, 10), Fraction(3)),
+              "H": (1.5, 0.25)}
+
+    def value(name, p):
+        return values[name][0 if p is coarse else 1]
+
+    monkeypatch.setattr(ordering, "compare", lambda x, y: results[id(x), id(y)])
+    monkeypatch.setattr(ordering, "guess_prob", lambda p, mu, n: value("G_n", p))
+    monkeypatch.setattr(ordering, "expected_guesses", lambda p, mu: value("NG", p))
+    monkeypatch.setattr(ordering, "entropy", lambda p, mu: value("H", p))
+    for x, y, relation in cases:
+        audit = equivalence_audit(x, y, trials=5, seed=4)
+        assert audit.relation is relation
+        assert not audit.ok
+        assert len(audit.violations) == 4 * audit.samples
+        assert {v.measure for v in audit.violations} == {"G_n", "ME", "NG", "H"}
+        for v in audit.violations:
+            name = "G_n" if v.measure == "ME" else v.measure
+            assert v.detail == f"X {value(name, x)}, Y {value(name, y)}"
 
 
 def test_audit_is_deterministic_in_the_seed():
