@@ -17,22 +17,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Sequence
 
 from .lang import (
     Assign,
     AttackerConfig,
     Binary,
-    BoolLit,
-    Expr,
-    If,
     IntLit,
     Program,
     Seq,
-    Skip,
     Stmt,
-    Unary,
     Var,
     While,
     assigned_vars,
@@ -40,6 +35,7 @@ from .lang import (
     enumerate_domain,
     initial_store,
     loi,
+    map_nodes,
     read_vars,
     run_counting_loop,
     validate_program,
@@ -76,45 +72,16 @@ def leaks_same_information(runs: Sequence[Partition]) -> tuple[bool, tuple[int, 
 # ---------------------------------------------------------------------------
 # Self-composition
 
-def _rename_expr(e: Expr, suffix: str) -> Expr:
-    if isinstance(e, (IntLit, BoolLit)):
-        return e
-    if isinstance(e, Var):
-        return Var(e.name + suffix)
-    if isinstance(e, Unary):
-        return Unary(e.op, _rename_expr(e.operand, suffix))
-    return Binary(e.op, _rename_expr(e.left, suffix), _rename_expr(e.right, suffix))
-
-
-def _rename_stmt(s: Stmt, suffix: str, widths: dict[str, int]) -> Stmt:
-    if isinstance(s, Skip):
-        return s
-    if isinstance(s, Assign):
-        expr = _rename_expr(s.expr, suffix)
-        # A declared variable loses its config-backed width under the new
-        # name, so the wrap-on-assignment semantics is made explicit.
-        if s.name in widths:
-            expr = Binary("&", expr, IntLit((1 << widths[s.name]) - 1))
-        return Assign(s.name + suffix, expr)
-    if isinstance(s, Seq):
-        return Seq(tuple(_rename_stmt(sub, suffix, widths) for sub in s.stmts))
-    if isinstance(s, If):
-        return If(_rename_expr(s.cond, suffix),
-                  _rename_stmt(s.then_branch, suffix, widths),
-                  _rename_stmt(s.else_branch, suffix, widths))
-    if isinstance(s, While):
-        return While(_rename_expr(s.cond, suffix),
-                     _rename_stmt(s.body, suffix, widths))
-    raise TypeError(f"not a statement: {s!r}")
-
-
 def self_compose(p1: Program, p2: Program, cfg: AttackerConfig
                  ) -> tuple[Program, AttackerConfig]:
     """Sequence two variable-disjoint copies of the programs.
 
     Each copy works on its own suffixed variables; a prelude copies every
     configured variable into the copy's alias, so the copies share inputs
-    but never interfere.  Returns the composed program and the matching
+    but never interfere.  The copies are made with ``lang.map_nodes``: a
+    ``Var`` or ``Assign`` gets the suffix, and an assignment to a declared
+    variable is masked to its width, since the alias carries no width
+    from the configuration.  Returns the composed program and the matching
     configuration (same secrets, both copies' outputs observed).  For
     runs that terminate within budget, the composed program's partition
     is exactly the join of the two programs' partitions.
@@ -132,10 +99,21 @@ def self_compose(p1: Program, p2: Program, cfg: AttackerConfig
                     f"renaming collision: {name + suffix!r} already in use")
 
     declared_order = [n for n, _ in cfg.high_vars] + [n for n, _, _ in cfg.low_vars]
+
+    def renamed(node, suffix: str):
+        if isinstance(node, Var):
+            return Var(node.name + suffix)
+        if isinstance(node, Assign):
+            expr = node.expr
+            if node.name in widths:
+                expr = Binary("&", expr, IntLit((1 << widths[node.name]) - 1))
+            return Assign(node.name + suffix, expr)
+        return node
+
     stmts: list[Stmt] = []
     for program, suffix in zip((p1, p2), suffixes):
         stmts.extend(Assign(n + suffix, Var(n)) for n in declared_order)
-        body = _rename_stmt(program.body, suffix, widths)
+        body = map_nodes(program.body, partial(renamed, suffix=suffix))
         stmts.extend(body.stmts) if isinstance(body, Seq) else stmts.append(body)
     composed = Program(Seq(tuple(stmts)))
 
@@ -179,17 +157,11 @@ class LoopAnalysis:
 
 
 def _find_top_level_loop(s: Stmt) -> While | None:
+    """The first while loop in ``s``, looking into sequences only."""
     if isinstance(s, While):
         return s
-    if isinstance(s, Seq):
-        for sub in s.stmts:
-            if isinstance(sub, While):
-                return sub
-            if isinstance(sub, Seq):
-                found = _find_top_level_loop(sub)
-                if found is not None:
-                    return found
-    return None
+    subs = s.stmts if isinstance(s, Seq) else ()
+    return next(filter(None, map(_find_top_level_loop, subs)), None)
 
 
 _ELSEWHERE = "<other iteration count>"

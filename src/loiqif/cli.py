@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .analysis import (
     LoopAnalysis,
@@ -32,11 +32,9 @@ from .lang import (
 )
 from .measures import (
     Distribution,
-    MeasureReport,
     channel_capacity,
     conditional_entropy,
     distribution_from_json,
-    entropy,
     format_real,
     measure_report,
     measure_report_to_json,
@@ -59,31 +57,6 @@ from .partition import (
 )
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Everything the analyze command reports for one program."""
-
-    program_id: str
-    partition: Partition
-    measures: MeasureReport
-    distribution_id: str
-    mode: str
-    warnings: tuple[str, ...]
-    leakage_bits: float
-
-
-def analysis_report_to_json(r: AnalysisReport) -> dict:
-    return {
-        "program": r.program_id,
-        "mode": r.mode,
-        "distribution": r.distribution_id,
-        "partition": partition_to_json(r.partition),
-        "measures": measure_report_to_json(r.measures),
-        "leakage_bits": format_real(r.leakage_bits),
-        "warnings": list(r.warnings),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
@@ -96,9 +69,12 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str):
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except RecursionError:
+        raise QifError(f"{path}: JSON nested too deep") from None
+    except ValueError as exc:   # also an integer past the int-string digit limit
         raise QifError(f"{path}: not valid JSON: {exc}") from None
 
 
@@ -151,34 +127,33 @@ PASSIVE_LEAKAGE_NOTE = (
     "plain partition entropy reported as H")
 
 
-def _analysis_report(program_id: str, part: Partition, domain: Domain,
-                     cfg: AttackerConfig, mu: Distribution, dist_id: str,
-                     guesses: int) -> AnalysisReport:
-    warnings: list[str] = []
-    if cfg.mode == PASSIVE and cfg.low_vars:
-        leak = conditional_entropy(part, low_projection(domain, cfg), mu)
-        warnings.append(PASSIVE_LEAKAGE_NOTE)
-    else:
-        leak = entropy(part, mu)
-    return AnalysisReport(
-        program_id=program_id,
-        partition=part,
-        measures=measure_report(part, mu, max_tries=guesses),
-        distribution_id=dist_id,
-        mode=cfg.mode,
-        warnings=tuple(warnings),
-        leakage_bits=leak,
-    )
-
-
-def _print_report(r: AnalysisReport) -> None:
-    print(f"program: {r.program_id}")
-    print(f"mode: {r.mode}")
-    print(f"distribution: {r.distribution_id}")
-    print(f"partition: {_partition_text(r.partition)}")
-    print(f"blocks: {block_count(r.partition)}")
-    print(f"leakage (bits): {format_real(r.leakage_bits)}")
-    m = r.measures
+def cmd_analyze(args) -> int:
+    if args.guesses < 1:
+        raise QifError(f"--guesses must be >= 1, got {args.guesses}")
+    program = _load_program(args.program)
+    cfg = _load_config(args)
+    domain, part = loi(program, cfg)
+    mu, dist_id = _resolve_distribution(args, domain)
+    m = measure_report(part, mu, max_tries=args.guesses)
+    leak = conditional_entropy(part, low_projection(domain, cfg), mu)
+    warnings = [PASSIVE_LEAKAGE_NOTE] if cfg.mode == PASSIVE and cfg.low_vars else []
+    if args.json:
+        _emit_json({
+            "program": args.program,
+            "mode": cfg.mode,
+            "distribution": dist_id,
+            "partition": partition_to_json(part),
+            "measures": measure_report_to_json(m),
+            "leakage_bits": format_real(leak),
+            "warnings": warnings,
+        })
+        return 0
+    print(f"program: {args.program}")
+    print(f"mode: {cfg.mode}")
+    print(f"distribution: {dist_id}")
+    print(f"partition: {_partition_text(part)}")
+    print(f"blocks: {block_count(part)}")
+    print(f"leakage (bits): {format_real(leak)}")
     print(f"entropy H (bits): {format_real(m.entropy_bits)}")
     for n, g in m.guess_prob.items():
         print(f"G_{n}: {g}")
@@ -188,21 +163,8 @@ def _print_report(r: AnalysisReport) -> None:
     print(f"ME' (bits): {format_real(m.me_prime_bits)}")
     print(f"GE': {m.ge_prime}")
     print(f"channel capacity (bits): {format_real(m.channel_capacity_bits)}")
-    for w in r.warnings:
+    for w in warnings:
         print(f"warning: {w}")
-
-
-def cmd_analyze(args) -> int:
-    program = _load_program(args.program)
-    cfg = _load_config(args)
-    domain, part = loi(program, cfg)
-    mu, dist_id = _resolve_distribution(args, domain)
-    report = _analysis_report(args.program, part, domain, cfg, mu, dist_id,
-                              args.guesses)
-    if args.json:
-        _emit_json(analysis_report_to_json(report))
-    else:
-        _print_report(report)
     return 0
 
 
@@ -276,6 +238,8 @@ def _parse_run_assignment(text: str) -> dict[str, int]:
 
 
 def cmd_multirun(args) -> int:
+    if args.guesses < 1:
+        raise QifError(f"--guesses must be >= 1, got {args.guesses}")
     program = _load_program(args.program)
     cfg = _load_config(args)
     if cfg.mode != ACTIVE:

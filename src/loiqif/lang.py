@@ -40,11 +40,12 @@ output looks the same.
 
 from __future__ import annotations
 
+import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .measures import Distribution, conditional_entropy, entropy
+from .measures import Distribution, conditional_entropy
 from .partition import Atom, Domain, DomainMismatchError, Partition, QifError, kernel
 
 
@@ -434,25 +435,41 @@ def program_to_source(p: Program) -> str:
 # ---------------------------------------------------------------------------
 # AST shape and variable census
 
+# The AST's shape, stated once: the fields of each node class that hold
+# sub-nodes, in source order.  ``Seq.stmts`` holds a tuple of them; every
+# other field holds one.  ``_children`` (so ``_walk``, the census and
+# ``parse``'s depth check) and ``map_nodes`` read it.
+_SUB_NODE_FIELDS: dict[type, tuple[str, ...]] = {
+    IntLit: (), BoolLit: (), Var: (), Skip: (), Unary: ("operand",),
+    Binary: ("left", "right"), Assign: ("expr",), Seq: ("stmts",),
+    If: ("cond", "then_branch", "else_branch"), While: ("cond", "body"),
+    Program: ("body",),
+}
+
+
+def _sub_node_fields(node) -> tuple[str, ...]:
+    try:
+        return _SUB_NODE_FIELDS[type(node)]
+    except KeyError:
+        raise TypeError(f"not an AST node: {node!r}") from None
+
+
 def _children(node) -> tuple:
     """The direct sub-nodes of a program, statement or expression."""
-    if isinstance(node, Binary):
-        return (node.left, node.right)
-    if isinstance(node, Unary):
-        return (node.operand,)
-    if isinstance(node, (Var, IntLit, BoolLit, Skip)):
-        return ()
-    if isinstance(node, Assign):
-        return (node.expr,)
     if isinstance(node, Seq):
         return node.stmts
-    if isinstance(node, If):
-        return (node.cond, node.then_branch, node.else_branch)
-    if isinstance(node, While):
-        return (node.cond, node.body)
-    if isinstance(node, Program):
-        return (node.body,)
-    raise TypeError(f"not an AST node: {node!r}")
+    return tuple(getattr(node, name) for name in _sub_node_fields(node))
+
+
+def map_nodes(node, f):
+    """``node`` rebuilt bottom-up: every sub-node is mapped first, then
+    ``f`` is applied to the node rebuilt around the mapped sub-nodes."""
+    changes = {}
+    for name in _sub_node_fields(node):
+        sub = getattr(node, name)
+        changes[name] = (tuple(map_nodes(s, f) for s in sub) if isinstance(node, Seq)
+                         else map_nodes(sub, f))
+    return f(replace(node, **changes))
 
 
 def _walk(node):
@@ -805,17 +822,10 @@ def enumerate_domain(cfg: AttackerConfig) -> Domain:
     if 1 << bits > cfg.enumeration_cap:
         raise EnumerationCapError(
             f"2^{bits} atoms to enumerate exceeds the cap of {cfg.enumeration_cap}")
-
-    def product(ranges) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = [()]
-        for r in ranges:
-            out = [t + (v,) for t in out for v in r]
-        return out
-
-    highs = [_collapse(t) for t in product(high_ranges)]
+    highs = [_collapse(t) for t in itertools.product(*high_ranges)]
     if not low_names:
         return Domain(highs)
-    lows = [_collapse(t) for t in product(low_ranges)]
+    lows = [_collapse(t) for t in itertools.product(*low_ranges)]
     return Domain((lp, hp) for lp in lows for hp in highs)
 
 
@@ -871,13 +881,12 @@ def low_projection(domain: Domain, cfg: AttackerConfig) -> Partition:
 
 
 def leakage(p: Program, cfg: AttackerConfig, mu: Distribution) -> float:
-    """Leakage in bits under the given input distribution.
-
-    Active attacker: the entropy of the program's partition.  Passive
-    attacker: the entropy conditioned on the observed low inputs."""
+    """Leakage in bits under the given input distribution: H(X | L) =
+    H(X ⊔ L) − H(L), the entropy of the program's partition X left to an
+    attacker who already sees L = ``low_projection``.  For an active
+    attacker L is the one-block partition ⊥, so the same formula gives
+    H(X) − 0 = H(X)."""
     domain, part = loi(p, cfg)
     if mu.domain != domain:
         raise DomainMismatchError("distribution is not over the program's input atoms")
-    if cfg.mode == PASSIVE and cfg.low_vars:
-        return conditional_entropy(part, low_projection(domain, cfg), mu)
-    return entropy(part, mu)
+    return conditional_entropy(part, low_projection(domain, cfg), mu)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -413,9 +414,17 @@ def distribution_to_json(d: Distribution) -> dict:
     }
 
 
+# Bound on the decimal exponent of a mass string like "1e-5" (CPython's default
+# int-string digit limit): 10^-e is built at once for 4300 but takes seconds
+# for a million.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def distribution_from_json(obj) -> Distribution:
     """Distribution from its JSON form.  Masses are strings (``"3/8"``,
-    ``"0.25"``) or JSON numbers; atoms without an entry get mass 0."""
+    ``"0.25"``) or JSON numbers; atoms without an entry get mass 0.  A
+    mass with an exponent below ``-MAX_DECIMAL_EXPONENT`` is rejected."""
     if not isinstance(obj, dict) or "domain" not in obj or "mass" not in obj:
         raise InvalidDistributionError('expected {"domain": [...], "mass": {...}}')
     if not isinstance(obj["mass"], dict):
@@ -430,6 +439,9 @@ def distribution_from_json(obj) -> Distribution:
             raise InvalidDistributionError(
                 f"bad mass {text!r} for atom {key!r}: expected a number or a string")
         try:
+            exponent = _EXPONENT.search(str(text))
+            if exponent and int(exponent[1]) < -MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"decimal exponent below -{MAX_DECIMAL_EXPONENT}")
             mass[by_key[key]] = Fraction(str(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidDistributionError(f"bad mass {text!r} for atom {key!r}: {exc}") from None

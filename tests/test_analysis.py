@@ -5,11 +5,14 @@ import pytest
 
 from loiqif import (
     AttackerConfig,
+    Distribution,
     Domain,
     DomainMismatchError,
     Partition,
     bottom,
+    entropy,
     join,
+    leakage,
     leaks_same_information,
     leq,
     loi,
@@ -22,7 +25,17 @@ from loiqif import (
     top,
 )
 from loiqif.analysis import AnalysisError
-from loiqif.lang import NON_TERMINATION, PASSIVE, Observable, eval_program, initial_store
+from loiqif.lang import (
+    _SUB_NODE_FIELDS,
+    NON_TERMINATION,
+    PASSIVE,
+    Observable,
+    Unary,
+    _walk,
+    eval_program,
+    initial_store,
+    map_nodes,
+)
 
 PASSWORD = parse("if (h == l) o = 1; else o = 2;")
 
@@ -158,27 +171,73 @@ def test_composition_joins_passive_partitions():
     assert loi(composed, ccfg)[1] == join(loi(p1, cfg)[1], loi(p2, cfg)[1])
 
 
+_OPS = ["+", "-", "*", "&", "|", "^"]
+
+
+def _rand_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["h", str(rng.randint(0, 7))])
+    return f"({_rand_expr(rng, depth - 1)} {rng.choice(_OPS)} {_rand_expr(rng, depth - 1)})"
+
+
+def _rand_program(rng):
+    lines = [f"x = {_rand_expr(rng, 2)};"]
+    if rng.random() < 0.6:
+        lines.append(f"if ({_rand_expr(rng, 1)} < {_rand_expr(rng, 1)}) x = {_rand_expr(rng, 2)}; "
+                     f"else x = x ^ {rng.randint(0, 7)};")
+    return parse("\n".join(lines))
+
+
 def test_composition_law_on_generated_pairs():
     rng = random.Random(1001)
-    ops = ["+", "-", "*", "&", "|", "^"]
-
-    def rand_expr(depth):
-        if depth == 0 or rng.random() < 0.3:
-            return rng.choice(["h", str(rng.randint(0, 7))])
-        return f"({rand_expr(depth - 1)} {rng.choice(ops)} {rand_expr(depth - 1)})"
-
-    def rand_program():
-        lines = [f"x = {rand_expr(2)};"]
-        if rng.random() < 0.6:
-            lines.append(f"if ({rand_expr(1)} < {rand_expr(1)}) x = {rand_expr(2)}; "
-                         f"else x = x ^ {rng.randint(0, 7)};")
-        return parse("\n".join(lines))
-
     cfg = cfg_high(bits=3, observe=("x",))
     for _ in range(8):
-        p1, p2 = rand_program(), rand_program()
+        p1, p2 = _rand_program(rng), _rand_program(rng)
         composed, ccfg = self_compose(p1, p2, cfg)
         assert loi(composed, ccfg)[1] == join(loi(p1, cfg)[1], loi(p2, cfg)[1])
+
+
+# Between them the two programs use every node kind, nested blocks and an
+# assignment to a declared variable (masked in the composed copies).
+_EVERY_NODE_KIND = (
+    "o = 0; x = h; h = h + 5;\n"
+    "while (x > 0) { x = x - 1; if (x & 1) { o = o + l; { skip; } } else skip; }",
+    "if (!(h == l)) { o = -h; } else { { o = ~h & true | false; } }",
+)
+
+
+def test_composition_of_every_node_kind():
+    p1, p2 = map(parse, _EVERY_NODE_KIND)
+    assert {type(n) for p in (p1, p2) for n, _ in _walk(p)} == set(_SUB_NODE_FIELDS)
+    cfg = AttackerConfig(high_vars=(("h", 3),), low_vars=(("l", 2, 3),),
+                         observed_vars=("o",))
+    composed, ccfg = self_compose(p1, p2, cfg)
+    assert loi(composed, ccfg)[1] == join(loi(p1, cfg)[1], loi(p2, cfg)[1])
+    assert parse(program_to_source(composed)) == composed
+    assert "h__1 = h__1 + 5 & 7;" in program_to_source(composed)
+    for p in (p1, p2, composed):
+        assert map_nodes(p, lambda node: node) == p
+
+
+def test_map_nodes_rejects_a_non_node():
+    with pytest.raises(TypeError, match="not an AST node"):
+        map_nodes("h", lambda node: node)
+    with pytest.raises(TypeError, match="not an AST node"):
+        map_nodes(Unary("-", 3), lambda node: node)
+
+
+def test_active_leakage_is_exactly_the_partition_entropy():
+    rng = random.Random(1001)
+    dist_rng = random.Random(7)
+    cfgs = (cfg_high(bits=3, observe=("x",)),
+            AttackerConfig(high_vars=(("h", 3),), low_vars=(("l", 2, 1),),
+                           observed_vars=("x",)))
+    for _ in range(8):
+        p = _rand_program(rng)
+        for cfg in cfgs:
+            d, x = loi(p, cfg)
+            for mu in (Distribution.uniform(d), Distribution.random(d, dist_rng)):
+                assert leakage(p, cfg, mu) == entropy(x, mu)
 
 
 def test_composition_rejects_name_collisions():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -422,6 +423,8 @@ def test_distribution_mass_value_of_wrong_type_exits_two(workspace, capsys, bad)
 @pytest.mark.parametrize("huge, message", [
     ("1e999999", "total mass is about 10^999999"),
     ("-1e999999", "negative mass -about 10^999999"),
+    ("1e-4300", "total mass is about 10^-4300"),
+    ("1e-99999999", "decimal exponent below -4300"),
 ])
 def test_huge_distribution_mass_exits_two_with_short_message(workspace, capsys,
                                                              huge, message):
@@ -449,6 +452,20 @@ def test_non_integer_config_fields_exit_two(workspace, capsys, cfg_obj):
     code, _, err = run_cli(capsys, "analyze", m1, "--config", cfg, "--uniform")
     assert code == 2
     assert "must be an integer" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "multirun"])
+@pytest.mark.parametrize("guesses", ["0", "-3"])
+def test_guesses_below_one_exits_two(workspace, capsys, command, guesses):
+    pw = workspace("pw.wh", PASSWORD_SRC)
+    cfg = workspace("cfg.json", {"high": [{"name": "h", "bits": 2}],
+                                 "low": [{"name": "l", "bits": 2, "value": 0}],
+                                 "observe": ["o"]})
+    runs = ["--run", "l=1"] if command == "multirun" else []
+    code, out, err = run_cli(capsys, command, pw, "--config", cfg, "--uniform",
+                             "--guesses", guesses, *runs)
+    assert code == 2 and out == ""
+    assert "--guesses" in err
 
 
 def test_compare_zero_trials_exits_two(workspace, capsys):
@@ -542,3 +559,30 @@ def test_bad_witness_exits_two(workspace, capsys, witness, message):
                            "--witness", w)
     assert code == 2
     assert message in err
+
+
+# A JSON integer of more than 4300 digits and a 100 000-deep array, in each
+# JSON file the CLI reads.
+_HOSTILE_JSON = {
+    "5001-digit integer": ('{"cap": 1' + "0" * 5000 + "}", "not valid JSON"),
+    "100000-deep array": ("[" * 100_000, "nested too deep"),
+}
+
+
+@pytest.mark.parametrize("which", ["config", "dist", "witness"])
+@pytest.mark.parametrize("name", list(_HOSTILE_JSON))
+def test_hostile_json_exits_two(workspace, capsys, which, name):
+    text, message = _HOSTILE_JSON[name]
+    m1 = workspace("m1.wh", M1_SRC)
+    cfg = workspace("cfg.json", CFG_2BIT)
+    bad = workspace("bad.json", text)
+    args = {
+        "config": ["analyze", m1, "--config", bad, "--uniform"],
+        "dist": ["analyze", m1, "--config", cfg, "--dist", bad],
+        "witness": ["witness-check", m1, m1, "--config", cfg, "--witness", bad],
+    }[which]
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *args)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert message in err and "bad.json" in err
