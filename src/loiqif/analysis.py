@@ -32,12 +32,10 @@ from .lang import (
     While,
     assigned_vars,
     attacker_view,
-    enumerate_domain,
-    initial_store,
     loi,
     map_nodes,
     read_vars,
-    run_counting_loop,
+    runs,
     validate_program,
 )
 from .measures import channel_capacity
@@ -98,7 +96,7 @@ def self_compose(p1: Program, p2: Program, cfg: AttackerConfig
                 raise AnalysisError(
                     f"renaming collision: {name + suffix!r} already in use")
 
-    declared_order = [n for n, _ in cfg.high_vars] + [n for n, _, _ in cfg.low_vars]
+    declared_order = list(widths)
 
     def renamed(node, suffix: str):
         if isinstance(node, Var):
@@ -184,12 +182,8 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
     if max_iterations is not None and max_iterations < 1:
         raise AnalysisError("max_iterations must be >= 1")
 
-    validate_program(p, cfg)
-    domain = enumerate_domain(cfg)
-    traces: dict[Atom, tuple[object, int | None]] = {}
-    for a in domain.atoms:
-        obs, iterations = run_counting_loop(p, initial_store(cfg, a), cfg, loop)
-        traces[a] = attacker_view(cfg, a, obs), iterations
+    domain, results = runs(p, cfg, loop)
+    traces = dict(zip(domain.atoms, results))
     elsewhere = {a: attacker_view(cfg, a, _ELSEWHERE) for a in domain.atoms}
     resolved_by = max((it for _, it in traces.values() if it is not None), default=0)
     if max_iterations is None:

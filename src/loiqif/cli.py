@@ -74,8 +74,11 @@ def _read_json(path: str):
         return json.loads(text)
     except RecursionError:
         raise QifError(f"{path}: JSON nested too deep") from None
-    except ValueError as exc:   # also an integer past the int-string digit limit
+    except json.JSONDecodeError as exc:
         raise QifError(f"{path}: not valid JSON: {exc}") from None
+    except ValueError:   # an integer past the int-string digit limit
+        raise QifError(f"{path}: not valid JSON: an integer has more than "
+                       f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _load_program(path: str) -> Program:
@@ -299,7 +302,7 @@ def cmd_multirun(args) -> int:
 # ---------------------------------------------------------------------------
 # loop
 
-def _loop_to_json(analysis: LoopAnalysis, direct: Partition) -> dict:
+def _loop_to_json(analysis: LoopAnalysis, direct: Partition, matches: bool) -> dict:
     return {
         "iteration_partitions": [partition_to_json(w) for w in analysis.w_partitions],
         "chain": [partition_to_json(w) for w in analysis.w_chain],
@@ -307,7 +310,7 @@ def _loop_to_json(analysis: LoopAnalysis, direct: Partition) -> dict:
         "result": partition_to_json(analysis.result),
         "iterations_analyzed": analysis.iterations_analyzed,
         "stabilized": analysis.stabilized,
-        "matches_direct_loi": analysis.result == direct,
+        "matches_direct_loi": matches,
         "direct_loi": partition_to_json(direct),
     }
 
@@ -319,7 +322,7 @@ def cmd_loop(args) -> int:
     _, direct = loi(program, cfg)
     matches = analysis.result == direct
     if args.json:
-        _emit_json(_loop_to_json(analysis, direct))
+        _emit_json(_loop_to_json(analysis, direct, matches))
     else:
         for i, w in enumerate(analysis.w_partitions):
             print(f"W_{i}: {_partition_text(w)}")

@@ -30,12 +30,13 @@ observed variables' final values on normal termination, a single
 non-termination class when the step budget runs out, or a single
 runtime-error class on a fault.
 
-``loi`` interprets a program as a partition of the secret space: it
+``runs`` is the one place that runs a program on every input: it
 enumerates the attacker-facing input atoms (values of the high variables
-when the attacker fixes the lows; (low, high) pairs for an eavesdropper),
-evaluates the program on each, and returns the kernel of the resulting
-observable map — atoms are indistinguishable exactly when the program
-output looks the same.
+when the attacker fixes the lows; (low, high) pairs for an eavesdropper)
+and yields what the attacker sees of each run, with the iteration count
+of a chosen loop.  ``loi`` interprets a program as a partition of the
+secret space, the kernel of those views — atoms are indistinguishable
+exactly when the program output looks the same.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .measures import Distribution, conditional_entropy
 from .partition import Atom, Domain, DomainMismatchError, Partition, QifError, kernel
@@ -550,7 +551,7 @@ class AttackerConfig:
             if self.mode == ACTIVE and value is None:
                 raise ConfigError(
                     f"active mode: low variable {name!r} needs a fixed value")
-            if value is not None and not 0 <= value < (1 << bits):
+            if value is not None and (value < 0 or value.bit_length() > bits):
                 raise ConfigError(
                     f"value {value} of low variable {name!r} exceeds {bits} bit(s)")
         if not self.observed_vars:
@@ -567,9 +568,8 @@ class AttackerConfig:
         for name in values:
             if name not in known:
                 raise ConfigError(f"{name!r} is not a declared low variable")
-        lows = tuple((n, b, values.get(n, v)) for n, b, v in self.low_vars)
-        return AttackerConfig(self.high_vars, lows, self.observed_vars,
-                              self.mode, self.step_budget, self.enumeration_cap)
+        return replace(self, low_vars=tuple((n, b, values.get(n, v))
+                                            for n, b, v in self.low_vars))
 
 
 def _config_int(value, what: str) -> int:
@@ -793,17 +793,21 @@ def _collapse(values: tuple[int, ...]):
     return values[0] if len(values) == 1 else values
 
 
-def _enumeration_plan(cfg: AttackerConfig):
-    """(low names, low value ranges, high names, high value ranges) for
-    the variables that get enumerated."""
-    high_names = [n for n, _ in cfg.high_vars]
-    high_ranges = [range(1 << b) for _, b in cfg.high_vars]
-    if cfg.mode == ACTIVE:
-        return [], [], high_names, high_ranges
-    low_names = [n for n, _, _ in cfg.low_vars]
-    low_ranges = [range(v, v + 1) if v is not None else range(1 << b)
-                  for _, b, v in cfg.low_vars]
-    return low_names, low_ranges, high_names, high_ranges
+def _plan(cfg: AttackerConfig):
+    """(names, value ranges, low count, pinned lows): a passive attacker's
+    lows (a pinned one has one value), then the highs, are enumerated; an
+    active attacker's lows are pinned.  The cap is checked on the bit
+    count, so no range of an over-wide variable is ever built."""
+    lows = cfg.low_vars if cfg.mode == PASSIVE else ()
+    names = [n for n, _, _ in lows] + [n for n, _ in cfg.high_vars]
+    bits = sum(b for _, b, v in lows if v is None) + sum(b for _, b in cfg.high_vars)
+    cap = cfg.enumeration_cap
+    if cap < 1 or bits >= cap.bit_length():
+        raise EnumerationCapError(f"2^{bits} atoms to enumerate exceeds the cap of {cap}")
+    ranges = [range(v, v + 1) if v is not None else range(1 << b) for _, b, v in lows]
+    ranges += [range(1 << b) for _, b in cfg.high_vars]
+    pinned = {} if lows else {n: v for n, _, v in cfg.low_vars}
+    return names, ranges, len(lows), pinned
 
 
 def enumerate_domain(cfg: AttackerConfig) -> Domain:
@@ -813,32 +817,11 @@ def enumerate_domain(cfg: AttackerConfig) -> Domain:
     variable, tuples otherwise).  Passive mode with low variables: atoms
     are (low part, high part) pairs.
     """
-    low_names, low_ranges, high_names, high_ranges = _enumeration_plan(cfg)
-    # A pinned low adds no atoms and a variable of b bits doubles them b
-    # times; the exponent keeps the message printable for any width.
-    bits = sum(b for _, b in cfg.high_vars)
-    if low_names:
-        bits += sum(b for _, b, v in cfg.low_vars if v is None)
-    if 1 << bits > cfg.enumeration_cap:
-        raise EnumerationCapError(
-            f"2^{bits} atoms to enumerate exceeds the cap of {cfg.enumeration_cap}")
-    highs = [_collapse(t) for t in itertools.product(*high_ranges)]
-    if not low_names:
-        return Domain(highs)
-    lows = [_collapse(t) for t in itertools.product(*low_ranges)]
-    return Domain((lp, hp) for lp in lows for hp in highs)
-
-
-def initial_store(cfg: AttackerConfig, atom: Atom) -> dict[str, int]:
-    """Initial variable store for one enumerated atom."""
-    low_names, _, high_names, _ = _enumeration_plan(cfg)
-    low_part, high_part = atom if low_names else ((), atom)
-    store = dict(zip(high_names, (high_part,) if len(high_names) == 1 else high_part))
-    if low_names:
-        store.update(zip(low_names, (low_part,) if len(low_names) == 1 else low_part))
-    else:
-        store.update({n: v for n, _, v in cfg.low_vars if v is not None})
-    return store
+    _, ranges, n_lows, _ = _plan(cfg)
+    values = itertools.product(*ranges)
+    if not n_lows:
+        return Domain(map(_collapse, values))
+    return Domain((_collapse(t[:n_lows]), _collapse(t[n_lows:])) for t in values)
 
 
 def validate_program(p: Program, cfg: AttackerConfig) -> None:
@@ -863,14 +846,31 @@ def attacker_view(cfg: AttackerConfig, atom: Atom, seen):
     return (atom[0], seen) if cfg.mode == PASSIVE and cfg.low_vars else seen
 
 
+def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
+         ) -> tuple[Domain, Iterator[tuple[object, int | None]]]:
+    """The domain and an iterator over (what the attacker sees of the run,
+    its ``loop`` iteration count or None when out of budget), one run per
+    atom in domain order, from the atom's values put back under their names."""
+    validate_program(p, cfg)
+    domain = enumerate_domain(cfg)
+    names, _, n_lows, pinned = _plan(cfg)
+    sizes = (n_lows, len(names) - n_lows) if n_lows else (len(names),)
+
+    def results():
+        for atom in domain.atoms:
+            parts = zip(atom if n_lows else (atom,), sizes)
+            values = [v for part, size in parts for v in ((part,) if size == 1 else part)]
+            obs, iterations = run_counting_loop(p, dict(zip(names, values), **pinned), cfg, loop)
+            yield attacker_view(cfg, atom, obs), iterations
+
+    return domain, results()
+
+
 def loi(p: Program, cfg: AttackerConfig) -> tuple[Domain, Partition]:
     """The program's partition of the secret space: the kernel of the
     map from input atoms to what the attacker sees of the run."""
-    validate_program(p, cfg)
-    domain = enumerate_domain(cfg)
-    return domain, kernel(domain, {
-        a: attacker_view(cfg, a, eval_program(p, initial_store(cfg, a), cfg))
-        for a in domain.atoms})
+    domain, results = runs(p, cfg)
+    return domain, kernel(domain, dict(zip(domain.atoms, (view for view, _ in results))))
 
 
 def low_projection(domain: Domain, cfg: AttackerConfig) -> Partition:

@@ -1,10 +1,11 @@
 """Quantitative valuations of a partition under an exact distribution.
 
 A ``Distribution`` holds one non-negative integer weight per domain
-position over a common positive total.  Every measure depends only on the
-block masses and on the masses inside each block in sorted order, so it
-adds up or sorts integer weights per block (blocks come from the
-partition's labels) and makes one exact ``Fraction`` when it returns.
+position over a common positive total.  Every measure is a function of
+one statistic, ``_ranked_weights``: the positive integer weights inside
+each block (blocks come from the partition's labels), sorted best guess
+first, whose sums are the block weights.  A measure makes one exact
+``Fraction`` when it returns.
 Every purely probabilistic measure (guessing probabilities, expected
 guess counts, guessing-entropy leakage) is therefore exact, and every
 probability the API takes or returns is a ``fractions.Fraction``.  Only
@@ -212,27 +213,17 @@ def _rational_text(q: Fraction) -> str:
     return f"{'-' if q < 0 else ''}about 10^{magnitude:.0f}"
 
 
-def _check(x: Partition, mu: Distribution) -> None:
-    if x.domain != mu.domain:
-        raise DomainMismatchError("partition and distribution domains differ")
-
-
 def _log2_fraction(q: Fraction) -> float:
     """log2 of a positive rational, via integer logs for accuracy."""
     return math.log2(q.numerator) - math.log2(q.denominator)
 
 
-def _block_weights(x: Partition, mu: Distribution) -> list[int]:
-    """Weight of each block, in block order."""
-    sums = [0] * x.n_blocks
-    for label, w in zip(x.labels, mu.weights):
-        sums[label] += w
-    return sums
-
-
 def _ranked_weights(x: Partition, mu: Distribution) -> list[list[int]]:
-    """Positive atom weights of each block, best guess first.  Equal
-    weights are interchangeable, so the tie order does not matter."""
+    """Positive atom weights of each block, in block order, best guess
+    first; their sums are the block weights.  Equal weights are
+    interchangeable, so the tie order does not matter."""
+    if x.domain != mu.domain:
+        raise DomainMismatchError("partition and distribution domains differ")
     groups: list[list[int]] = [[] for _ in range(x.n_blocks)]
     for label, w in zip(x.labels, mu.weights):
         if w:
@@ -244,8 +235,7 @@ def _ranked_weights(x: Partition, mu: Distribution) -> list[list[int]]:
 
 def entropy(x: Partition, mu: Distribution) -> float:
     """Shannon entropy of the block masses, in bits."""
-    _check(x, mu)
-    positive = [w for w in _block_weights(x, mu) if w]
+    positive = [w for w in map(sum, _ranked_weights(x, mu)) if w]
     if len(positive) <= 1:
         return 0.0
     # Divided by their gcd, the block weights are counts c_i over the least
@@ -283,14 +273,12 @@ def guess_prob(x: Partition, mu: Distribution, n: int) -> Fraction:
     after observing the block, optimal guessing order."""
     if n < 1:
         raise ValueError(f"number of tries must be >= 1, got {n}")
-    _check(x, mu)
     return Fraction(sum(sum(ws[:n]) for ws in _ranked_weights(x, mu)), mu.total)
 
 
 def expected_guesses(x: Partition, mu: Distribution) -> Fraction:
     """NG: expected number of guesses to identify the secret exactly,
     guessing likeliest-first within the observed block."""
-    _check(x, mu)
     return Fraction(sum(i * w for ws in _ranked_weights(x, mu)
                         for i, w in enumerate(ws, start=1)), mu.total)
 
@@ -298,12 +286,7 @@ def expected_guesses(x: Partition, mu: Distribution) -> Fraction:
 def one_try_gain(x: Partition, mu: Distribution) -> Fraction:
     """G_1(X) / G_1(no observation), the exact factor by which one
     observation multiplies the one-try guessing probability."""
-    _check(x, mu)
-    best = [0] * x.n_blocks
-    for label, w in zip(x.labels, mu.weights):
-        if w > best[label]:
-            best[label] = w
-    return Fraction(sum(best), max(mu.weights))
+    return guess_prob(x, mu, 1) / guess_prob(bottom(x.domain), mu, 1)
 
 
 def me_leakage(x: Partition, mu: Distribution) -> float:
@@ -316,14 +299,12 @@ def me_leakage(x: Partition, mu: Distribution) -> float:
 
 def ge_leakage(x: Partition, mu: Distribution) -> Fraction:
     """Guessing-entropy leakage: NG(no observation) − NG(X), exact."""
-    _check(x, mu)
     return expected_guesses(bottom(x.domain), mu) - expected_guesses(x, mu)
 
 
 def me_prime(x: Partition, mu: Distribution) -> float:
     """-log2 of the largest block mass (blocks treated as the secrets)."""
-    _check(x, mu)
-    best = max(_block_weights(x, mu))
+    best = max(map(sum, _ranked_weights(x, mu)))
     if best == mu.total:
         return 0.0   # not -0.0
     return -_log2_fraction(Fraction(best, mu.total))
@@ -332,16 +313,13 @@ def me_prime(x: Partition, mu: Distribution) -> float:
 def ge_prime(x: Partition, mu: Distribution) -> Fraction:
     """Expected number of guesses to name the block itself, blocks ranked
     by descending mass (ties by least atom, i.e. canonical block order)."""
-    _check(x, mu)
-    ranked = sorted(_block_weights(x, mu), reverse=True)
+    ranked = sorted(map(sum, _ranked_weights(x, mu)), reverse=True)
     return Fraction(sum(i * w for i, w in enumerate(ranked, start=1)), mu.total)
 
 
 def shannon_distance(x: Partition, y: Partition, mu: Distribution) -> float:
     """d(X,Y) = H(X|Y) + H(Y|X); zero iff the partitions carry the same
     information under every strictly positive distribution."""
-    _check(x, mu)
-    _check(y, mu)
     hj = entropy(join(x, y), mu)
     return (hj - entropy(y, mu)) + (hj - entropy(x, mu))
 

@@ -33,7 +33,6 @@ from loiqif.lang import (
     Unary,
     _walk,
     eval_program,
-    initial_store,
     map_nodes,
 )
 
@@ -311,7 +310,7 @@ def test_loop_with_truly_diverging_inputs():
     assert analysis.result == loi(p, cfg)[1]
     d = Domain(range(4))
     assert analysis.result == Partition(d, [[0], [1], [2], [3]])
-    views = {a: eval_program(p, initial_store(cfg, a), cfg) for a in d.atoms}
+    views = {a: eval_program(p, {"h": a}, cfg) for a in d.atoms}
     assert views[3] == Observable(NON_TERMINATION)
 
 

@@ -366,6 +366,25 @@ def test_sixty_four_bit_variable_exits_three(workspace, capsys):
     assert "cap" in err and "Traceback" not in err
 
 
+def test_huge_widths_are_never_shifted_out(workspace, capsys):
+    # 2^(10^30) cannot be built: the cap is checked on the width of a high,
+    # and a pinned low's value on its bit length.
+    huge = 10 ** 30
+    m2 = workspace("m2.wh", M2_SRC)
+    high = workspace("high.json", {"high": [{"name": "h", "bits": huge}],
+                                   "observe": ["o"]})
+    code, out, err = run_cli(capsys, "capacity", m2, "--config", high)
+    assert code == 3 and out == ""
+    assert f"2^{huge} atoms to enumerate exceeds the cap of 1048576" in err
+    reads_low = workspace("p.wh", "o = h + l;\n")
+    low = workspace("low.json", {"high": [{"name": "h", "bits": 2}],
+                                 "low": [{"name": "l", "bits": huge, "value": 5}],
+                                 "observe": ["o"]})
+    code, out, err = run_cli(capsys, "capacity", reads_low, "--config", low)
+    assert code == 0 and err == ""
+    assert "blocks: 4" in out
+
+
 def test_bad_distribution_sum_exits_two(workspace, capsys):
     m1 = workspace("m1.wh", M1_SRC)
     cfg = workspace("cfg.json", CFG_2BIT)
@@ -564,7 +583,8 @@ def test_bad_witness_exits_two(workspace, capsys, witness, message):
 # A JSON integer of more than 4300 digits and a 100 000-deep array, in each
 # JSON file the CLI reads.
 _HOSTILE_JSON = {
-    "5001-digit integer": ('{"cap": 1' + "0" * 5000 + "}", "not valid JSON"),
+    "5001-digit integer": ('{"cap": 1' + "0" * 5000 + "}",
+                           "not valid JSON: an integer has more than 4300 digits"),
     "100000-deep array": ("[" * 100_000, "nested too deep"),
 }
 
@@ -586,3 +606,4 @@ def test_hostile_json_exits_two(workspace, capsys, which, name):
     assert time.perf_counter() - started < 1.0
     assert code == 2 and out == ""
     assert message in err and "bad.json" in err
+    assert "set_int_max_str_digits" not in err

@@ -54,7 +54,6 @@ from loiqif.lang import (
     config_to_json,
     enumerate_domain,
     expr_to_source,
-    initial_store,
     low_projection,
     read_vars,
 )
@@ -397,11 +396,52 @@ def test_loi_kernel_soundness_by_reevaluation():
     cfg = AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 2, None),),
                          observed_vars=("o",), mode=PASSIVE)
     d, x = loi(p, cfg)
-    views = {a: (a[0], eval_program(p, initial_store(cfg, a), cfg)) for a in d.atoms}
+    views = {(l, h): (l, eval_program(p, {"l": l, "h": h}, cfg)) for l, h in d.atoms}
     for block in x.blocks:
         assert len({views[a] for a in block}) == 1
     block_views = [views[b[0]] for b in x.blocks]
     assert len(set(block_views)) == len(block_views)
+
+
+# (config, the store of an atom, whether the attacker also sees the low
+# part) for each shape of atom.
+_HAND_BUILT_STORES = {
+    "active, one high": (
+        AttackerConfig(high_vars=(("h", 3),), observed_vars=("o",)),
+        lambda h: {"h": h}, False),
+    "active, two highs and a pinned low": (
+        AttackerConfig(high_vars=(("h", 2), ("g", 2)), low_vars=(("l", 2, 2),),
+                       observed_vars=("o",)),
+        lambda a: {"h": a[0], "g": a[1], "l": 2}, False),
+    "passive, one low and one high": (
+        AttackerConfig(high_vars=(("h", 3),), low_vars=(("l", 2, None),),
+                       observed_vars=("o",), mode=PASSIVE),
+        lambda a: {"l": a[0], "h": a[1]}, True),
+    "passive, two lows (one pinned) and two highs": (
+        AttackerConfig(high_vars=(("h", 2), ("g", 1)),
+                       low_vars=(("l", 2, None), ("k", 2, 3)),
+                       observed_vars=("o",), mode=PASSIVE),
+        lambda a: {"l": a[0][0], "k": a[0][1], "h": a[1][0], "g": a[1][1]}, True),
+    "passive, no lows": (
+        AttackerConfig(high_vars=(("h", 3),), observed_vars=("o",), mode=PASSIVE),
+        lambda h: {"h": h}, False),
+}
+
+
+@pytest.mark.parametrize("name", list(_HAND_BUILT_STORES))
+def test_loi_is_the_kernel_of_runs_on_hand_built_stores(name):
+    cfg, store, sees_lows = _HAND_BUILT_STORES[name]
+    # Reads every variable, with a different weight each, so a value that
+    # lands in the wrong variable changes the partition.
+    terms = " + ".join(f"{v} * {m}" for v, m in zip(sorted(cfg.widths()), (1, 2, 3, 5)))
+    p = parse(f"o = ({terms}) % 4;")
+    d, x = loi(p, cfg)
+    views = {}
+    for a in d.atoms:
+        obs = eval_program(p, store(a), cfg)
+        views[a] = (a[0], obs) if sees_lows else obs
+    assert x == kernel(d, views)
+    assert 1 < block_count(x) < d.size
 
 
 def test_loi_octal_mask_shape():
@@ -422,7 +462,7 @@ def test_budget_monotonicity_splits_only_the_diverging_block():
     _, x_hi = loi(p, hi)
     assert leq(x_lo, x_hi)
     diverged_lo = {a for a in d.atoms
-                   if eval_program(p, initial_store(lo, a), lo).kind == NON_TERMINATION}
+                   if eval_program(p, {"h": a}, lo).kind == NON_TERMINATION}
     for block in x_lo.blocks:
         if not set(block) & diverged_lo:
             assert block in x_hi.blocks   # resolved blocks never change
