@@ -39,7 +39,7 @@ from .lang import (
     validate_program,
 )
 from .measures import channel_capacity
-from .partition import Atom, Domain, Partition, QifError, join, kernel, leq, meet
+from .partition import Domain, Partition, QifError, join, leq, meet, relabel
 
 
 class AnalysisError(QifError):
@@ -183,14 +183,14 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
         raise AnalysisError("max_iterations must be >= 1")
 
     domain, results = runs(p, cfg, loop)
-    traces = dict(zip(domain.atoms, results))
-    elsewhere = {a: attacker_view(cfg, a, _ELSEWHERE) for a in domain.atoms}
-    resolved_by = max((it for _, it in traces.values() if it is not None), default=0)
+    views, counts = zip(*results)
+    elsewhere = [attacker_view(cfg, a, _ELSEWHERE) for a in domain.atoms]
+    resolved_by = max((n for n in counts if n is not None), default=0)
     if max_iterations is None:
         max_iterations = resolved_by + 1
 
     def w_partition(i: int) -> Partition:
-        return kernel(domain, lambda a: traces[a][0] if traces[a][1] == i else elsewhere[a])
+        return relabel(domain, [v if n == i else e for v, n, e in zip(views, counts, elsewhere)])
 
     w_parts = [w_partition(0)]
     chain = [w_parts[0]]
@@ -204,7 +204,7 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
             stabilized = True
             break
 
-    collision = _collision_partition(domain, cfg, traces)
+    collision = _collision_partition(domain, cfg, views, counts)
     result = meet(chain[-1], collision)
     return LoopAnalysis(
         domain=domain,
@@ -217,24 +217,20 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
     )
 
 
-def _collision_partition(domain: Domain, cfg: AttackerConfig,
-                         traces: dict[Atom, tuple[object, int | None]]) -> Partition:
+def _collision_partition(domain: Domain, cfg: AttackerConfig, views: Sequence[object],
+                         counts: Sequence[int | None]) -> Partition:
     """Transitive closure of "same view from different iteration counts":
     a view seen at two or more counts pulls all its inputs into one block;
     everything else stays on its own.  Inputs that never resolved share
     one block (one per low part for a passive attacker)."""
-    counts: dict[object, set[int]] = {}
-    for view, iterations in traces.values():
-        if iterations is not None:
-            counts.setdefault(view, set()).add(iterations)
-
-    def key(a: Atom):
-        view, iterations = traces[a]
-        if iterations is None:
-            return attacker_view(cfg, a, _UNRESOLVED)
-        return view if len(counts[view]) >= 2 else (a,)
-
-    return kernel(domain, key)
+    seen_at: dict[object, set[int]] = {}
+    for view, n in zip(views, counts):
+        if n is not None:
+            seen_at.setdefault(view, set()).add(n)
+    return relabel(domain, [
+        attacker_view(cfg, a, _UNRESOLVED) if n is None
+        else view if len(seen_at[view]) >= 2 else (a,)
+        for a, view, n in zip(domain.atoms, views, counts)])
 
 
 def program_capacity(p: Program, cfg: AttackerConfig) -> float:

@@ -36,7 +36,8 @@ when the attacker fixes the lows; (low, high) pairs for an eavesdropper)
 and yields what the attacker sees of each run, with the iteration count
 of a chosen loop.  ``loi`` interprets a program as a partition of the
 secret space, the kernel of those views — atoms are indistinguishable
-exactly when the program output looks the same.
+exactly when the program output looks the same.  It relabels the views as
+``runs`` yields them, so only the distinct views outlive their runs.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
 
 from .measures import Distribution, conditional_entropy
-from .partition import Atom, Domain, DomainMismatchError, Partition, QifError, kernel
+from .partition import Atom, Domain, DomainMismatchError, Partition, QifError, relabel
 
 
 class ParseError(QifError):
@@ -737,7 +738,8 @@ def _exec_stmt(s: Stmt, store: dict[str, int], state: _RunState) -> None:
         state.spend()
         v = _eval_expr(s.expr, store)
         width = state.widths.get(s.name)
-        store[s.name] = v if width is None else v & ((1 << width) - 1)
+        fits = width is None or (v >= 0 and v.bit_length() <= width)
+        store[s.name] = v if fits else v & ((1 << width) - 1)
         return
     if isinstance(s, Seq):
         for sub in s.stmts:
@@ -867,17 +869,17 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
 
 
 def loi(p: Program, cfg: AttackerConfig) -> tuple[Domain, Partition]:
-    """The program's partition of the secret space: the kernel of the
-    map from input atoms to what the attacker sees of the run."""
+    """The program's partition of the secret space: the kernel of what
+    the attacker sees of each run, relabeled as ``runs`` yields it."""
     domain, results = runs(p, cfg)
-    return domain, kernel(domain, dict(zip(domain.atoms, (view for view, _ in results))))
+    return domain, relabel(domain, (view for view, _ in results))
 
 
 def low_projection(domain: Domain, cfg: AttackerConfig) -> Partition:
     """Partition of the atoms by their low part (one block per low value);
     the one-block partition when lows are not enumerated.  It is what the
     attacker sees of runs that all look alike."""
-    return kernel(domain, lambda a: attacker_view(cfg, a, None))
+    return relabel(domain, (attacker_view(cfg, a, None) for a in domain.atoms))
 
 
 def leakage(p: Program, cfg: AttackerConfig, mu: Distribution) -> float:

@@ -16,14 +16,16 @@ of one domain form a complete lattice:
 
 A partition is stored as one integer label per domain position, in
 restricted-growth form: blocks are numbered in order of their least atom,
-so equal partitions have equal label tuples.  The lattice operations work
-on labels alone (``join`` pairs them, ``leq`` checks that the y-to-x label
-map is a function, ``meet`` is union-find over block numbers).  The
-canonical ``blocks`` (atoms in domain order inside a block, blocks ordered
-by least atom) are derived from the labels on first use and cached.
-Every value is immutable once built and every operation is a pure
-function returning a new value; filling the ``blocks`` cache twice is
-harmless, so everything here is safe to share across threads.
+so equal partitions have equal label tuples.  Labels are built from keys
+only by ``relabel`` (one key per position, numbered by first occurrence).
+The lattice operations work on labels alone (``join`` pairs them, ``leq``
+checks that the y-to-x label map is a function, ``meet`` is union-find
+over block numbers).  The canonical ``blocks`` (atoms in domain order
+inside a block, blocks ordered by least atom) are derived from the labels
+on first use and cached.  Every value is immutable once built and every
+operation is a pure function returning a new value; filling the ``blocks``
+cache twice is harmless, so everything here is safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -142,14 +144,6 @@ class Partition:
         x._set(domain, labels, n_blocks)
         return x
 
-    @classmethod
-    def _relabel(cls, domain: Domain, keys: Iterable[Hashable]) -> Partition:
-        """Partition grouping domain positions by equal key, one key per
-        position in domain order."""
-        ids: dict[Hashable, int] = {}
-        labels = tuple([ids.setdefault(k, len(ids)) for k in keys])
-        return cls._from_labels(domain, labels, len(ids))
-
     @property
     def blocks(self) -> tuple[tuple[Atom, ...], ...]:
         """The blocks in canonical order, atoms in domain order inside each."""
@@ -187,6 +181,14 @@ class Partition:
         return f"Partition({self})"
 
 
+def relabel(domain: Domain, keys: Iterable[Hashable]) -> Partition:
+    """Partition grouping domain positions by equal key, one key per
+    position in domain order."""
+    ids: dict[Hashable, int] = {}
+    labels = tuple([ids.setdefault(k, len(ids)) for k in keys])
+    return Partition._from_labels(domain, labels, len(ids))
+
+
 def kernel(domain: Domain, f: Callable[[Atom], Hashable] | Mapping[Atom, Hashable]) -> Partition:
     """Partition grouping atoms on which ``f`` takes the same value.
 
@@ -204,7 +206,7 @@ def kernel(domain: Domain, f: Callable[[Atom], Hashable] | Mapping[Atom, Hashabl
         except KeyError:
             raise MissingMappingError(f"kernel map is undefined on atom {a!r}") from None
 
-    return Partition._relabel(domain, map(value, domain.atoms))
+    return relabel(domain, map(value, domain.atoms))
 
 
 def _check_domains(x: Partition, y: Partition) -> None:
@@ -223,7 +225,7 @@ def join(x: Partition, y: Partition) -> Partition:
     """Least upper bound: non-empty intersections of an x-block with a y-block."""
     _check_domains(x, y)
     m = y.n_blocks
-    return Partition._relabel(x.domain, [i * m + j for i, j in zip(x.labels, y.labels)])
+    return relabel(x.domain, [i * m + j for i, j in zip(x.labels, y.labels)])
 
 
 def meet(x: Partition, y: Partition) -> Partition:
@@ -245,7 +247,7 @@ def meet(x: Partition, y: Partition) -> Partition:
         if ri != rj:
             parent[rj] = ri
     root = [find(i) for i in range(nx)]
-    return Partition._relabel(x.domain, [root[i] for i in x.labels])
+    return relabel(x.domain, [root[i] for i in x.labels])
 
 
 def top(domain: Domain) -> Partition:

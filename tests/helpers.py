@@ -7,8 +7,18 @@ import itertools
 import math
 from fractions import Fraction
 
-from loiqif import Distribution, Domain, Partition
-from loiqif.lang import _SHIFT_LIMIT, BoolLit, IntLit, Unary, Var, _Fault
+from loiqif import Distribution, Domain, Partition, kernel
+from loiqif.lang import (
+    _SHIFT_LIMIT,
+    PASSIVE,
+    BoolLit,
+    IntLit,
+    Unary,
+    Var,
+    While,
+    _Fault,
+    run_counting_loop,
+)
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -268,3 +278,39 @@ def eval_expr_reference(e, store: dict[str, int]) -> int:
     if op == "||":
         return 1 if (left != 0 or right != 0) else 0
     raise TypeError(f"unknown operator {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# Loop decomposition reference: every run on a hand-built store, every
+# partition the kernel of an {atom: key} dict, lattice operations by the
+# brute-force oracles above.
+
+def loop_analysis_reference(p, cfg, stores: dict) -> tuple:
+    """(W partitions, W chain, collision, result) of the first top-level
+    loop of ``p``, with ``stores`` mapping each atom to its initial store."""
+    domain = Domain(stores)
+    loop = next(s for s in p.body.stmts if isinstance(s, While))
+    traces = {a: run_counting_loop(p, store, cfg, loop) for a, store in stores.items()}
+    sees_lows = cfg.mode == PASSIVE and bool(cfg.low_vars)
+
+    def seen(a, what):
+        return (a[0], what) if sees_lows else what
+
+    last = max((n for _, n in traces.values() if n is not None), default=0)
+    w = [kernel(domain, {a: seen(a, obs) if n == i else seen(a, "elsewhere")
+                         for a, (obs, n) in traces.items()})
+         for i in range(last + 2)]
+    chain = [w[0]]
+    for i in range(1, last + 2):
+        chain.append(join_oracle(chain[-1], w[i]))
+        if chain[-1] == chain[-2] and i >= last:
+            break
+    counts_of = {}
+    for a, (obs, n) in traces.items():
+        if n is not None:
+            counts_of.setdefault(seen(a, obs), set()).add(n)
+    collision = kernel(domain, {
+        a: seen(a, "unresolved") if n is None
+        else seen(a, obs) if len(counts_of[seen(a, obs)]) >= 2 else ("alone", a)
+        for a, (obs, n) in traces.items()})
+    return tuple(w[:len(chain)]), tuple(chain), collision, meet_oracle(chain[-1], collision)

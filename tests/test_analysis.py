@@ -36,6 +36,8 @@ from loiqif.lang import (
     map_nodes,
 )
 
+from helpers import loop_analysis_reference
+
 PASSWORD = parse("if (h == l) o = 1; else o = 2;")
 
 
@@ -330,6 +332,45 @@ def test_loop_inside_top_level_block_is_found():
     p = parse("{ l = 0; while (l < h) l = l + 1; }")
     analysis = loop_analyze(p, loop_cfg())
     assert analysis.result == loi(p, loop_cfg())[1]
+
+
+_PASSIVE_LOOP_CFG = AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 2, None),),
+                                   observed_vars=("o",), mode=PASSIVE)
+_LOOP_CASES = {
+    "active, pinned low": (
+        "x = h; o = 0; while (x != l) { x = (x + 1) % 8; o = (o + 1) % 3; }",
+        AttackerConfig(high_vars=(("h", 3),), low_vars=(("l", 3, 2),), observed_vars=("o",)),
+        {h: {"h": h, "l": 2} for h in range(8)}),
+    "passive": (
+        "x = h; o = 0; while (x > l) { x = x - 1; o = 1 - o; }",
+        _PASSIVE_LOOP_CFG,
+        {(l, h): {"l": l, "h": h} for l, h in itertools.product(range(4), repeat=2)}),
+    "passive, lows 2 and 3 spin out of budget": (
+        "x = h; o = 0; while (x > 0) { if (l < 2) x = x - 1; o = 1 - o; }",
+        AttackerConfig(_PASSIVE_LOOP_CFG.high_vars, _PASSIVE_LOOP_CFG.low_vars,
+                       ("o",), PASSIVE, step_budget=40),
+        {(l, h): {"l": l, "h": h} for l, h in itertools.product(range(4), repeat=2)}),
+}
+
+
+@pytest.mark.parametrize("name", list(_LOOP_CASES))
+def test_loop_decomposition_matches_the_kernel_reference(name):
+    source, cfg, stores = _LOOP_CASES[name]
+    p = parse(source)
+    analysis = loop_analyze(p, cfg)
+    w, chain, collision, result = loop_analysis_reference(p, cfg, stores)
+    assert analysis.domain == Domain(stores)
+    assert analysis.w_partitions == w
+    assert analysis.w_chain == chain
+    assert analysis.collision == collision
+    assert analysis.result == result == loi(p, cfg)[1]
+    assert analysis.stabilized and len(chain) > 2
+    # Some view shows up at two iteration counts, so collision merges.
+    assert collision != top(analysis.domain)
+    if "spin" in name:
+        # Unresolved runs share one block per low part.
+        assert collision.relates((2, 1), (2, 3)) and collision.relates((3, 1), (3, 2))
+        assert not collision.relates((2, 1), (3, 1))
 
 
 # ---------------------------------------------------------------------------

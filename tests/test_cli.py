@@ -303,6 +303,9 @@ _LOOPS_PAST_THE_OLD_CAP = {
         dict(_PASSIVE_2x1, low=[{"name": "l", "bits": 2}])),
     "100 iterations on a 2-bit secret": (
         "x = 0; while (x < 100) x = x + 1; o = x + h;\n", CFG_2BIT),
+    "passive lows 2 and 3 spin out of budget": (
+        "x = h; o = 0; while (x > 0) { if (l < 2) x = x - 1; o = 1 - o; }\n",
+        dict(_PASSIVE_2x1, low=[{"name": "l", "bits": 2}], budget=40)),
 }
 
 
@@ -381,6 +384,11 @@ def test_huge_widths_are_never_shifted_out(workspace, capsys):
                                  "low": [{"name": "l", "bits": huge, "value": 5}],
                                  "observe": ["o"]})
     code, out, err = run_cli(capsys, "capacity", reads_low, "--config", low)
+    assert code == 0 and err == ""
+    assert "blocks: 4" in out
+    # A value that fits the width is stored as it is, never masked.
+    assigns_low = workspace("a.wh", "l = h;\no = l;\n")
+    code, out, err = run_cli(capsys, "capacity", assigns_low, "--config", low)
     assert code == 0 and err == ""
     assert "blocks: 4" in out
 

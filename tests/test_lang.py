@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -442,6 +443,25 @@ def test_loi_is_the_kernel_of_runs_on_hand_built_stores(name):
         views[a] = (a[0], obs) if sees_lows else obs
     assert x == kernel(d, views)
     assert 1 < block_count(x) < d.size
+
+
+def _traced_peak(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loi_holds_no_view_per_atom():
+    # 2^14 atoms and 256 distinct views: relabeling the views as they are
+    # yielded keeps only the distinct ones, so loi needs little more than
+    # the domain itself; a map from every atom to its view needs 2.4x.
+    cfg = cfg_high(bits=14)
+    p = parse("o = h & 255;")
+    domain_peak = _traced_peak(lambda: enumerate_domain(cfg))
+    assert _traced_peak(lambda: loi(p, cfg)) <= 1.5 * domain_peak
 
 
 def test_loi_octal_mask_shape():
