@@ -1,11 +1,17 @@
 """Quantitative valuations of a partition under an exact distribution.
 
 A ``Distribution`` holds one non-negative integer weight per domain
-position over a common positive total.  Every measure is a function of
-one statistic, ``_ranked_weights``: the positive integer weights inside
-each block (blocks come from the partition's labels), sorted best guess
-first, whose sums are the block weights.  A measure makes one exact
-``Fraction`` when it returns.
+position over a common positive total.  A mass (a ``Fraction``, an
+``int`` or a string such as ``"3/8"`` or ``"1e-3"``) becomes exact in one
+conversion, ``_exact``, which bounds a decimal exponent before it builds
+anything; every constructor's integer weights then pass one check,
+``Distribution._set``.  ``distribution_from_json`` only maps JSON keys to
+atoms.
+
+Every measure is a function of one statistic, ``_ranked_weights``: the
+positive integer weights inside each block (blocks come from the
+partition's labels), sorted best guess first, whose sums are the block
+weights.  A measure makes one exact ``Fraction`` when it returns.
 Every purely probabilistic measure (guessing probabilities, expected
 guess counts, guessing-entropy leakage) is therefore exact, and every
 probability the API takes or returns is a ``fractions.Fraction``.  Only
@@ -44,6 +50,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -57,7 +64,6 @@ from .partition import (
     QifError,
     atom_key,
     block_count,
-    bottom,
     domain_from_json,
     domain_to_json,
     join,
@@ -65,7 +71,8 @@ from .partition import (
 
 
 class InvalidDistributionError(QifError):
-    """Mass entries are negative, missing, foreign, or do not sum to 1."""
+    """Mass entries are malformed, negative, missing, foreign, or do not
+    sum to 1."""
 
 
 class Distribution:
@@ -80,30 +87,45 @@ class Distribution:
     ``weights[i] / total``.  ``mass``, ``items()``, indexing and
     ``block_mass`` give masses as ``Fraction``; ``mass`` is built on first
     use.
+
+    A mass becomes exact in one place, ``_exact``; every constructor
+    reduces its input to integer weights over a total, and one check,
+    ``_set``, rejects a wrong count, a non-integer or negative weight and
+    a sum other than the total.
     """
 
     __slots__ = ("domain", "weights", "total", "_mass")
 
     def __init__(self, domain: Domain, mass: Mapping[Atom, Fraction | int | str]):
-        for a in mass:
-            if a not in domain:
-                raise InvalidDistributionError(f"mass entry for unknown atom {a!r}")
+        _require_known(domain, mass)
         values: list[Fraction] = []
         for a in domain.atoms:
             if a not in mass:
                 raise InvalidDistributionError(f"no mass entry for atom {a!r}")
-            v = Fraction(mass[a])
-            if v < 0:
-                raise InvalidDistributionError(
-                    f"negative mass {_rational_text(v)} on atom {a!r}")
-            values.append(v)
+            values.append(_exact(mass[a], a))
         d = math.lcm(*(v.denominator for v in values))
         self._set(domain, [v.numerator * (d // v.denominator) for v in values], d)
 
-    def _set(self, domain: Domain, weights: Sequence[int], total: int) -> None:
-        """Store non-negative integer weights over ``total``, which they
-        must add up to, divided by their gcd."""
+    def _set(self, domain: Domain, weights: Sequence[int], total: int | None) -> None:
+        """Store one non-negative integer weight per atom over ``total``
+        (their sum when None), which they must add up to, divided by their
+        gcd."""
+        if len(weights) != domain.size:
+            raise InvalidDistributionError(
+                f"{len(weights)} weights for a domain of {domain.size} atoms")
+        for a, w in zip(domain.atoms, weights):
+            if not isinstance(w, int):
+                raise InvalidDistributionError(
+                    f"weight {reprlib.repr(w)} on atom {a!r} is not an integer")
         weight_sum = sum(weights)
+        if total is None:
+            total = weight_sum
+        if total <= 0:
+            raise InvalidDistributionError("weights must have a positive total")
+        for a, w in zip(domain.atoms, weights):
+            if w < 0:
+                raise InvalidDistributionError(
+                    f"negative mass {_rational_text(Fraction(w, total))} on atom {a!r}")
         if weight_sum != total:
             q = Fraction(weight_sum, total)
             raise InvalidDistributionError(
@@ -115,7 +137,7 @@ class Distribution:
         self._mass: dict[Atom, Fraction] | None = None
 
     @classmethod
-    def _of(cls, domain: Domain, weights: Sequence[int], total: int) -> Distribution:
+    def _of(cls, domain: Domain, weights: Sequence[int], total: int | None) -> Distribution:
         mu = object.__new__(cls)
         mu._set(domain, weights, total)
         return mu
@@ -126,31 +148,26 @@ class Distribution:
 
     @classmethod
     def uniform_on(cls, domain: Domain, atoms: Iterable[Atom]) -> Distribution:
-        """Uniform over the given atoms, zero elsewhere."""
-        support = list(atoms)
+        """Uniform over the given atoms, zero elsewhere; a repeated atom
+        counts once."""
+        support = dict.fromkeys(atoms)
         if not support:
             raise InvalidDistributionError("empty support")
+        _require_known(domain, support)
         weights = [0] * domain.size
         for a in support:
-            if a not in domain:
-                raise InvalidDistributionError(f"mass entry for unknown atom {a!r}")
             weights[domain.position(a)] = 1
         return cls._of(domain, weights, len(support))
 
     @classmethod
     def from_weights(cls, domain: Domain, weights: Mapping[Atom, int] | Sequence[int]) -> Distribution:
-        """Normalize non-negative integer weights into exact probabilities."""
-        if not isinstance(weights, Mapping):
-            weights = dict(zip(domain.atoms, weights))
-        total = sum(weights.values())
-        if total <= 0:
-            raise InvalidDistributionError("weights must have a positive total")
-        ws = [weights.get(a, 0) for a in domain.atoms]
-        for a, w in zip(domain.atoms, ws):
-            if w < 0:
-                raise InvalidDistributionError(
-                    f"negative mass {Fraction(w, total)} on atom {a!r}")
-        return cls._of(domain, ws, total)
+        """Normalize non-negative integer weights, a mapping (absent atoms
+        weigh 0) or one per atom in domain order, into exact
+        probabilities."""
+        if isinstance(weights, Mapping):
+            _require_known(domain, weights)
+            weights = [weights.get(a, 0) for a in domain.atoms]
+        return cls._of(domain, list(weights), None)
 
     @classmethod
     def random(cls, domain: Domain, rng: random.Random,
@@ -165,7 +182,7 @@ class Distribution:
                    for _ in domain.atoms]
         if not any(weights):
             weights[rng.randrange(domain.size)] = rng.randint(1, max_weight)
-        return cls._of(domain, weights, sum(weights))
+        return cls._of(domain, weights, None)
 
     @property
     def mass(self) -> dict[Atom, Fraction]:
@@ -204,13 +221,56 @@ class Distribution:
         return f"Distribution({{{inner}}})"
 
 
-def _rational_text(q: Fraction) -> str:
-    """``str(q)``, or only its order of magnitude when the exact form would
-    run to more than about 60 digits."""
-    if max(q.numerator.bit_length(), q.denominator.bit_length()) <= 200:
+def _require_known(domain: Domain, atoms: Iterable[Atom]) -> None:
+    for a in atoms:
+        if a not in domain:
+            raise InvalidDistributionError(f"mass entry for unknown atom {a!r}")
+
+
+# Bound on the decimal exponent of a mass string like "1e-5" (CPython's default
+# int-string digit limit): 10^e is built at once for 4300 but takes seconds
+# for a million.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _exact(value: Fraction | int | str, atom: Atom) -> Fraction:
+    """``Fraction(value)``, with a string's decimal exponent read before
+    any power of ten is built: past ``MAX_DECIMAL_EXPONENT`` either way, a
+    zero mantissa gives 0 and any other is rejected.  Every failure is an
+    ``InvalidDistributionError`` naming the atom."""
+    try:
+        exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+        if exponent is None or abs(e := int(exponent[1])) <= MAX_DECIMAL_EXPONENT:
+            return Fraction(value)
+        # The same text with every exponent digit 0 reads as the mantissa,
+        # and Fraction still checks the whole syntax.
+        i, j = exponent.span(1)
+        mantissa = Fraction(value[:i] + re.sub(r"\d", "0", value[i:j]) + value[j:])
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        # Python's message repeats the text after a colon; the prefix below
+        # shows it once, shortened.
+        reason = str(exc).partition(":")[0]
+    else:
+        if not mantissa:
+            return mantissa
+        if e < 0:
+            reason = f"decimal exponent below -{MAX_DECIMAL_EXPONENT}"
+        elif mantissa < 0:
+            reason = f"negative mass {_rational_text(mantissa, e)}"
+        else:
+            reason = f"total mass is {_rational_text(mantissa, e)}"
+    raise InvalidDistributionError(f"bad mass {reprlib.repr(value)} for atom {atom!r}: {reason}")
+
+
+def _rational_text(q: Fraction, exponent: int = 0) -> str:
+    """``str(q * 10**exponent)``, or only its order of magnitude when the
+    exact form would run to more than about 60 digits or a power of ten is
+    given."""
+    if not exponent and max(q.numerator.bit_length(), q.denominator.bit_length()) <= 200:
         return str(q)
-    magnitude = math.log10(abs(q.numerator)) - math.log10(q.denominator)
-    return f"{'-' if q < 0 else ''}about 10^{magnitude:.0f}"
+    magnitude = exponent + round(math.log10(abs(q.numerator)) - math.log10(q.denominator))
+    return f"{'-' if q < 0 else ''}about 10^{magnitude}"
 
 
 def _log2_fraction(q: Fraction) -> float:
@@ -279,14 +339,20 @@ def guess_prob(x: Partition, mu: Distribution, n: int) -> Fraction:
 def expected_guesses(x: Partition, mu: Distribution) -> Fraction:
     """NG: expected number of guesses to identify the secret exactly,
     guessing likeliest-first within the observed block."""
-    return Fraction(sum(i * w for ws in _ranked_weights(x, mu)
-                        for i, w in enumerate(ws, start=1)), mu.total)
+    return Fraction(sum(map(_guess_count, _ranked_weights(x, mu))), mu.total)
+
+
+def _guess_count(ranked: Iterable[int]) -> int:
+    """Sum of i * w_i over weights ranked best guess first: the total
+    weight of the guesses needed, one per position."""
+    return sum(i * w for i, w in enumerate(ranked, start=1))
 
 
 def one_try_gain(x: Partition, mu: Distribution) -> Fraction:
     """G_1(X) / G_1(no observation), the exact factor by which one
-    observation multiplies the one-try guessing probability."""
-    return guess_prob(x, mu, 1) / guess_prob(bottom(x.domain), mu, 1)
+    observation multiplies the one-try guessing probability.  With no
+    observation the best guess is the heaviest atom."""
+    return guess_prob(x, mu, 1) / Fraction(max(mu.weights), mu.total)
 
 
 def me_leakage(x: Partition, mu: Distribution) -> float:
@@ -298,8 +364,10 @@ def me_leakage(x: Partition, mu: Distribution) -> float:
 
 
 def ge_leakage(x: Partition, mu: Distribution) -> Fraction:
-    """Guessing-entropy leakage: NG(no observation) − NG(X), exact."""
-    return expected_guesses(bottom(x.domain), mu) - expected_guesses(x, mu)
+    """Guessing-entropy leakage: NG(no observation) − NG(X), exact.  With
+    no observation every atom is guessed in order of weight."""
+    prior = Fraction(_guess_count(sorted(mu.weights, reverse=True)), mu.total)
+    return prior - expected_guesses(x, mu)
 
 
 def me_prime(x: Partition, mu: Distribution) -> float:
@@ -314,7 +382,7 @@ def ge_prime(x: Partition, mu: Distribution) -> Fraction:
     """Expected number of guesses to name the block itself, blocks ranked
     by descending mass (ties by least atom, i.e. canonical block order)."""
     ranked = sorted(map(sum, _ranked_weights(x, mu)), reverse=True)
-    return Fraction(sum(i * w for i, w in enumerate(ranked, start=1)), mu.total)
+    return Fraction(_guess_count(ranked), mu.total)
 
 
 def shannon_distance(x: Partition, y: Partition, mu: Distribution) -> float:
@@ -392,35 +460,23 @@ def distribution_to_json(d: Distribution) -> dict:
     }
 
 
-# Bound on the decimal exponent of a mass string like "1e-5" (CPython's default
-# int-string digit limit): 10^-e is built at once for 4300 but takes seconds
-# for a million.
-MAX_DECIMAL_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
-
-
 def distribution_from_json(obj) -> Distribution:
     """Distribution from its JSON form.  Masses are strings (``"3/8"``,
-    ``"0.25"``) or JSON numbers; atoms without an entry get mass 0.  A
-    mass with an exponent below ``-MAX_DECIMAL_EXPONENT`` is rejected."""
+    ``"0.25"``, ``"1e-3"``) or JSON numbers, read by ``Distribution``;
+    atoms without an entry get mass 0."""
     if not isinstance(obj, dict) or "domain" not in obj or "mass" not in obj:
         raise InvalidDistributionError('expected {"domain": [...], "mass": {...}}')
     if not isinstance(obj["mass"], dict):
         raise InvalidDistributionError('"mass" must be a JSON object keyed by atom')
     domain = domain_from_json(obj["domain"])
     by_key = {atom_key(a): a for a in domain.atoms}
-    mass: dict[Atom, Fraction] = dict.fromkeys(domain.atoms, Fraction(0))
+    mass: dict[Atom, int | str] = dict.fromkeys(domain.atoms, 0)
     for key, text in obj["mass"].items():
         if key not in by_key:
             raise InvalidDistributionError(f"mass entry for unknown atom {key!r}")
         if isinstance(text, bool) or not isinstance(text, (str, int, float)):
             raise InvalidDistributionError(
-                f"bad mass {text!r} for atom {key!r}: expected a number or a string")
-        try:
-            exponent = _EXPONENT.search(str(text))
-            if exponent and int(exponent[1]) < -MAX_DECIMAL_EXPONENT:
-                raise ValueError(f"decimal exponent below -{MAX_DECIMAL_EXPONENT}")
-            mass[by_key[key]] = Fraction(str(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidDistributionError(f"bad mass {text!r} for atom {key!r}: {exc}") from None
+                f"bad mass {reprlib.repr(text)} for atom {key!r}: expected a number or a string")
+        # A JSON number stands for its decimal text, not the nearest binary float.
+        mass[by_key[key]] = repr(text) if isinstance(text, float) else text
     return Distribution(domain, mass)

@@ -7,6 +7,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from loiqif import Distribution, Domain, Partition, kernel
 from loiqif.lang import (
     _SHIFT_LIMIT,
@@ -19,6 +21,7 @@ from loiqif.lang import (
     _Fault,
     run_counting_loop,
 )
+from loiqif.measures import MAX_DECIMAL_EXPONENT
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -314,3 +317,24 @@ def loop_analysis_reference(p, cfg, stores: dict) -> tuple:
         else seen(a, obs) if len(counts_of[seen(a, obs)]) >= 2 else ("alone", a)
         for a, (obs, n) in traces.items()})
     return tuple(w[:len(chain)]), tuple(chain), collision, meet_oracle(chain[-1], collision)
+
+
+# ---------------------------------------------------------------------------
+# Generators
+
+def mass_strings():
+    """Text in the alphabet of Fraction's syntax: signs, digits, ``_``,
+    ``/``, ``.`` and an exponent of at most MAX_DECIMAL_EXPONENT, some of
+    it shaped like a decimal or a ratio, with whitespace around it."""
+    digits = st.text("0123456789_", min_size=1, max_size=6)
+    loose = st.text("+-0123456789_/. ", max_size=10)
+    shaped = st.tuples(st.sampled_from(["", "-", "+"]), digits,
+                       st.sampled_from(["", "/", ".", " /"]),
+                       st.one_of(st.just(""), digits)).map("".join)
+    exponent = st.one_of(
+        st.just(""),
+        st.tuples(st.sampled_from("eE"), st.sampled_from(["", "-", "+"]),
+                  st.integers(0, MAX_DECIMAL_EXPONENT).map(lambda n: f"{n:_}"))
+        .map("".join))
+    space = st.sampled_from(["", " ", "\t", "\n "])
+    return st.tuples(space, st.one_of(loose, shaped), exponent, space).map("".join)

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from loiqif import Distribution, Domain, Partition, loi, parse
 from loiqif.cli import main
 from loiqif.lang import MAX_DEPTH, AttackerConfig
 from loiqif.measures import distribution_to_json
 from loiqif.partition import partition_from_json
+
+from helpers import mass_strings
 
 M1_SRC = "if (h == 1) o = 0; else o = 1;\n"
 M2_SRC = "o = h;\n"
@@ -452,6 +457,10 @@ def test_distribution_mass_value_of_wrong_type_exits_two(workspace, capsys, bad)
     ("-1e999999", "negative mass -about 10^999999"),
     ("1e-4300", "total mass is about 10^-4300"),
     ("1e-99999999", "decimal exponent below -4300"),
+    ("1e99999999", "total mass is about 10^99999999"),
+    ("-1e99999999", "negative mass -about 10^99999999"),
+    ("1e3000000", "total mass is about 10^3000000"),
+    ("1e4301", "total mass is about 10^4301"),
 ])
 def test_huge_distribution_mass_exits_two_with_short_message(workspace, capsys,
                                                              huge, message):
@@ -459,10 +468,29 @@ def test_huge_distribution_mass_exits_two_with_short_message(workspace, capsys,
     cfg = workspace("cfg.json", CFG_2BIT)
     dist = workspace("mu.json", {"domain": [0, 1, 2, 3],
                                  "mass": {"0": huge, "1": "0", "2": "0", "3": "0"}})
+    started = time.perf_counter()
     code, _, err = run_cli(capsys, "analyze", m1, "--config", cfg, "--dist", dist)
+    assert time.perf_counter() - started < 1.0
     assert code == 2
     assert message in err
     assert len(err) < 200
+
+
+def test_zero_mass_with_huge_exponent_is_zero(workspace, capsys):
+    m1 = workspace("m1.wh", M1_SRC)
+    cfg = workspace("cfg.json", CFG_2BIT)
+    outs = []
+    for zero in ("0e99999999", "0"):
+        dist = workspace("mu.json", {"domain": [0, 1, 2, 3],
+                                     "mass": {"0": zero, "1": "1/2", "2": "1/4", "3": "1/4"}})
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", m1, "--config", cfg, "--dist", dist,
+                                 "--json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["measures"]["guess_prob"]["1"] == "3/4"
 
 
 @pytest.mark.parametrize("cfg_obj", [
@@ -575,6 +603,8 @@ _WITNESS_DIST = {"domain": [0, 1, 2, 3], "mass": {"1": "1/2", "2": "1/2"}}
       "violated_block": [2]}, "duplicate atom"),
     ({"distribution": {"domain": [0, {}, 2, 3], "mass": {"2": "1"}}, "n": 1,
       "violated_block": [2]}, "unhashable"),
+    ({"distribution": {"domain": [0, 1, 2, 3], "mass": {"1": "1e99999999"}}, "n": 1,
+      "violated_block": [1, 2]}, "total mass is about 10^99999999"),
 ])
 def test_bad_witness_exits_two(workspace, capsys, witness, message):
     m1 = workspace("m1.wh", M1_SRC)
@@ -615,3 +645,62 @@ def test_hostile_json_exits_two(workspace, capsys, which, name):
     assert code == 2 and out == ""
     assert message in err and "bad.json" in err
     assert "set_int_max_str_digits" not in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the --dist file
+
+# Spellings of the masses 0, 1/4 and 1/2, and three ways to split 1 among
+# the four atoms, in quarters.
+_SPELLINGS = {0: ["0", 0, "-0.0", "0e99999999", "-0e-99999999"],
+              1: ["1/4", "0.25", "2.5e-1", " 1/4 ", "25_0e-3", 0.25],
+              2: ["1/2", "0.5", "5E-1", 0.5]}
+_SPLITS_OF_ONE = st.sampled_from([(1, 1, 1, 1), (0, 2, 1, 1), (2, 0, 0, 2)]).flatmap(
+    lambda quarters: st.tuples(*(st.sampled_from(_SPELLINGS[q]) for q in quarters)))
+_ODD_MASS = st.one_of(
+    st.sampled_from(["1e99999999", "-1e99999999", "1e-99999999", "1e4301", "1/0"]),
+    mass_strings(),
+    st.integers(-2, 2), st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(), st.none(), st.lists(st.integers(0, 1), max_size=2),
+    st.dictionaries(st.just("p"), st.just("1/4"), max_size=1))
+
+
+def _dist_obj(parts):
+    """Each atom takes its mass from the split of 1, an odd mass or no
+    entry; an unknown key may be added."""
+    split, kinds, odd, unknown = parts
+    mass = {str(a): m if kind == "split" else o
+            for a, (m, kind, o) in enumerate(zip(split, kinds, odd)) if kind != "missing"}
+    return {"domain": [0, 1, 2, 3], "mass": {**mass, **unknown}}
+
+
+_DIST_OBJ = st.tuples(
+    _SPLITS_OF_ONE,
+    st.lists(st.sampled_from(["split", "split", "split", "missing", "odd"]),
+             min_size=4, max_size=4),
+    st.lists(_ODD_MASS, min_size=4, max_size=4),
+    st.dictionaries(st.sampled_from(["9", "x", "(0,1)", " 1"]), _ODD_MASS, max_size=1),
+).map(_dist_obj)
+
+
+@given(_DIST_OBJ)
+def test_fuzzed_distribution_files_exit_zero_or_two(tmp_path_factory, obj):
+    """Generated --dist files: mass strings, JSON numbers, bools, lists,
+    objects, unknown and missing keys.  Every one exits 0 or 2 without a
+    traceback, within 2 s, with the same stdout twice."""
+    work = tmp_path_factory.mktemp("fuzz")
+    m1, cfg, dist = work / "m1.wh", work / "cfg.json", work / "mu.json"
+    m1.write_text(M1_SRC)
+    cfg.write_text(json.dumps(CFG_2BIT))
+    dist.write_text(json.dumps(obj))
+    runs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(m1), "--config", str(cfg), "--dist", str(dist)])
+        assert time.perf_counter() - started < 2.0
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        runs.append((code, out.getvalue()))
+    assert runs[0] == runs[1]

@@ -2,10 +2,11 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from loiqif import (
     Distribution,
@@ -34,6 +35,7 @@ from loiqif import (
     top,
 )
 from loiqif.measures import (
+    _exact,
     distribution_from_json,
     distribution_to_json,
     format_real,
@@ -50,6 +52,7 @@ from helpers import (
     ge_leakage_direct,
     ge_prime_oracle,
     guess_prob_oracle,
+    mass_strings,
     me_leakage_direct,
     me_prime_reference,
     random_partition,
@@ -85,6 +88,69 @@ def test_distribution_rejects_negative_and_foreign_and_missing():
         Distribution(D4, {0: 1, 1: 0, 2: 0})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Distribution.from_weights(D4, {0: 1, "zz": 1}), "unknown atom 'zz'"),
+    (lambda: Distribution.from_weights(D4, [1, 2]), "2 weights for a domain of 4"),
+    (lambda: Distribution.from_weights(D4, [1, 2, 3, 4, 5]), "5 weights for a domain of 4"),
+    (lambda: Distribution.from_weights(D4, [0.5, 0.5, 0, 0]), "not an integer"),
+    (lambda: Distribution.from_weights(D4, [-(10**400), 10**400 + 1, 0, 0]),
+     "negative mass -about 10^400 on atom 0"),
+    (lambda: Distribution.from_weights(D4, [0, 0, 0, 0]), "positive total"),
+    (lambda: Distribution(D4, {0: "abc", 1: 1, 2: 0, 3: 0}), "bad mass 'abc' for atom 0"),
+    (lambda: Distribution(D4, {0: [1], 1: 1, 2: 0, 3: 0}), "bad mass [1] for atom 0"),
+    (lambda: Distribution(D4, {0: "1/0", 1: 1, 2: 0, 3: 0}), "bad mass '1/0' for atom 0"),
+    (lambda: Distribution(D4, {0: "9" * 10_000, 1: 1, 2: 0, 3: 0}), "bad mass '999"),
+    (lambda: Distribution.uniform_on(D4, [1, 7]), "unknown atom 7"),
+])
+def test_every_constructor_rejects_bad_weights_briefly(build, message):
+    with pytest.raises(InvalidDistributionError) as info:
+        build()
+    assert message in str(info.value)
+    assert len(str(info.value)) < 200
+
+
+def test_uniform_on_counts_a_repeated_atom_once():
+    assert Distribution.uniform_on(D4, [1, 1, 3]) == Distribution.uniform_on(D4, [1, 3])
+    assert Distribution.uniform_on(D4, [1, 1])[1] == 1
+
+
+def _read(convert, text):
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError, InvalidDistributionError):
+        return "rejected"
+
+
+@settings(max_examples=400)
+@given(mass_strings())
+def test_mass_conversion_agrees_with_fraction(text):
+    assert _read(lambda t: _exact(t, 0), text) == _read(Fraction, text)
+
+
+@pytest.mark.parametrize("mantissa", ["0", "-0.000", "00_0.0", "1", "-2.5", "0.001", "7_0",
+                                      "1/2", "1 "])
+@pytest.mark.parametrize("exponent, small", [
+    ("e4301", "e1"), ("E-4301", "E-1"), ("e+99999999", "e+9"), ("e-100000000", "e-1"),
+    ("e1_000_000", "e1_0")])
+def test_mass_past_the_exponent_bound_is_zero_or_rejected_at_once(mantissa, exponent, small):
+    """Past the bound a mass is 0 if Fraction reads the same mantissa with
+    a small exponent of the same shape as 0, and is rejected otherwise."""
+    start = time.perf_counter()
+    value = _read(lambda t: _exact(t, 0), f" {mantissa}{exponent} ")
+    assert time.perf_counter() - start < 1
+    assert value == (0 if _read(Fraction, f" {mantissa}{small} ") == 0 else "rejected")
+
+
+def test_distribution_with_huge_exponents_builds_at_once():
+    start = time.perf_counter()
+    mu = Distribution(D4, {0: "0e99999999", 1: "1", 2: "-0e-99999999", 3: 0})
+    assert mu == Distribution.uniform_on(D4, [1])
+    for huge in ("1e-99999999", "1e99999999", "-1e99999999"):
+        with pytest.raises(InvalidDistributionError):
+            Distribution(D4, {0: huge, 1: 1, 2: 0, 3: 0})
+    assert time.perf_counter() - start < 1
+
+
 def test_from_weights_normalizes_exactly():
     mu = Distribution.from_weights(D4, [1, 2, 3, 2])
     assert mu[2] == Fraction(3, 8)
@@ -108,6 +174,12 @@ def test_distribution_json_round_trip():
     obj = distribution_to_json(mu)
     assert obj["mass"]["1"] == "3/8"
     assert distribution_from_json(obj) == mu
+
+
+def test_json_numbers_are_read_as_their_decimal_text():
+    obj = {"domain": [0, 1, 2], "mass": {"0": 0.1, "1": 0.7, "2": 2e-1}}
+    assert distribution_from_json(obj) == Distribution(Domain([0, 1, 2]),
+                                                       {0: "1/10", 1: "7/10", 2: "1/5"})
 
 
 def test_distribution_json_reports_exact_deficit():
@@ -443,6 +515,10 @@ def test_measures_match_fraction_oracles(case):
     assert expected_guesses(x, mu) == expected_guesses_oracle(x, mu)
     assert one_try_gain(x, mu) == me_leakage_direct(x, mu)
     assert ge_leakage(x, mu) == ge_leakage_direct(x, mu)
+    # the no-observation prior is the one-block partition's
+    prior = bottom(x.domain)
+    assert one_try_gain(x, mu) == guess_prob(x, mu, 1) / guess_prob(prior, mu, 1)
+    assert ge_leakage(x, mu) == expected_guesses(prior, mu) - expected_guesses(x, mu)
     assert me_prime(x, mu) == me_prime_reference(x, mu)
     assert ge_prime(x, mu) == ge_prime_oracle(x, mu)
 
