@@ -28,16 +28,28 @@ rejects syntax trees deeper than ``MAX_DEPTH`` levels.
 Running a program on an initial store yields an ``Observable``: the
 observed variables' final values on normal termination, a single
 non-termination class when the step budget runs out, or a single
-runtime-error class on a fault.
+runtime-error class on a fault.  Each ``skip``, assignment and ``if``
+takes one step before it evaluates anything; a ``while`` takes one on
+entry and one after each run of its body.
+
+Programs run in batches of atoms: each variable is a column with one
+value per atom, and each statement runs once for all the atoms that
+reach it (``_Chunk``).  An operator is mapped over its operand columns,
+``if`` splits the atoms by the condition and ``while`` repeats on those
+still in the loop.  The result for every atom is the one a run on that
+atom alone gives; ``eval_program`` and ``run_counting_loop`` are batches
+of one.  A read of a variable not yet assigned is a ``ConfigError`` that
+names the variable the lowest such atom read first.
 
 ``runs`` is the one place that runs a program on every input: it
 enumerates the attacker-facing input atoms (values of the high variables
-when the attacker fixes the lows; (low, high) pairs for an eavesdropper)
-and yields what the attacker sees of each run, with the iteration count
-of a chosen loop.  ``loi`` interprets a program as a partition of the
-secret space, the kernel of those views — atoms are indistinguishable
-exactly when the program output looks the same.  It relabels the views as
-``runs`` yields them, so only the distinct views outlive their runs.
+when the attacker fixes the lows; (low, high) pairs for an eavesdropper),
+runs them ``CHUNK_SIZE`` at a time and yields what the attacker sees of
+each run, with the iteration count of a chosen loop.  ``loi`` interprets
+a program as a partition of the secret space, the kernel of those views
+— atoms are indistinguishable exactly when the program output looks the
+same.  It relabels the views as ``runs`` yields them, so only the
+distinct views outlive their chunk.
 """
 
 from __future__ import annotations
@@ -238,9 +250,9 @@ _PREC = {op: lvl + 1 for lvl, ops in enumerate(_BINARY_LEVELS) for op in ops}
 _UNARY_PREC = len(_BINARY_LEVELS) + 1
 
 
-# Deepest AST ``parse`` accepts.  Evaluation, printing and self-composition
-# recurse once per level and parsing the printed form twice, which stays
-# well inside the interpreter's default recursion limit of 1000 frames.
+# Deepest AST ``parse`` accepts.  Printing and self-composition recurse once
+# per level, evaluation and parsing the printed form at most twice, which
+# stays well inside the interpreter's default recursion limit of 1000 frames.
 MAX_DEPTH = 300
 
 
@@ -642,24 +654,7 @@ class _Fault(Exception):
     pass
 
 
-class _OutOfSteps(Exception):
-    pass
-
-
 _SHIFT_LIMIT = 1 << 20
-
-
-@dataclass
-class _RunState:
-    widths: dict[str, int]
-    steps_left: int
-    counted_loop: While | None = None
-    iterations: int = 0
-
-    def spend(self) -> None:
-        self.steps_left -= 1
-        if self.steps_left < 0:
-            raise _OutOfSteps
 
 
 def _div(left: int, right: int) -> int:
@@ -683,7 +678,7 @@ def _shl(left: int, right: int) -> int:
 def _shr(left: int, right: int) -> int:
     if right < 0:
         raise _Fault
-    return left >> min(right, _SHIFT_LIMIT)
+    return left >> (right if right <= _SHIFT_LIMIT else _SHIFT_LIMIT)
 
 
 _BINARY_OPS = {
@@ -713,52 +708,271 @@ _UNARY_OPS = {
     "~": operator.invert,
 }
 
+# Atoms one batch evaluation runs together.  A statement costs a few ``map``
+# calls per batch whatever its size, and a chunk's columns live until its
+# last run ends: larger chunks spread the first cost over more atoms,
+# smaller ones bound the second.
+CHUNK_SIZE = 1024
 
-def _eval_expr(e: Expr, store: dict[str, int]) -> int:
-    if isinstance(e, Binary):
-        return _BINARY_OPS[e.op](_eval_expr(e.left, store), _eval_expr(e.right, store))
-    if isinstance(e, Var):
+_FAULTED = Observable(RUNTIME_ERROR)
+_OUT_OF_STEPS = Observable(NON_TERMINATION)
+
+
+def _apply(op, stopped: dict, later: dict, *columns: list) -> tuple[list, dict]:
+    """``op`` mapped over its operand columns, as ``_Chunk.values`` returns
+    it.  An atom stopped in the first operand (``stopped``) or a later one
+    (``later``), in that order of precedence, stays stopped; one on which
+    ``op`` faults stops here."""
+    if not (stopped or later):
         try:
-            return store[e.name]
-        except KeyError:
-            raise ConfigError(
-                f"variable {e.name!r} read before assignment") from None
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Unary):
-        return _UNARY_OPS[e.op](_eval_expr(e.operand, store))
-    return 1 if e.value else 0
+            return list(map(op, *columns)), stopped
+        except _Fault:
+            pass
+    stopped = {**later, **stopped}
+    values = []
+    for i, args in enumerate(zip(*columns)):
+        if i not in stopped:
+            try:
+                values.append(op(*args))
+                continue
+            except _Fault:
+                stopped[i] = _Fault
+        values.append(None)
+    return values, stopped
 
 
-def _exec_stmt(s: Stmt, store: dict[str, int], state: _RunState) -> None:
-    if isinstance(s, Skip):
-        state.spend()
-        return
-    if isinstance(s, Assign):
-        state.spend()
-        v = _eval_expr(s.expr, store)
-        width = state.widths.get(s.name)
-        fits = width is None or (v >= 0 and v.bit_length() <= width)
-        store[s.name] = v if fits else v & ((1 << width) - 1)
-        return
-    if isinstance(s, Seq):
-        for sub in s.stmts:
-            _exec_stmt(sub, store, state)
-        return
-    if isinstance(s, If):
-        state.spend()
-        branch = s.then_branch if _eval_expr(s.cond, store) != 0 else s.else_branch
-        _exec_stmt(branch, store, state)
-        return
-    if isinstance(s, While):
-        state.spend()
-        while _eval_expr(s.cond, store) != 0:
-            _exec_stmt(s.body, store, state)
-            if s is state.counted_loop:
-                state.iterations += 1
-            state.spend()
-        return
-    raise TypeError(f"not a statement: {s!r}")
+class _Batch:
+    """The live atoms that run the same statements: their positions in the
+    chunk, ascending; the steps each has taken since ``_Chunk.spent`` last
+    recorded it (``pending``); and ``room``, a lower bound on the steps any
+    of them had left at that record."""
+
+    __slots__ = ("ids", "pending", "room")
+
+    def __init__(self, ids: list[int], pending: int, room: int):
+        self.ids = ids
+        self.pending = pending
+        self.room = room
+
+
+class _Chunk:
+    """A chunk of atoms run together, one statement at a time.
+
+    Each variable is a column of the chunk's values, None where an atom has
+    not assigned it.  A statement runs once on the batch of atoms that
+    reached it: an operator is mapped over its operand columns, ``if``
+    splits the batch by the condition and ``while`` repeats on the part
+    still in the loop.  Steps are counted per batch until the cached
+    ``room`` says some atom may be out of them.  An atom leaves the batch
+    when it faults, runs out of steps or reads a variable it never
+    assigned; only an operator that faults or reads such a variable is
+    applied atom by atom.
+    """
+
+    def __init__(self, columns: dict[str, list], size: int, widths: dict[str, int],
+                 budget: int, loop: While | None):
+        self.store = columns
+        self.unset: set[str] = set()        # names whose column may hold None
+        self.size = size
+        self.widths = widths
+        self.budget = budget
+        self.loop = loop
+        self.counting: int | None = None    # bodies of ``loop`` done in its current run
+        self.spent = [0] * size
+        self.iterations = [0] * size
+        self.kinds = [TERMINATED] * size
+        self.unbound: dict[int, str] = {}   # atom -> variable it read before assignment
+
+    def values(self, e: Expr, ids: list[int]) -> tuple[list, dict]:
+        """``e``'s value on each atom of ``ids`` (None where it stopped),
+        and the atoms whose evaluation stopped, by index into ``ids``:
+        ``_Fault``, or the variable read before assignment, whichever comes
+        first with operands evaluated left to right."""
+        if isinstance(e, Binary):
+            left, stopped = self.values(e.left, ids)
+            right, later = self.values(e.right, ids)
+            return _apply(_BINARY_OPS[e.op], stopped, later, left, right)
+        if isinstance(e, Var):
+            column = self.store.get(e.name)
+            if column is None:
+                return [None] * len(ids), dict.fromkeys(range(len(ids)), e.name)
+            # A copy even of a whole column: an assignment keeps the list it is given.
+            values = column[:] if len(ids) == self.size else [column[i] for i in ids]
+            if e.name in self.unset and None in values:
+                return values, {i: e.name for i, v in enumerate(values) if v is None}
+            return values, {}
+        if isinstance(e, Unary):
+            operand, stopped = self.values(e.operand, ids)
+            return _apply(_UNARY_OPS[e.op], stopped, {}, operand)
+        return [int(e.value)] * len(ids), {}
+
+    def live_values(self, e: Expr, batch: _Batch) -> list:
+        """``e``'s value on each atom of the batch, once the atoms whose
+        evaluation stopped have left it."""
+        values, stopped = self.values(e, batch.ids)
+        if stopped:
+            for i, why in stopped.items():
+                atom = batch.ids[i]
+                if why is _Fault:
+                    self.kinds[atom] = RUNTIME_ERROR
+                    self.iterations[atom] += self.counting or 0
+                else:
+                    self.unbound[atom] = why
+            keep = [i not in stopped for i in range(len(values))]
+            batch.ids = list(itertools.compress(batch.ids, keep))
+            values = list(itertools.compress(values, keep))
+        return values
+
+    def spend(self, batch: _Batch) -> None:
+        batch.pending += 1
+        if batch.pending > batch.room:
+            self._settle(batch)
+
+    def _settle(self, batch: _Batch) -> None:
+        """Record the batch's pending steps per atom; atoms past the budget
+        leave it."""
+        spent, budget = self.spent, self.budget
+        for i in batch.ids:
+            spent[i] += batch.pending
+        batch.pending = 0
+        if any(spent[i] > budget for i in batch.ids):
+            for i in batch.ids:
+                if spent[i] > budget:
+                    self.kinds[i] = NON_TERMINATION
+            batch.ids = [i for i in batch.ids if spent[i] <= budget]
+        batch.room = budget - max(map(spent.__getitem__, batch.ids), default=0)
+
+    def _merge(self, batch: _Batch, parts: list[_Batch]) -> None:
+        """Make ``batch`` the union of ``parts``, pending the fewest steps any
+        part has pending; the other parts' excess is recorded per atom."""
+        parts = [part for part in parts if part.ids]
+        if not parts:
+            batch.ids = []
+            return
+        pending = min(part.pending for part in parts)
+        room = self.budget
+        for part in parts:
+            extra = part.pending - pending
+            if extra:
+                for i in part.ids:
+                    self.spent[i] += extra
+            room = min(room, part.room - extra)
+        batch.ids = (parts[0].ids if len(parts) == 1
+                     else sorted(itertools.chain.from_iterable(part.ids for part in parts)))
+        batch.pending, batch.room = pending, room
+
+    def run(self, s: Stmt, batch: _Batch) -> None:
+        if not batch.ids:
+            return
+        if isinstance(s, Seq):
+            for sub in s.stmts:
+                self.run(sub, batch)
+        elif isinstance(s, Assign):
+            self._assign(s, batch)
+        elif isinstance(s, If):
+            self._if(s, batch)
+        elif isinstance(s, While):
+            self._while(s, batch)
+        elif isinstance(s, Skip):
+            self.spend(batch)
+        else:
+            raise TypeError(f"not a statement: {s!r}")
+
+    def _assign(self, s: Assign, batch: _Batch) -> None:
+        self.spend(batch)
+        values = self.live_values(s.expr, batch)
+        width = self.widths.get(s.name)
+        if width is not None and values and (min(values) < 0
+                                             or max(values).bit_length() > width):
+            # Only a value that does not fit is masked: 2^width may be too
+            # large to build.
+            mask = (1 << width) - 1
+            values = [v if v >= 0 and v.bit_length() <= width else v & mask for v in values]
+        if len(batch.ids) == self.size:
+            self.store[s.name] = values
+            self.unset.discard(s.name)
+            return
+        column = self.store.get(s.name)
+        if column is None:
+            column = self.store[s.name] = [None] * self.size
+            self.unset.add(s.name)
+        for i, v in zip(batch.ids, values):
+            column[i] = v
+
+    def _if(self, s: If, batch: _Batch) -> None:
+        self.spend(batch)
+        cond = self.live_values(s.cond, batch)
+        taken = list(itertools.compress(batch.ids, cond))
+        if len(taken) == len(batch.ids):
+            return self.run(s.then_branch, batch)
+        if not taken:
+            return self.run(s.else_branch, batch)
+        other = _Batch(list(itertools.compress(batch.ids, map(operator.not_, cond))),
+                       batch.pending, batch.room)
+        batch.ids = taken
+        self.run(s.then_branch, batch)
+        self.run(s.else_branch, other)
+        self._merge(batch, [batch, other])
+
+    def _while(self, s: While, batch: _Batch) -> None:
+        self.spend(batch)
+        counted = s is self.loop
+        exited = []         # the atoms that left the loop, one part per iteration
+        bodies = 0
+        while batch.ids:
+            if counted:
+                self.counting = bodies
+            cond = self.live_values(s.cond, batch)
+            staying = list(itertools.compress(batch.ids, cond))
+            if len(staying) < len(batch.ids):
+                leaving = list(itertools.compress(batch.ids, map(operator.not_, cond)))
+                if counted:
+                    for i in leaving:
+                        self.iterations[i] += bodies
+                exited.append(_Batch(leaving, batch.pending, batch.room))
+                batch.ids = staying
+                if not staying:
+                    break
+            self.run(s.body, batch)
+            bodies += 1
+            self.spend(batch)
+        if counted:
+            self.counting = None
+        self._merge(batch, exited)
+
+    def results(self, observed: tuple[str, ...]) -> list[tuple[Observable, int | None]]:
+        """Each atom's observable and ``loop`` count (None when out of
+        steps), or a ConfigError for the lowest atom that read a variable
+        before assigning it."""
+        if self.unbound:
+            atom = min(self.unbound)
+            raise ConfigError(f"variable {self.unbound[atom]!r} read before assignment")
+        outputs = zip(*(self.store.get(name, [None] * self.size) for name in observed))
+        seen: dict[tuple, Observable] = {}
+        out = []
+        for kind, values, count in zip(self.kinds, outputs, self.iterations):
+            if kind is TERMINATED:
+                obs = seen.get(values)
+                if obs is None:
+                    obs = seen[values] = Observable(TERMINATED, values)
+                out.append((obs, count))
+            elif kind is RUNTIME_ERROR:
+                out.append((_FAULTED, count))
+            else:
+                out.append((_OUT_OF_STEPS, None))
+        return out
+
+
+def _evaluate(p: Program, columns: dict[str, list], size: int, cfg: AttackerConfig,
+              loop: While | None = None, budget: int | None = None
+              ) -> list[tuple[Observable, int | None]]:
+    """Run ``p`` on ``size`` atoms at once, the initial value of each
+    variable given as a column, and return what ``run_counting_loop``
+    returns for each atom."""
+    chunk = _Chunk(columns, size, cfg.widths(),
+                   cfg.step_budget if budget is None else budget, loop)
+    chunk.run(p.body, _Batch(list(range(size)), 0, chunk.budget))
+    return chunk.results(cfg.observed_vars)
 
 
 def eval_program(p: Program, initial: Mapping[str, int], cfg: AttackerConfig,
@@ -773,19 +987,9 @@ def run_counting_loop(p: Program, initial: Mapping[str, int], cfg: AttackerConfi
                       ) -> tuple[Observable, int | None]:
     """Like ``eval_program`` but also reports how many complete body
     executions of ``loop`` (compared by identity) the run performed;
-    None when the run exhausts its budget."""
-    store = dict(initial)
-    state = _RunState(widths=cfg.widths(),
-                      steps_left=cfg.step_budget if budget is None else budget,
-                      counted_loop=loop)
-    try:
-        _exec_stmt(p.body, store, state)
-    except _OutOfSteps:
-        return Observable(NON_TERMINATION), None
-    except _Fault:
-        return Observable(RUNTIME_ERROR), state.iterations
-    return (Observable(TERMINATED, tuple(store.get(v) for v in cfg.observed_vars)),
-            state.iterations)
+    None when the run exhausts its budget.  It is a batch of one."""
+    columns = {name: [value] for name, value in initial.items()}
+    return _evaluate(p, columns, 1, cfg, loop, budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -852,18 +1056,24 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
          ) -> tuple[Domain, Iterator[tuple[object, int | None]]]:
     """The domain and an iterator over (what the attacker sees of the run,
     its ``loop`` iteration count or None when out of budget), one run per
-    atom in domain order, from the atom's values put back under their names."""
+    atom in domain order, from the atom's values put back under their names.
+    The atoms run ``CHUNK_SIZE`` at a time, each chunk as one batch."""
     validate_program(p, cfg)
     domain = enumerate_domain(cfg)
     names, _, n_lows, pinned = _plan(cfg)
     sizes = (n_lows, len(names) - n_lows) if n_lows else (len(names),)
 
     def results():
-        for atom in domain.atoms:
-            parts = zip(atom if n_lows else (atom,), sizes)
-            values = [v for part, size in parts for v in ((part,) if size == 1 else part)]
-            obs, iterations = run_counting_loop(p, dict(zip(names, values), **pinned), cfg, loop)
-            yield attacker_view(cfg, atom, obs), iterations
+        atoms = domain.atoms
+        for start in range(0, len(atoms), CHUNK_SIZE):
+            chunk = atoms[start:start + CHUNK_SIZE]
+            columns: list[list] = []
+            for part, size in zip(zip(*chunk) if n_lows else (chunk,), sizes):
+                columns += [list(part)] if size == 1 else map(list, zip(*part))
+            inputs = dict(zip(names, columns))
+            inputs.update((name, [value] * len(chunk)) for name, value in pinned.items())
+            for atom, (obs, iterations) in zip(chunk, _evaluate(p, inputs, len(chunk), cfg, loop)):
+                yield attacker_view(cfg, atom, obs), iterations
 
     return domain, results()
 

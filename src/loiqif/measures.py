@@ -2,8 +2,8 @@
 
 A ``Distribution`` holds one non-negative integer weight per domain
 position over a common positive total.  A mass (a ``Fraction``, an
-``int`` or a string such as ``"3/8"`` or ``"1e-3"``) becomes exact in one
-conversion, ``_exact``, which bounds a decimal exponent before it builds
+``int``, a ``Decimal`` or a string such as ``"3/8"`` or ``"1e-3"``) becomes
+exact in one conversion, ``_exact``, which bounds a decimal exponent before it builds
 anything; every constructor's integer weights then pass one check,
 ``Distribution._set``.  ``distribution_from_json`` only maps JSON keys to
 atoms.
@@ -52,6 +52,7 @@ import random
 import re
 import reprlib
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -96,7 +97,7 @@ class Distribution:
 
     __slots__ = ("domain", "weights", "total", "_mass")
 
-    def __init__(self, domain: Domain, mass: Mapping[Atom, Fraction | int | str]):
+    def __init__(self, domain: Domain, mass: Mapping[Atom, Fraction | int | str | Decimal]):
         _require_known(domain, mass)
         values: list[Fraction] = []
         for a in domain.atoms:
@@ -234,19 +235,21 @@ MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-def _exact(value: Fraction | int | str, atom: Atom) -> Fraction:
-    """``Fraction(value)``, with a string's decimal exponent read before
-    any power of ten is built: past ``MAX_DECIMAL_EXPONENT`` either way, a
-    zero mantissa gives 0 and any other is rejected.  Every failure is an
-    ``InvalidDistributionError`` naming the atom."""
+def _exact(value: Fraction | int | str | Decimal, atom: Atom) -> Fraction:
+    """``Fraction(value)``, with the decimal exponent of a string, or of a
+    ``Decimal``'s text, read before any power of ten is built: past
+    ``MAX_DECIMAL_EXPONENT`` either way, a zero mantissa gives 0 and any
+    other is rejected.  Every failure is an ``InvalidDistributionError``
+    naming the atom."""
+    text = str(value) if isinstance(value, Decimal) else value
     try:
-        exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+        exponent = _EXPONENT.search(text) if isinstance(text, str) else None
         if exponent is None or abs(e := int(exponent[1])) <= MAX_DECIMAL_EXPONENT:
-            return Fraction(value)
+            return Fraction(text)
         # The same text with every exponent digit 0 reads as the mantissa,
         # and Fraction still checks the whole syntax.
         i, j = exponent.span(1)
-        mantissa = Fraction(value[:i] + re.sub(r"\d", "0", value[i:j]) + value[j:])
+        mantissa = Fraction(text[:i] + re.sub(r"\d", "0", text[i:j]) + text[j:])
     except (ValueError, TypeError, ArithmeticError) as exc:
         # Python's message repeats the text after a colon; the prefix below
         # shows it once, shortened.

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -12,14 +13,24 @@ from hypothesis import strategies as st
 from loiqif import Distribution, Domain, Partition, kernel
 from loiqif.lang import (
     _SHIFT_LIMIT,
+    NON_TERMINATION,
     PASSIVE,
+    RUNTIME_ERROR,
+    TERMINATED,
+    Assign,
     BoolLit,
+    ConfigError,
+    If,
     IntLit,
+    Observable,
+    Seq,
+    Skip,
     Unary,
     Var,
     While,
     _Fault,
-    run_counting_loop,
+    enumerate_domain,
+    validate_program,
 )
 from loiqif.measures import MAX_DECIMAL_EXPONENT
 
@@ -217,7 +228,8 @@ def ge_prime_oracle(x: Partition, mu: Distribution) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Expression reference: the interpreter's operators as one if-chain, the
-# way the language description reads.  Faults raise ``_Fault``.
+# way the language description reads.  Faults raise ``_Fault``; reading
+# a variable missing from the store raises ``ConfigError``.
 
 def eval_expr_reference(e, store: dict[str, int]) -> int:
     if isinstance(e, IntLit):
@@ -225,7 +237,10 @@ def eval_expr_reference(e, store: dict[str, int]) -> int:
     if isinstance(e, BoolLit):
         return 1 if e.value else 0
     if isinstance(e, Var):
-        return store[e.name]
+        try:
+            return store[e.name]
+        except KeyError:
+            raise ConfigError(f"variable {e.name!r} read before assignment") from None
     if isinstance(e, Unary):
         v = eval_expr_reference(e.operand, store)
         if e.op == "-":
@@ -284,6 +299,101 @@ def eval_expr_reference(e, store: dict[str, int]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Interpreter reference: one atom at a time, a tree walk over its store
+# that counts down the step budget, the way the language description reads.
+
+class _OutOfSteps(Exception):
+    pass
+
+
+@dataclass
+class _RunState:
+    widths: dict[str, int]
+    steps_left: int
+    counted_loop: While | None = None
+    iterations: int = 0
+
+    def spend(self) -> None:
+        self.steps_left -= 1
+        if self.steps_left < 0:
+            raise _OutOfSteps
+
+
+def _exec_stmt(s, store: dict[str, int], state: _RunState) -> None:
+    if isinstance(s, Skip):
+        state.spend()
+        return
+    if isinstance(s, Assign):
+        state.spend()
+        v = eval_expr_reference(s.expr, store)
+        width = state.widths.get(s.name)
+        fits = width is None or (v >= 0 and v.bit_length() <= width)
+        store[s.name] = v if fits else v & ((1 << width) - 1)
+        return
+    if isinstance(s, Seq):
+        for sub in s.stmts:
+            _exec_stmt(sub, store, state)
+        return
+    if isinstance(s, If):
+        state.spend()
+        branch = s.then_branch if eval_expr_reference(s.cond, store) != 0 else s.else_branch
+        _exec_stmt(branch, store, state)
+        return
+    if isinstance(s, While):
+        state.spend()
+        while eval_expr_reference(s.cond, store) != 0:
+            _exec_stmt(s.body, store, state)
+            if s is state.counted_loop:
+                state.iterations += 1
+            state.spend()
+        return
+    raise TypeError(f"not a statement: {s!r}")
+
+
+def run_counting_loop_reference(p, initial, cfg, loop, budget=None) -> tuple:
+    """(Observable, complete body executions of ``loop``, or None when the
+    run exhausts its budget) of one run on the store ``initial``."""
+    store = dict(initial)
+    state = _RunState(widths=cfg.widths(),
+                      steps_left=cfg.step_budget if budget is None else budget,
+                      counted_loop=loop)
+    try:
+        _exec_stmt(p.body, store, state)
+    except _OutOfSteps:
+        return Observable(NON_TERMINATION), None
+    except _Fault:
+        return Observable(RUNTIME_ERROR), state.iterations
+    return (Observable(TERMINATED, tuple(store.get(v) for v in cfg.observed_vars)),
+            state.iterations)
+
+
+def store_of(cfg, atom) -> dict[str, int]:
+    """The initial store of an atom: its values under the names of the
+    variables enumerated, and the pinned lows."""
+    lows = [n for n, _, _ in cfg.low_vars]
+    highs = [n for n, _ in cfg.high_vars]
+
+    def named(names, part):
+        return dict(zip(names, (part,) if len(names) == 1 else part))
+
+    if cfg.mode == PASSIVE and lows:
+        return {**named(lows, atom[0]), **named(highs, atom[1])}
+    return {**named(highs, atom), **{n: v for n, _, v in cfg.low_vars}}
+
+
+def runs_reference(p, cfg, loop=None) -> list[tuple]:
+    """(what the attacker sees, ``loop`` count) of each atom's run, one
+    reference run per atom in domain order."""
+    validate_program(p, cfg)
+    sees_lows = cfg.mode == PASSIVE and bool(cfg.low_vars)
+    out = []
+    for a in enumerate_domain(cfg).atoms:
+        obs, n = run_counting_loop_reference(p, store_of(cfg, a), cfg, loop)
+        out.append(((a[0], obs) if sees_lows else obs, n))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Loop decomposition reference: every run on a hand-built store, every
 # partition the kernel of an {atom: key} dict, lattice operations by the
 # brute-force oracles above.
@@ -293,7 +403,8 @@ def loop_analysis_reference(p, cfg, stores: dict) -> tuple:
     loop of ``p``, with ``stores`` mapping each atom to its initial store."""
     domain = Domain(stores)
     loop = next(s for s in p.body.stmts if isinstance(s, While))
-    traces = {a: run_counting_loop(p, store, cfg, loop) for a, store in stores.items()}
+    traces = {a: run_counting_loop_reference(p, store, cfg, loop)
+              for a, store in stores.items()}
     sees_lows = cfg.mode == PASSIVE and bool(cfg.low_vars)
 
     def seen(a, what):

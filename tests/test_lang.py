@@ -1,5 +1,7 @@
 import random
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,8 @@ from loiqif import (
     self_compose,
     top,
 )
+from loiqif import lang
+from loiqif.analysis import _find_top_level_loop, loop_analyze
 from loiqif.lang import (
     _BINARY_LEVELS,
     _BINARY_OPS,
@@ -47,7 +51,7 @@ from loiqif.lang import (
     Unary,
     Var,
     While,
-    _eval_expr,
+    _evaluate,
     _Fault,
     _walk,
     assigned_vars,
@@ -57,9 +61,18 @@ from loiqif.lang import (
     expr_to_source,
     low_projection,
     read_vars,
+    runs,
 )
+from loiqif.partition import relabel
 
-from helpers import conditional_entropy_oracle, entropy_oracle, eval_expr_reference
+from helpers import (
+    conditional_entropy_oracle,
+    entropy_oracle,
+    eval_expr_reference,
+    loop_analysis_reference,
+    runs_reference,
+    store_of,
+)
 
 
 def cfg_high(bits=2, observe=("o",), **kw):
@@ -296,15 +309,17 @@ _stores = st.fixed_dictionaries({n: st.integers(-300, 300) for n in ("h", "l", "
 
 
 @settings(deadline=None, max_examples=400)
-@given(_exprs, _stores)
-def test_operator_table_matches_reference(e, store):
-    try:
-        want = eval_expr_reference(e, store)
-    except _Fault:
-        with pytest.raises(_Fault):
-            _eval_expr(e, store)
-    else:
-        assert _eval_expr(e, store) == want
+@given(_exprs, st.lists(_stores, min_size=1, max_size=6))
+def test_operator_table_matches_reference(e, stores):
+    # One batch runs every store: atoms that fault sit beside ones that do not.
+    columns = {n: [store[n] for store in stores] for n in ("h", "l", "o")}
+    got = _evaluate(Program(Seq((Assign("o", e),))), columns, len(stores), cfg_high())
+    for store, (obs, _) in zip(stores, got):
+        try:
+            want = Observable(TERMINATED, (eval_expr_reference(e, store),))
+        except _Fault:
+            want = Observable(RUNTIME_ERROR)
+        assert obs == want
 
 
 def test_assignment_wraps_at_declared_width():
@@ -602,3 +617,191 @@ def test_passive_fixed_low_pins_enumeration():
                          observed_vars=("o",), mode=PASSIVE)
     d = enumerate_domain(cfg)
     assert d.atoms == ((2, 0), (2, 1))
+
+
+# ---------------------------------------------------------------------------
+# Batch evaluation against the one-atom-at-a-time reference
+
+# Every configuration declares h, g and l, and together they cover each
+# shape of atom: high tuples with pinned lows, bare highs with two pinned
+# lows, and (low, high) pairs with a tuple on either side.
+_BATCH_CONFIGS = [
+    AttackerConfig(high_vars=(("h", 2), ("g", 1)), low_vars=(("l", 2, 2),),
+                   observed_vars=("o", "x")),
+    AttackerConfig(high_vars=(("h", 3),), low_vars=(("l", 2, 1), ("g", 1, 1)),
+                   observed_vars=("o", "x")),
+    AttackerConfig(high_vars=(("h", 2), ("g", 1)), low_vars=(("l", 2, None),),
+                   observed_vars=("o", "x"), mode=PASSIVE),
+    AttackerConfig(high_vars=(("h", 3),), low_vars=(("l", 1, None), ("g", 1, 1)),
+                   observed_vars=("o", "x"), mode=PASSIVE),
+]
+_batch_names = st.sampled_from(["h", "g", "l", "o", "x"])
+# Small literals and extra divisions, so that faults are common.  No "*":
+# squaring a variable on every pass of a loop doubles its length each time.
+_BATCH_OPS = sorted(set(_BINARY_OPS) - {"*"}) + ["/", "%"] * 2
+_batch_exprs = st.recursive(
+    st.one_of(st.integers(0, 4).map(IntLit), st.booleans().map(BoolLit),
+              _batch_names.map(Var)),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["!", "-", "~"]), sub).map(lambda t: Unary(*t)),
+        st.tuples(st.sampled_from(_BATCH_OPS), sub, sub).map(lambda t: Binary(*t)),
+    ),
+    max_leaves=5,
+)
+
+
+def _bounded_loops(bodies):
+    """Loops that mostly end after a few iterations, each atom after its own
+    count: while (x > e) { body; x = x - 1; }."""
+    return st.tuples(_batch_exprs, bodies).map(lambda t: While(
+        Binary(">", Var("x"), t[0]), Seq((t[1], Assign("x", Binary("-", Var("x"), IntLit(1)))))))
+
+
+_batch_stmts = st.recursive(
+    st.one_of(st.just(Skip()), st.tuples(_batch_names, _batch_exprs).map(lambda t: Assign(*t))),
+    lambda sub: st.one_of(
+        st.tuples(_batch_exprs, sub, sub).map(lambda t: If(*t)),
+        st.tuples(_batch_exprs, sub).map(lambda t: While(*t)),
+        _bounded_loops(sub),
+        _bounded_loops(sub),
+        st.lists(sub, min_size=2, max_size=4).map(lambda ss: Seq(tuple(ss))),
+    ),
+    max_leaves=8,
+)
+# The closing assignments keep o and x assigned somewhere, so the program
+# passes ``validate_program``; a prelude that assigns them first keeps most
+# runs from stopping at a read before assignment.
+_ASSIGN_BOTH = (Assign("x", Var("h")), Assign("o", Var("g")))
+_batch_programs = st.tuples(
+    st.sampled_from([(), (Assign("x", IntLit(0)),), _ASSIGN_BOTH, _ASSIGN_BOTH]),
+    st.lists(st.one_of(_batch_stmts, _bounded_loops(_batch_stmts)), min_size=1, max_size=4),
+).map(lambda t: Program(Seq(t[0] + tuple(t[1]) + _ASSIGN_BOTH)))
+
+
+def _or_config_error(f):
+    try:
+        return f()
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def _assert_runs_match_reference(p, cfg, loop):
+    got = _or_config_error(lambda: list(runs(p, cfg, loop)[1]))
+    want = _or_config_error(lambda: runs_reference(p, cfg, loop))
+    assert got == want
+    return want
+
+
+@settings(deadline=None, max_examples=300)
+@given(_batch_programs, st.sampled_from(_BATCH_CONFIGS), st.integers(5, 300),
+       st.sampled_from([1, 3, 7, 1024]))
+def test_batch_runs_match_the_reference(p, cfg, budget, chunk_size):
+    cfg = replace(cfg, step_budget=budget)
+    top_loop = _find_top_level_loop(p.body)
+    loop = top_loop or next((n for n, _ in _walk(p) if isinstance(n, While)), None)
+    with mock.patch.object(lang, "CHUNK_SIZE", chunk_size):
+        want = _assert_runs_match_reference(p, cfg, loop)
+        if isinstance(want, str):
+            return
+        d, x = loi(p, cfg)
+        assert x == relabel(d, [view for view, _ in want])
+        if top_loop is not None and top_loop in p.body.stmts:
+            analysis = loop_analyze(p, cfg)
+            w, chain, collision, result = loop_analysis_reference(
+                p, cfg, {a: store_of(cfg, a) for a in d.atoms})
+            assert (analysis.w_partitions, analysis.w_chain) == (w, chain)
+            assert (analysis.collision, analysis.result) == (collision, result)
+
+
+@pytest.mark.parametrize("source", [
+    # branches of different lengths merge with different pending steps
+    "if (h & 1) { skip; skip; skip; } else skip; o = h;"
+    " while (o > 0) { if (o & 2) { skip; skip; } o = o - 1; }",
+    "o = 0; while (o < h) { o = o + 1; if (o == 2) while (o < 4) o = o + 1; }",
+    "o = h; if (h < 2) { if (h) o = 1 / 0; else skip; } else while (1) skip;",
+])
+def test_budget_thresholds_match_the_reference(source):
+    p = parse(source)
+    loop = next(n for n, _ in _walk(p) if isinstance(n, While))
+    for budget in range(1, 40):
+        _assert_runs_match_reference(p, cfg_high(bits=3, step_budget=budget), loop)
+
+
+def test_steps_are_spent_before_evaluating_and_after_every_body():
+    cfg = cfg_high()
+    # Assign and If spend their step before they evaluate: one step short
+    # of the faulting statement runs out of budget instead.
+    for source in ("skip; o = 1 / 0;", "skip; if (1 / 0) skip;"):
+        p = parse(source)
+        assert eval_program(p, {"h": 0}, cfg, budget=1) == Observable(NON_TERMINATION)
+        assert eval_program(p, {"h": 0}, cfg, budget=2) == Observable(RUNTIME_ERROR)
+    # One step for o = 0, one on entering the loop, and for each of the h
+    # iterations one for the body and one after it: 2 + 2h in all.
+    p = parse("o = 0; while (o < h) o = o + 1;")
+    for budget in range(1, 10):
+        kinds = [obs.kind for obs, _ in _evaluate(p, {"h": [0, 1, 2, 3]}, 4, cfg, None, budget)]
+        assert kinds == [TERMINATED if 2 + 2 * h <= budget else NON_TERMINATION
+                         for h in range(4)]
+
+
+@pytest.mark.parametrize("op", ["&&", "||"])
+def test_the_left_operand_of_and_or_stops_a_run_first(op):
+    cfg = cfg_high()
+    assert eval_program(parse(f"o = (1 / 0) {op} y;"), {"h": 0}, cfg) == \
+        Observable(RUNTIME_ERROR)
+    with pytest.raises(ConfigError, match="variable 'y' read before assignment"):
+        eval_program(parse(f"o = y {op} (1 / 0);"), {"h": 0}, cfg)
+    assert eval_program(parse(f"o = h {op} (1 / h);"), {"h": 0}, cfg) == \
+        Observable(RUNTIME_ERROR)
+    # In one batch: atom 2 faults before it would read the y it never set.
+    p = parse(f"if (h != 2) y = h; o = (1 / (h - 2)) {op} y;")
+    want = [Observable(TERMINATED, (_BINARY_OPS[op](1 // (h - 2), h),)) if h != 2
+            else Observable(RUNTIME_ERROR) for h in range(4)]
+    assert [obs for obs, _ in runs(p, cfg)[1]] == want
+    with pytest.raises(ConfigError, match="variable 'y' read before assignment"):
+        loi(parse(f"if (h != 2) y = h; o = y {op} (1 / (h - 2));"), cfg)
+
+
+def test_assignment_masks_declared_variables_in_a_batch():
+    cfg = AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 3, 5),),
+                         observed_vars=("l", "h", "x"))
+    p = parse("l = l + h * 2; h = h - 2; x = 0 - h; if (h & 1) l = 0 - 1;")
+    assert [obs.values for obs, _ in runs(p, cfg)[1]] == \
+        [(5, 2, -2), (7, 3, -3), (1, 0, 0), (7, 1, -1)]
+
+
+def test_loop_counts_keep_a_fault_and_drop_out_of_budget():
+    p = parse("x = 0; if (h == 7) while (1) skip;"
+              " while (x < 5) { x = x + 1; o = 10 / (h - x); }")
+    cfg = cfg_high(bits=3, step_budget=100)
+    got = list(runs(p, cfg, p.body.stmts[2])[1])
+    # Atom h in 1..5 faults during iteration h, after h - 1 bodies.
+    assert got == ([(Observable(TERMINATED, (-2,)), 5)]
+                   + [(Observable(RUNTIME_ERROR), h - 1) for h in range(1, 6)]
+                   + [(Observable(TERMINATED, (10,)), 5), (Observable(NON_TERMINATION), None)])
+
+
+def test_runs_across_a_chunk_boundary_match_the_reference():
+    # Faulting and spinning atoms sit on both sides of the first boundary.
+    c = lang.CHUNK_SIZE
+    p = parse(f"x = 0; if (h == {c - 2} || h == {c + 1}) while (1) skip;"
+              " while (x < (h & 3)) x = x + 1;"
+              f" o = x + 100 / ((h - {c - 1}) * (h - {c}));")
+    cfg = cfg_high(bits=c.bit_length(), step_budget=60)
+    got = _assert_runs_match_reference(p, cfg, p.body.stmts[2])
+    assert [obs.kind for obs, _ in got[c - 3:c + 3]] == [
+        TERMINATED, NON_TERMINATION, RUNTIME_ERROR, RUNTIME_ERROR, NON_TERMINATION,
+        TERMINATED]
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2, 1024])
+def test_read_before_assignment_names_the_lowest_atom(chunk_size):
+    # Atom 1 reads y before atom 3 reads z, though z comes first in the
+    # program: the lowest atom that reads an unassigned variable names it.
+    cfg = cfg_high()
+    with mock.patch.object(lang, "CHUNK_SIZE", chunk_size):
+        for source, name in [("if (h == 3) o = z; if (h == 1) o = y;", "y"),
+                             ("if (h == 1) o = z; if (h == 3) o = y;", "z")]:
+            with pytest.raises(ConfigError) as err:
+                loi(parse(source + " y = 0; z = 0;"), cfg)
+            assert str(err.value) == f"variable {name!r} read before assignment"

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,17 @@ def test_distribution_with_huge_exponents_builds_at_once():
     for huge in ("1e-99999999", "1e99999999", "-1e99999999"):
         with pytest.raises(InvalidDistributionError):
             Distribution(D4, {0: huge, 1: 1, 2: 0, 3: 0})
+    assert time.perf_counter() - start < 1
+
+
+def test_decimal_masses_bound_their_exponent():
+    start = time.perf_counter()
+    for huge in ("1e99999999", "-1e99999999", "1e-99999999"):
+        with pytest.raises(InvalidDistributionError, match="bad mass"):
+            Distribution(D4, {0: Decimal(huge), 1: 1, 2: 0, 3: 0})
+    mu = Distribution(D4, {0: Decimal("0e99999999"), 1: Decimal("0.5"),
+                           2: Decimal("5E-1"), 3: Decimal("-0.000")})
+    assert mu == Distribution.uniform_on(D4, [1, 2])
     assert time.perf_counter() - start < 1
 
 
