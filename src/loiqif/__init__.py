@@ -11,6 +11,7 @@ distributions whenever two programs' partitions are not order related.
 from .analysis import (
     AnalysisError,
     LoopAnalysis,
+    leakage,
     leaks_same_information,
     loop_analyze,
     multi_run,
@@ -25,7 +26,6 @@ from .lang import (
     ParseError,
     Program,
     eval_program,
-    leakage,
     loi,
     parse,
     program_to_source,

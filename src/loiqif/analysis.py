@@ -12,6 +12,8 @@
   partition that merges inputs indistinguishable because they produce
   the same output at different iteration counts.
 * ``program_capacity`` — channel capacity of a program's partition.
+* ``leakage`` — the entropy of a program's partition left to an attacker
+  who already sees the low inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from functools import partial, reduce
 from typing import Sequence
 
 from .lang import (
+    _SHIFT_LIMIT,
     Assign,
     AttackerConfig,
     Binary,
@@ -33,13 +36,14 @@ from .lang import (
     assigned_vars,
     attacker_view,
     loi,
+    low_projection,
     map_nodes,
     read_vars,
     runs,
     validate_program,
 )
-from .measures import channel_capacity
-from .partition import Domain, Partition, QifError, join, leq, meet, relabel
+from .measures import Distribution, channel_capacity, conditional_entropy
+from .partition import Domain, DomainMismatchError, Partition, QifError, join, leq, meet, relabel
 
 
 class AnalysisError(QifError):
@@ -79,7 +83,8 @@ def self_compose(p1: Program, p2: Program, cfg: AttackerConfig
     but never interfere.  The copies are made with ``lang.map_nodes``: a
     ``Var`` or ``Assign`` gets the suffix, and an assignment to a declared
     variable is masked to its width, since the alias carries no width
-    from the configuration.  Returns the composed program and the matching
+    from the configuration; such a variable wider than 2^20 bits is an
+    ``AnalysisError``.  Returns the composed program and the matching
     configuration (same secrets, both copies' outputs observed).  For
     runs that terminate within budget, the composed program's partition
     is exactly the join of the two programs' partitions.
@@ -104,6 +109,10 @@ def self_compose(p1: Program, p2: Program, cfg: AttackerConfig
         if isinstance(node, Assign):
             expr = node.expr
             if node.name in widths:
+                if widths[node.name] > _SHIFT_LIMIT:
+                    raise AnalysisError(
+                        f"variable {node.name!r} is {widths[node.name]} bits wide; a "
+                        f"composed copy masks at most {_SHIFT_LIMIT} bits")
                 expr = Binary("&", expr, IntLit((1 << widths[node.name]) - 1))
             return Assign(node.name + suffix, expr)
         return node
@@ -237,3 +246,15 @@ def program_capacity(p: Program, cfg: AttackerConfig) -> float:
     """Channel capacity of the program: log2 of its partition's block count."""
     _, part = loi(p, cfg)
     return channel_capacity(part)
+
+
+def leakage(p: Program, cfg: AttackerConfig, mu: Distribution) -> float:
+    """Leakage in bits under the given input distribution: H(X | L) =
+    H(X ⊔ L) − H(L), the entropy of the program's partition X left to an
+    attacker who already sees L = ``low_projection``.  For an active
+    attacker L is the one-block partition ⊥, so the same formula gives
+    H(X) − 0 = H(X)."""
+    domain, part = loi(p, cfg)
+    if mu.domain != domain:
+        raise DomainMismatchError("distribution is not over the program's input atoms")
+    return conditional_entropy(part, low_projection(domain, cfg), mu)

@@ -19,7 +19,8 @@ attacker configuration has a bit width; assignments to it wrap modulo
 2^width (unsigned).  Undeclared variables are unbounded.  Every operator
 is one entry of ``_BINARY_OPS`` or ``_UNARY_OPS``, a function of the
 operand values with Python integer semantics.  Division or modulo by
-zero, a negative shift count and a left shift by more than 2^20 are
+zero, a negative shift count, a left shift by more than 2^20 and an
+assignment whose wrapped value would need more than 2^20 bits are
 runtime faults; a right shift by more than 2^20 shifts by 2^20.  Both
 operands of ``&&``/``||`` are always evaluated (expressions have no side
 effects, so short-circuiting would be unobservable anyway).  ``parse``
@@ -39,7 +40,8 @@ reach it (``_Chunk``).  An operator is mapped over its operand columns,
 still in the loop.  The result for every atom is the one a run on that
 atom alone gives; ``eval_program`` and ``run_counting_loop`` are batches
 of one.  A read of a variable not yet assigned is a ``ConfigError`` that
-names the variable the lowest such atom read first.
+names the variable the lowest such atom read first.  Every run is bounded
+by the configuration's ``step_budget``, the one place a budget is set.
 
 ``runs`` is the one place that runs a program on every input: it
 enumerates the attacker-facing input atoms (values of the high variables
@@ -57,10 +59,10 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterator, Mapping
 
-from .measures import Distribution, conditional_entropy
-from .partition import Atom, Domain, DomainMismatchError, Partition, QifError, relabel
+from .partition import Atom, Domain, Partition, QifError, relabel
 
 
 class ParseError(QifError):
@@ -681,6 +683,20 @@ def _shr(left: int, right: int) -> int:
     return left >> (right if right <= _SHIFT_LIMIT else _SHIFT_LIMIT)
 
 
+def _wrap(width: int, value: int) -> int:
+    """``value`` modulo 2^width, a fault when that needs more than
+    ``_SHIFT_LIMIT`` bits.  A value that fits is returned as it is, and
+    2^width is built only when it is no wider than the value."""
+    if value >= 0 and value.bit_length() <= width:
+        return value
+    if width > _SHIFT_LIMIT and value.bit_length() < width:
+        raise _Fault    # a negative value this narrow wraps to all ``width`` bits
+    value &= (1 << width) - 1
+    if value.bit_length() > _SHIFT_LIMIT:
+        raise _Fault
+    return value
+
+
 _BINARY_OPS = {
     "||": lambda left, right: 1 if left or right else 0,
     "&&": lambda left, right: 1 if left and right else 0,
@@ -765,8 +781,8 @@ class _Chunk:
     still in the loop.  Steps are counted per batch until the cached
     ``room`` says some atom may be out of them.  An atom leaves the batch
     when it faults, runs out of steps or reads a variable it never
-    assigned; only an operator that faults or reads such a variable is
-    applied atom by atom.
+    assigned; only an operator or a wrap to a declared width that faults,
+    or an operator that reads such a variable, is applied atom by atom.
     """
 
     def __init__(self, columns: dict[str, list], size: int, widths: dict[str, int],
@@ -806,10 +822,14 @@ class _Chunk:
             return _apply(_UNARY_OPS[e.op], stopped, {}, operand)
         return [int(e.value)] * len(ids), {}
 
-    def live_values(self, e: Expr, batch: _Batch) -> list:
-        """``e``'s value on each atom of the batch, once the atoms whose
-        evaluation stopped have left it."""
+    def live_values(self, e: Expr, batch: _Batch, width: int | None = None) -> list:
+        """``e``'s value on each atom of the batch, wrapped to ``width``
+        bits when one is given, once the atoms whose evaluation stopped have
+        left it."""
         values, stopped = self.values(e, batch.ids)
+        if width is not None and (stopped or (values and (
+                min(values) < 0 or max(values).bit_length() > width))):
+            values, stopped = _apply(partial(_wrap, width), stopped, {}, values)
         if stopped:
             for i, why in stopped.items():
                 atom = batch.ids[i]
@@ -880,14 +900,7 @@ class _Chunk:
 
     def _assign(self, s: Assign, batch: _Batch) -> None:
         self.spend(batch)
-        values = self.live_values(s.expr, batch)
-        width = self.widths.get(s.name)
-        if width is not None and values and (min(values) < 0
-                                             or max(values).bit_length() > width):
-            # Only a value that does not fit is masked: 2^width may be too
-            # large to build.
-            mask = (1 << width) - 1
-            values = [v if v >= 0 and v.bit_length() <= width else v & mask for v in values]
+        values = self.live_values(s.expr, batch, self.widths.get(s.name))
         if len(batch.ids) == self.size:
             self.store[s.name] = values
             self.unset.discard(s.name)
@@ -964,32 +977,29 @@ class _Chunk:
 
 
 def _evaluate(p: Program, columns: dict[str, list], size: int, cfg: AttackerConfig,
-              loop: While | None = None, budget: int | None = None
-              ) -> list[tuple[Observable, int | None]]:
+              loop: While | None = None) -> list[tuple[Observable, int | None]]:
     """Run ``p`` on ``size`` atoms at once, the initial value of each
     variable given as a column, and return what ``run_counting_loop``
     returns for each atom."""
-    chunk = _Chunk(columns, size, cfg.widths(),
-                   cfg.step_budget if budget is None else budget, loop)
+    chunk = _Chunk(columns, size, cfg.widths(), cfg.step_budget, loop)
     chunk.run(p.body, _Batch(list(range(size)), 0, chunk.budget))
     return chunk.results(cfg.observed_vars)
 
 
-def eval_program(p: Program, initial: Mapping[str, int], cfg: AttackerConfig,
-                 budget: int | None = None) -> Observable:
-    """Big-step evaluation of a program on one initial store."""
-    obs, _ = run_counting_loop(p, initial, cfg, None, budget)
+def eval_program(p: Program, initial: Mapping[str, int], cfg: AttackerConfig) -> Observable:
+    """Big-step evaluation of a program on one initial store, within
+    ``cfg.step_budget`` steps."""
+    obs, _ = run_counting_loop(p, initial, cfg, None)
     return obs
 
 
 def run_counting_loop(p: Program, initial: Mapping[str, int], cfg: AttackerConfig,
-                      loop: While | None, budget: int | None = None
-                      ) -> tuple[Observable, int | None]:
+                      loop: While | None) -> tuple[Observable, int | None]:
     """Like ``eval_program`` but also reports how many complete body
     executions of ``loop`` (compared by identity) the run performed;
     None when the run exhausts its budget.  It is a batch of one."""
     columns = {name: [value] for name, value in initial.items()}
-    return _evaluate(p, columns, 1, cfg, loop, budget)[0]
+    return _evaluate(p, columns, 1, cfg, loop)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1091,14 +1101,3 @@ def low_projection(domain: Domain, cfg: AttackerConfig) -> Partition:
     attacker sees of runs that all look alike."""
     return relabel(domain, (attacker_view(cfg, a, None) for a in domain.atoms))
 
-
-def leakage(p: Program, cfg: AttackerConfig, mu: Distribution) -> float:
-    """Leakage in bits under the given input distribution: H(X | L) =
-    H(X ⊔ L) − H(L), the entropy of the program's partition X left to an
-    attacker who already sees L = ``low_projection``.  For an active
-    attacker L is the one-block partition ⊥, so the same formula gives
-    H(X) − 0 = H(X)."""
-    domain, part = loi(p, cfg)
-    if mu.domain != domain:
-        raise DomainMismatchError("distribution is not over the program's input atoms")
-    return conditional_entropy(part, low_projection(domain, cfg), mu)

@@ -86,8 +86,7 @@ class Distribution:
     over a positive ``total``, both divided by their gcd, so equal
     distributions have equal fields: the atom at position i has mass
     ``weights[i] / total``.  ``mass``, ``items()``, indexing and
-    ``block_mass`` give masses as ``Fraction``; ``mass`` is built on first
-    use.
+    ``block_mass`` give masses as ``Fraction``, built on each call.
 
     A mass becomes exact in one place, ``_exact``; every constructor
     reduces its input to integer weights over a total, and one check,
@@ -95,7 +94,7 @@ class Distribution:
     a sum other than the total.
     """
 
-    __slots__ = ("domain", "weights", "total", "_mass")
+    __slots__ = ("domain", "weights", "total")
 
     def __init__(self, domain: Domain, mass: Mapping[Atom, Fraction | int | str | Decimal]):
         _require_known(domain, mass)
@@ -135,7 +134,6 @@ class Distribution:
         self.domain = domain
         self.weights: tuple[int, ...] = tuple([w // g for w in weights])
         self.total: int = total // g
-        self._mass: dict[Atom, Fraction] | None = None
 
     @classmethod
     def _of(cls, domain: Domain, weights: Sequence[int], total: int | None) -> Distribution:
@@ -171,28 +169,22 @@ class Distribution:
         return cls._of(domain, list(weights), None)
 
     @classmethod
-    def random(cls, domain: Domain, rng: random.Random,
-               zero_chance: float = 0.25, max_weight: int = 1000) -> Distribution:
+    def random(cls, domain: Domain, rng: random.Random) -> Distribution:
         """Seeded random rational distribution from normalized integer weights.
 
-        Each atom independently gets weight 0 with probability
-        ``zero_chance`` (degenerate corners matter), otherwise a uniform
-        random positive integer.  At least one atom stays positive.
+        Each atom independently gets weight 0 with probability 1/4
+        (degenerate corners matter), otherwise a uniform random integer
+        from 1 to 1000.  At least one atom stays positive.
         """
-        weights = [0 if rng.random() < zero_chance else rng.randint(1, max_weight)
-                   for _ in domain.atoms]
+        weights = [0 if rng.random() < 0.25 else rng.randint(1, 1000) for _ in domain.atoms]
         if not any(weights):
-            weights[rng.randrange(domain.size)] = rng.randint(1, max_weight)
+            weights[rng.randrange(domain.size)] = rng.randint(1, 1000)
         return cls._of(domain, weights, None)
 
     @property
     def mass(self) -> dict[Atom, Fraction]:
-        """Every atom's mass, in domain order."""
-        if self._mass is None:
-            total = self.total
-            self._mass = {a: Fraction(w, total)
-                          for a, w in zip(self.domain.atoms, self.weights)}
-        return self._mass
+        """Every atom's mass, in domain order, built on each access."""
+        return {a: Fraction(w, self.total) for a, w in zip(self.domain.atoms, self.weights)}
 
     def __getitem__(self, atom: Atom) -> Fraction:
         try:

@@ -26,6 +26,7 @@ violation it reports would be an implementation bug.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,14 +38,7 @@ from .measures import (
     expected_guesses,
     guess_prob,
 )
-from .partition import (
-    Atom,
-    DomainMismatchError,
-    Partition,
-    QifError,
-    atom_from_json,
-    atom_to_json,
-)
+from .partition import Atom, Partition, QifError, atom_from_json, atom_to_json, leq
 
 ENTROPY_TOLERANCE = 1e-9
 
@@ -88,20 +82,11 @@ class OrderResult:
 
 def find_split_block(x: Partition, y: Partition) -> tuple[Atom, ...] | None:
     """First block of ``y`` (canonical order) that meets two or more
-    blocks of ``x``; None when ``x`` is below ``y`` (no such block)."""
-    if x.domain != y.domain:
-        raise DomainMismatchError("partitions live on different domains")
-    home = [-1] * y.n_blocks      # x-label of each y-block's first atom
-    split: set[int] = set()
-    for yl, xl in zip(y.labels, x.labels):
-        if home[yl] < 0:
-            home[yl] = xl
-        elif home[yl] != xl:
-            split.add(yl)
-    if not split:
+    blocks of ``x``; None when ``x`` is below ``y`` (``leq``)."""
+    if leq(x, y):
         return None
-    first = min(split)
-    return tuple(a for a, yl in zip(y.domain.atoms, y.labels) if yl == first)
+    meets = Counter(yl for yl, _ in set(zip(y.labels, x.labels)))
+    return y.blocks[min(yl for yl, n in meets.items() if n > 1)]
 
 
 # Names of the profile entries, in order, and the slack each comparison

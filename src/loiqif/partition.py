@@ -17,10 +17,11 @@ of one domain form a complete lattice:
 A partition is stored as one integer label per domain position, in
 restricted-growth form: blocks are numbered in order of their least atom,
 so equal partitions have equal label tuples.  Labels are built from keys
-only by ``relabel`` (one key per position, numbered by first occurrence).
-The lattice operations work on labels alone (``join`` pairs them, ``leq``
-checks that the y-to-x label map is a function, ``meet`` is union-find
-over block numbers).  The canonical ``blocks`` (atoms in domain order
+only by ``relabel`` (one key per position, numbered by first occurrence),
+the constructor's blocks included.  The lattice operations work on labels
+alone (``join`` pairs them, ``leq`` checks that the y-to-x label map is a
+function and is the one test of the order, ``meet`` is union-find over
+block numbers).  The canonical ``blocks`` (atoms in domain order
 inside a block, blocks ordered by least atom) are derived from the labels
 on first use and cached.  Every value is immutable once built and every
 operation is a pure function returning a new value; filling the ``blocks``
@@ -100,9 +101,10 @@ class Domain:
 class Partition:
     """Disjoint non-empty blocks covering a domain.
 
-    The constructor accepts blocks in any order and canonicalizes them;
-    it rejects overlaps, gaps, empty blocks and foreign atoms with a
-    diagnostic naming the offending atom.
+    The constructor accepts blocks in any order; it rejects overlaps,
+    gaps, empty blocks and foreign atoms with a diagnostic naming the
+    offending atom (the first one met, block by block in the order given),
+    and numbers the block that owns each position through ``relabel``.
 
     ``labels[i]`` is the number of the block holding the atom at domain
     position ``i``, in restricted-growth form (blocks numbered in order of
@@ -112,24 +114,22 @@ class Partition:
     __slots__ = ("domain", "labels", "n_blocks", "_blocks")
 
     def __init__(self, domain: Domain, blocks: Iterable[Iterable[Atom]]):
-        canon: list[list[int]] = []
-        for block in blocks:
-            positions = sorted(map(domain.position, block))
-            if not positions:
-                raise InvalidPartitionError("empty block")
-            canon.append(positions)
-        canon.sort(key=lambda b: b[0])
-        labels = [-1] * domain.size
-        for i, positions in enumerate(canon):
-            for p in positions:
-                if labels[p] >= 0:
+        owner: list[int | None] = [None] * domain.size   # input block of each position
+        for i, block in enumerate(blocks):
+            empty = True
+            for p in map(domain.position, block):
+                if owner[p] is not None:
                     raise InvalidPartitionError(
                         f"atom {domain.atoms[p]!r} appears in more than one block")
-                labels[p] = i
-        if -1 in labels:
-            missing = domain.atoms[labels.index(-1)]
+                owner[p] = i
+                empty = False
+            if empty:
+                raise InvalidPartitionError("empty block")
+        if None in owner:
+            missing = domain.atoms[owner.index(None)]
             raise InvalidPartitionError(f"atom {missing!r} is not covered by any block")
-        self._set(domain, tuple(labels), len(canon))
+        canon = relabel(domain, owner)
+        self._set(domain, canon.labels, canon.n_blocks)
 
     def _set(self, domain: Domain, labels: tuple[int, ...], n_blocks: int) -> None:
         self.domain = domain

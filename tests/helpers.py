@@ -327,8 +327,15 @@ def _exec_stmt(s, store: dict[str, int], state: _RunState) -> None:
         state.spend()
         v = eval_expr_reference(s.expr, store)
         width = state.widths.get(s.name)
-        fits = width is None or (v >= 0 and v.bit_length() <= width)
-        store[s.name] = v if fits else v & ((1 << width) - 1)
+        if width is not None and not (v >= 0 and v.bit_length() <= width):
+            # v mod 2^width is v + 2^width, all ``width`` bits of it, when v is
+            # negative and narrower than that: past the limit 2^width is never built.
+            needed = (width if v < 0 and v.bit_length() < width
+                      else (v & ((1 << width) - 1)).bit_length())
+            if needed > _SHIFT_LIMIT:
+                raise _Fault
+            v &= (1 << width) - 1
+        store[s.name] = v
         return
     if isinstance(s, Seq):
         for sub in s.stmts:
@@ -350,13 +357,11 @@ def _exec_stmt(s, store: dict[str, int], state: _RunState) -> None:
     raise TypeError(f"not a statement: {s!r}")
 
 
-def run_counting_loop_reference(p, initial, cfg, loop, budget=None) -> tuple:
+def run_counting_loop_reference(p, initial, cfg, loop) -> tuple:
     """(Observable, complete body executions of ``loop``, or None when the
     run exhausts its budget) of one run on the store ``initial``."""
     store = dict(initial)
-    state = _RunState(widths=cfg.widths(),
-                      steps_left=cfg.step_budget if budget is None else budget,
-                      counted_loop=loop)
+    state = _RunState(widths=cfg.widths(), steps_left=cfg.step_budget, counted_loop=loop)
     try:
         _exec_stmt(p.body, store, state)
     except _OutOfSteps:

@@ -163,6 +163,14 @@ def test_composition_masks_writes_to_declared_variables():
     assert "& 3" in program_to_source(composed)
 
 
+def test_composition_rejects_a_mask_past_the_shift_limit():
+    p = parse("l = 0 - h;\no = l;\n")
+    cfg = AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 10 ** 30, 5),),
+                         observed_vars=("o",))
+    with pytest.raises(AnalysisError, match=f"'l' is {10 ** 30} bits wide"):
+        self_compose(p, p, cfg)
+
+
 def test_composition_joins_passive_partitions():
     p1 = PASSWORD
     p2 = parse("o = h & 1;")

@@ -398,6 +398,18 @@ def test_huge_widths_are_never_shifted_out(workspace, capsys):
     assert "blocks: 4" in out
 
 
+def test_negative_value_in_a_huge_width_is_a_fault(workspace, capsys):
+    # -h wraps to 2^(10^30) - h for h > 0, far past the 2^20 bits a wrapped
+    # value may need: those atoms fault, h = 0 stores 0.
+    program = workspace("neg.wh", "l = 0 - h;\no = l;\n")
+    low = workspace("low.json", {"high": [{"name": "h", "bits": 2}],
+                                 "low": [{"name": "l", "bits": 10 ** 30, "value": 5}],
+                                 "observe": ["o"]})
+    code, out, err = run_cli(capsys, "capacity", program, "--config", low)
+    assert code == 0 and err == ""
+    assert "blocks: 2" in out
+
+
 def test_bad_distribution_sum_exits_two(workspace, capsys):
     m1 = workspace("m1.wh", M1_SRC)
     cfg = workspace("cfg.json", CFG_2BIT)
@@ -683,6 +695,22 @@ _DIST_OBJ = st.tuples(
 ).map(_dist_obj)
 
 
+def _exit_code_of_two_runs(argv: list[str]) -> int:
+    """Run ``main`` twice on ``argv``: each run takes under 2 s and writes
+    no traceback, and both print the same stdout with the same exit code."""
+    runs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - started < 2.0
+        assert "Traceback" not in err.getvalue()
+        runs.append((code, out.getvalue()))
+    assert runs[0] == runs[1]
+    return runs[0][0]
+
+
 @given(_DIST_OBJ)
 def test_fuzzed_distribution_files_exit_zero_or_two(tmp_path_factory, obj):
     """Generated --dist files: mass strings, JSON numbers, bools, lists,
@@ -693,14 +721,60 @@ def test_fuzzed_distribution_files_exit_zero_or_two(tmp_path_factory, obj):
     m1.write_text(M1_SRC)
     cfg.write_text(json.dumps(CFG_2BIT))
     dist.write_text(json.dumps(obj))
-    runs = []
-    for _ in range(2):
-        out, err = io.StringIO(), io.StringIO()
-        started = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["analyze", str(m1), "--config", str(cfg), "--dist", str(dist)])
-        assert time.perf_counter() - started < 2.0
-        assert code in (0, 2)
-        assert "Traceback" not in err.getvalue()
-        runs.append((code, out.getvalue()))
-    assert runs[0] == runs[1]
+    assert _exit_code_of_two_runs(
+        ["analyze", str(m1), "--config", str(cfg), "--dist", str(dist)]) in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the --config file
+
+# What JSON may hold where an integer belongs.  ``json.dumps`` cannot write
+# an integer past the int-string digit limit, so the file gets one in place
+# of the string ``_HUGE_INT``.
+_HUGE_INT = "<5000-digit integer>"
+_NOT_AN_INT = [True, False, 1.5, -0.0, "3", None, _HUGE_INT]
+
+
+def _mostly(usual: list, odd: list):
+    """One of ``usual`` about three times in four, else one of ``odd``;
+    shrinks towards the first usual value."""
+    return st.sampled_from(usual * (3 * len(odd) // len(usual) + 1) + odd)
+
+
+_WIDTH = _mostly([1, 2, 3], [-1, 0, 10 ** 30, *_NOT_AN_INT])
+_HIGH = st.fixed_dictionaries({"name": _mostly(["h"], ["l"]), "bits": _WIDTH})
+_LOW = st.fixed_dictionaries({
+    "name": _mostly(["l"], ["h"]),
+    "bits": _mostly([1, 2, 3, 10 ** 30], [-1, 0, *_NOT_AN_INT]),
+    "value": _mostly([0, 5, 1], [-1, -5, 10 ** 30, *_NOT_AN_INT]),
+})
+_OBSERVED = st.lists(_mostly(["o", "l", "h"], ["nobody"]), min_size=1, max_size=3)
+_CONFIG_OBJ = st.fixed_dictionaries({
+    # Mostly one declaration each; a second one may repeat a name.
+    "high": st.tuples(_HIGH).map(list) | st.lists(_HIGH, max_size=2),
+    "low": st.tuples(_LOW).map(list) | st.lists(_LOW, max_size=2),
+}, optional={
+    "observe": _OBSERVED | _OBSERVED | st.sampled_from([[], "o", 5, None]),
+    "mode": _mostly(["active", "passive"], ["eavesdropper", None, 1]),
+    "budget": _mostly([100, 5, 1, 10 ** 30], [0, -1, *_NOT_AN_INT]),
+    "cap": _mostly([64, 4, 1, 10 ** 30], [0, -1, *_NOT_AN_INT]),
+})
+# Every loop stops within a few iterations whatever the values, so a large
+# budget never makes a run slow.
+_FUZZ_PROGRAMS = ["l = 0 - h;\no = l;\n", "o = h + l;\n",
+                  "o = 0;\nwhile (o < h && o < 3) o = o + 1 + l * h;\n"]
+_FUZZ_COMMANDS = [["capacity"], ["analyze", "--uniform"], ["loop"]]
+
+
+@given(_CONFIG_OBJ, st.sampled_from(_FUZZ_PROGRAMS), st.sampled_from(_FUZZ_COMMANDS))
+def test_fuzzed_config_files_exit_zero_two_or_three(tmp_path_factory, obj, source, command):
+    """Generated --config files: widths, values, budgets and caps that are
+    negative, zero, huge or not integers at all, unknown modes, observed
+    names nobody declares.  Every one exits 0, 2 or 3 without a traceback,
+    within 2 s, with the same stdout twice."""
+    work = tmp_path_factory.mktemp("fuzz")
+    program, cfg = work / "p.wh", work / "cfg.json"
+    program.write_text(source)
+    cfg.write_text(json.dumps(obj).replace(json.dumps(_HUGE_INT), "9" * 5000))
+    assert _exit_code_of_two_runs(
+        [command[0], str(program), "--config", str(cfg), *command[1:]]) in (0, 2, 3)

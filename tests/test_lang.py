@@ -52,6 +52,7 @@ from loiqif.lang import (
     Var,
     While,
     _evaluate,
+    _SHIFT_LIMIT,
     _Fault,
     _walk,
     assigned_vars,
@@ -275,9 +276,9 @@ def test_loop_run_values():
 
 def test_vacuous_loop_never_terminates():
     p = parse("while (1==1) skip;")
-    cfg = cfg_high(observe=("h",))
-    assert eval_program(p, {"h": 0}, cfg, budget=10) == Observable(NON_TERMINATION)
-    assert eval_program(p, {"h": 0}, cfg, budget=100000) == Observable(NON_TERMINATION)
+    for budget in (10, 100000):
+        cfg = cfg_high(observe=("h",), step_budget=budget)
+        assert eval_program(p, {"h": 0}, cfg) == Observable(NON_TERMINATION)
 
 
 def test_division_and_modulo_by_zero_fault():
@@ -365,7 +366,7 @@ def test_loop_iteration_counting():
     assert run_counting_loop(p, {"h": 3}, cfg, loop) == (Observable(TERMINATED, (3,)), 3)
     spin = parse("while (1 == 1) skip;")
     spin_loop = spin.body.stmts[0]
-    obs, iters = run_counting_loop(spin, {"h": 0}, cfg, spin_loop, budget=50)
+    obs, iters = run_counting_loop(spin, {"h": 0}, replace(cfg, step_budget=50), spin_loop)
     assert obs == Observable(NON_TERMINATION) and iters is None
 
 
@@ -733,13 +734,15 @@ def test_steps_are_spent_before_evaluating_and_after_every_body():
     # of the faulting statement runs out of budget instead.
     for source in ("skip; o = 1 / 0;", "skip; if (1 / 0) skip;"):
         p = parse(source)
-        assert eval_program(p, {"h": 0}, cfg, budget=1) == Observable(NON_TERMINATION)
-        assert eval_program(p, {"h": 0}, cfg, budget=2) == Observable(RUNTIME_ERROR)
+        one, two = (replace(cfg, step_budget=n) for n in (1, 2))
+        assert eval_program(p, {"h": 0}, one) == Observable(NON_TERMINATION)
+        assert eval_program(p, {"h": 0}, two) == Observable(RUNTIME_ERROR)
     # One step for o = 0, one on entering the loop, and for each of the h
     # iterations one for the body and one after it: 2 + 2h in all.
     p = parse("o = 0; while (o < h) o = o + 1;")
     for budget in range(1, 10):
-        kinds = [obs.kind for obs, _ in _evaluate(p, {"h": [0, 1, 2, 3]}, 4, cfg, None, budget)]
+        bounded = replace(cfg, step_budget=budget)
+        kinds = [obs.kind for obs, _ in _evaluate(p, {"h": [0, 1, 2, 3]}, 4, bounded)]
         assert kinds == [TERMINATED if 2 + 2 * h <= budget else NON_TERMINATION
                          for h in range(4)]
 
@@ -768,6 +771,27 @@ def test_assignment_masks_declared_variables_in_a_batch():
     p = parse("l = l + h * 2; h = h - 2; x = 0 - h; if (h & 1) l = 0 - 1;")
     assert [obs.values for obs, _ in runs(p, cfg)[1]] == \
         [(5, 2, -2), (7, 3, -3), (1, 0, 0), (7, 1, -1)]
+
+
+_ZERO, _FAULT = Observable(TERMINATED, (0,)), Observable(RUNTIME_ERROR)
+
+
+@pytest.mark.parametrize("width, kinds", [
+    (_SHIFT_LIMIT, [Observable(TERMINATED, (1,)), _ZERO, _ZERO]),
+    (_SHIFT_LIMIT + 1, [_FAULT, _ZERO, _FAULT]),
+    (10 ** 30, [_FAULT, _ZERO, _ZERO]),
+])
+def test_a_wrapped_value_wider_than_the_shift_limit_faults(width, kinds):
+    # With w = 2^20 + 1, h = 0 assigns -1, h = 1 assigns 2^w, and h = 2 and
+    # h = 3 assign 3 * 2^(w - 1).  Wrapped to ``width`` bits these need all
+    # of them, none and w bits; the last two values fit 10^30 bits as they are.
+    w = _SHIFT_LIMIT + 1
+    p = parse(f"if (h == 0) l = 0 - 1; else if (h == 1) l = (1 << {w - 1}) * 2;"
+              f" else l = 3 << {w - 1}; o = l & 1;")
+    cfg = AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", width, 0),),
+                         observed_vars=("o",))
+    got = _assert_runs_match_reference(p, cfg, None)
+    assert [obs for obs, _ in got] == kinds + kinds[2:]
 
 
 def test_loop_counts_keep_a_fault_and_drop_out_of_budget():

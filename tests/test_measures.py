@@ -275,7 +275,7 @@ def test_conditional_mutual_information_symmetry():
     d = Domain(range(5))
     for _ in range(15):
         x, y, z = (random_partition(d, rng) for _ in range(3))
-        mu = Distribution.random(d, rng, zero_chance=0.0)
+        mu = Distribution.from_weights(d, [rng.randint(1, 1000) for _ in d.atoms])
         lhs = conditional_mutual_information(x, y, z, mu)
         rhs = conditional_mutual_information(y, x, z, mu)
         assert lhs == pytest.approx(rhs, abs=1e-7)

@@ -201,7 +201,8 @@ def test_shannon_order_agrees_with_refinement():
         d = Domain(range(size))
         parts = all_partitions(d)
         rng = random.Random(size)
-        positive = [Distribution.random(d, rng, zero_chance=0.0) for _ in range(20)]
+        positive = [Distribution.from_weights(d, [rng.randint(1, 1000) for _ in d.atoms])
+                    for _ in range(20)]
         for x, y in itertools.product(parts, parts):
             if leq(x, y):
                 for mu in positive:

@@ -174,6 +174,59 @@ def test_invalid_partitions_name_the_atom():
         Partition(D4, [[0, 1, 2, 3], []])
 
 
+# Up to seven atoms owned by up to seven blocks, given as a shuffled list of
+# blocks with their atoms shuffled.
+_BLOCK_LISTS = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n), st.randoms(use_true_random=False)))
+
+
+def _shuffled_blocks(owner, rng):
+    """Domain a0, a1, ... with atom i in block ``owner[i]``, as a shuffled
+    block list, and the owner map by atom."""
+    atoms = [f"a{i}" for i in range(len(owner))]
+    blocks = {}
+    for a, o in zip(atoms, owner):
+        blocks.setdefault(o, []).append(a)
+    shuffled = list(blocks.values())
+    rng.shuffle(shuffled)
+    for b in shuffled:
+        rng.shuffle(b)
+    return Domain(atoms), shuffled, dict(zip(atoms, owner))
+
+
+@given(_BLOCK_LISTS)
+def test_constructor_is_the_kernel_of_the_owner_map(case):
+    d, blocks, owner = _shuffled_blocks(*case)
+    x = Partition(d, blocks)
+    assert x == kernel(d, owner)
+    assert x.blocks == tuple(sorted((tuple(sorted(b, key=d.position)) for b in blocks),
+                                    key=lambda b: d.position(b[0])))
+
+
+@given(_BLOCK_LISTS, st.sampled_from(["foreign", "repeated", "missing", "empty"]))
+def test_one_defect_is_named(case, defect):
+    d, blocks, _ = _shuffled_blocks(*case)
+    rng = case[1]
+    where = rng.randrange(len(blocks))
+    if defect == "foreign":
+        blocks[where].insert(rng.randrange(len(blocks[where]) + 1), "zz")
+        named = "'zz' is not in the domain"
+    elif defect == "repeated":
+        atom = rng.choice(d.atoms)
+        blocks[where].insert(rng.randrange(len(blocks[where]) + 1), atom)
+        named = f"{atom!r} appears in more than one block"
+    elif defect == "missing":
+        atom = blocks[where].pop(rng.randrange(len(blocks[where])))
+        if not blocks[where]:
+            del blocks[where]
+        named = f"{atom!r} is not covered by any block"
+    else:
+        blocks.insert(where, [])
+        named = "empty block"
+    with pytest.raises(InvalidPartitionError, match=named):
+        Partition(d, blocks)
+
+
 # ---------------------------------------------------------------------------
 # Order and lattice laws
 
