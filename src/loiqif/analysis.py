@@ -34,7 +34,6 @@ from .lang import (
     Var,
     While,
     assigned_vars,
-    attacker_view,
     loi,
     low_projection,
     map_nodes,
@@ -171,10 +170,6 @@ def _find_top_level_loop(s: Stmt) -> While | None:
     return next(filter(None, map(_find_top_level_loop, subs)), None)
 
 
-_ELSEWHERE = "<other iteration count>"
-_UNRESOLVED = "<never resolved>"
-
-
 def loop_analyze(p: Program, cfg: AttackerConfig,
                  max_iterations: int | None = None) -> LoopAnalysis:
     """Analyze the first top-level while loop of the program.
@@ -193,7 +188,10 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
 
     domain, results = runs(p, cfg, loop)
     views, counts = zip(*results)
-    elsewhere = [attacker_view(cfg, a, _ELSEWHERE) for a in domain.atoms]
+    # Number the views 0, 1, ... and the low parts -1, -2, ... once: every
+    # key below is one of these integers, so no view meets a low part.
+    views = relabel(domain, views).labels
+    elsewhere = [~low for low in low_projection(domain, cfg).labels]
     resolved_by = max((n for n in counts if n is not None), default=0)
     if max_iterations is None:
         max_iterations = resolved_by + 1
@@ -213,7 +211,7 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
             stabilized = True
             break
 
-    collision = _collision_partition(domain, cfg, views, counts)
+    collision = _collision_partition(domain, views, counts, elsewhere)
     result = meet(chain[-1], collision)
     return LoopAnalysis(
         domain=domain,
@@ -226,20 +224,19 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
     )
 
 
-def _collision_partition(domain: Domain, cfg: AttackerConfig, views: Sequence[object],
-                         counts: Sequence[int | None]) -> Partition:
+def _collision_partition(domain: Domain, views: Sequence[int], counts: Sequence[int | None],
+                         elsewhere: Sequence[int]) -> Partition:
     """Transitive closure of "same view from different iteration counts":
     a view seen at two or more counts pulls all its inputs into one block;
-    everything else stays on its own.  Inputs that never resolved share
-    one block (one per low part for a passive attacker)."""
-    seen_at: dict[object, set[int]] = {}
+    everything else stays on its own, keyed past every view number.  Inputs
+    that never resolved share one block per low-part number."""
+    seen_at: dict[int, set[int]] = {}
     for view, n in zip(views, counts):
         if n is not None:
             seen_at.setdefault(view, set()).add(n)
     return relabel(domain, [
-        attacker_view(cfg, a, _UNRESOLVED) if n is None
-        else view if len(seen_at[view]) >= 2 else (a,)
-        for a, view, n in zip(domain.atoms, views, counts)])
+        low if n is None else view if len(seen_at[view]) >= 2 else domain.size + i
+        for i, (view, n, low) in enumerate(zip(views, counts, elsewhere))])
 
 
 def program_capacity(p: Program, cfg: AttackerConfig) -> float:

@@ -173,67 +173,42 @@ class _Token:
 
 
 def _tokenize(source: str) -> list[_Token]:
+    """The tokens of ``source``, each at the line and column where its text
+    starts, then the end of input at the line and column just past it."""
     toks: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
+    line, line_start, i, n = 1, 0, 0, len(source)
     while i < n:
-        c = source[i]
+        c, j, kind, value = source[i], i + 1, None, 0
+        col = i - line_start + 1
         if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c.isalpha() or c == "_":
-            j = i
+            line, line_start = line + 1, j
+        elif source.startswith("//", i):
+            while j < n and source[j] != "\n":
+                j += 1
+        elif c.isalpha() or c == "_":
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            word = source[i:j]
-            kind = word if word in _KEYWORDS else "ident"
-            toks.append(_Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
+            kind = source[i:j] if source[i:j] in _KEYWORDS else "ident"
+        elif c.isdigit():
             while j < n and source[j].isalnum():
                 j += 1
-            text = source[i:j]
+            kind, text = "int", source[i:j]
+            base = (16 if text.lower().startswith("0x")
+                    else 8 if text.startswith("0") and len(text) > 1 else 10)
             try:
-                if text.lower().startswith("0x"):
-                    value = int(text, 16)
-                elif text.startswith("0") and len(text) > 1:
-                    value = int(text, 8)
-                else:
-                    value = int(text, 10)
+                value = int(text, base)
             except ValueError:
-                raise ParseError(f"bad integer literal '{text}'",
-                                 start_line, start_col) from None
-            toks.append(_Token("int", text, start_line, start_col, value))
-            col += j - i
-            i = j
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR:
-            toks.append(_Token(two, two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR:
-            toks.append(_Token(c, c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unknown character {c!r}", line, col)
-    toks.append(_Token("eof", "<end of input>", line, col))
+                raise ParseError(f"bad integer literal '{text}'", line, col) from None
+        elif source[i:i + 2] in _TWO_CHAR:
+            kind, j = source[i:i + 2], i + 2
+        elif c in _ONE_CHAR:
+            kind = c
+        elif c not in " \t\r":
+            raise ParseError(f"unknown character {c!r}", line, col)
+        if kind is not None:
+            toks.append(_Token(kind, source[i:j], line, col, value))
+        i = j
+    toks.append(_Token("eof", "<end of input>", line, n - line_start + 1))
     return toks
 
 
@@ -916,10 +891,6 @@ class _Chunk:
         self.spend(batch)
         cond = self.live_values(s.cond, batch)
         taken = list(itertools.compress(batch.ids, cond))
-        if len(taken) == len(batch.ids):
-            return self.run(s.then_branch, batch)
-        if not taken:
-            return self.run(s.else_branch, batch)
         other = _Batch(list(itertools.compress(batch.ids, map(operator.not_, cond))),
                        batch.pending, batch.room)
         batch.ids = taken

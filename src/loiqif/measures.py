@@ -291,12 +291,10 @@ def _ranked_weights(x: Partition, mu: Distribution) -> list[list[int]]:
 def entropy(x: Partition, mu: Distribution) -> float:
     """Shannon entropy of the block masses, in bits."""
     positive = [w for w in map(sum, _ranked_weights(x, mu)) if w]
-    if len(positive) <= 1:
-        return 0.0
     # Divided by their gcd, the block weights are counts c_i over the least
     # common denominator d = sum(c_i) of the block masses, and
     # H = log2(d) - sum(c_i log2 c_i)/d.  Uniform over k blocks gives
-    # exactly log2(k).
+    # exactly log2(k), and one block log2(1) - 0/1 = +0.0.
     g = math.gcd(*positive)
     counts = [w // g for w in positive]
     d = sum(counts)
@@ -368,9 +366,7 @@ def ge_leakage(x: Partition, mu: Distribution) -> Fraction:
 def me_prime(x: Partition, mu: Distribution) -> float:
     """-log2 of the largest block mass (blocks treated as the secrets)."""
     best = max(map(sum, _ranked_weights(x, mu)))
-    if best == mu.total:
-        return 0.0   # not -0.0
-    return -_log2_fraction(Fraction(best, mu.total))
+    return _log2_fraction(Fraction(mu.total, best))
 
 
 def ge_prime(x: Partition, mu: Distribution) -> Fraction:

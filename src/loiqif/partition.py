@@ -82,11 +82,14 @@ class Domain:
     def position(self, atom: Atom) -> int:
         try:
             return self._pos[atom]
-        except KeyError:
+        except (KeyError, TypeError):   # TypeError: an unhashable atom
             raise InvalidPartitionError(f"atom {atom!r} is not in the domain") from None
 
     def __contains__(self, atom: Atom) -> bool:
-        return atom in self._pos
+        try:
+            return atom in self._pos
+        except TypeError:
+            return False
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Domain) and self.atoms == other.atoms)

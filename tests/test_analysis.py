@@ -358,6 +358,12 @@ _LOOP_CASES = {
         AttackerConfig(_PASSIVE_LOOP_CFG.high_vars, _PASSIVE_LOOP_CFG.low_vars,
                        ("o",), PASSIVE, step_budget=40),
         {(l, h): {"l": l, "h": h} for l, h in itertools.product(range(4), repeat=2)}),
+    "a lone input at the index of a colliding view": (
+        # h = 0 and 1 both stop after one pass with o = 0, each on its own;
+        # o = 1 (the second view) comes at counts 2 and 3 and merges.
+        "i = 0; while (i < h || i < 1) i = i + 1; o = h > 1;",
+        AttackerConfig(high_vars=(("h", 2),), observed_vars=("o",)),
+        {h: {"h": h} for h in range(4)}),
 }
 
 

@@ -127,6 +127,12 @@ def test_analyze_constant_program_leaks_nothing(workspace, capsys):
     assert m["me_leakage_bits"] == "0"
     assert m["ge_leakage"] == "0"
     assert m["channel_capacity_bits"] == "0"
+    # One block: every measure in bits is +0.0, printed "0", never "-0".
+    zero = workspace("zero.wh", "o = 0;\n")
+    code, out, _ = run_cli(capsys, "analyze", zero, "--config", cfg, "--uniform")
+    assert code == 0 and "-0" not in out
+    for line in ("leakage (bits): 0", "entropy H (bits): 0", "ME' (bits): 0"):
+        assert line in out.splitlines()
 
 
 def test_analyze_passive_carries_warning(workspace, capsys):

@@ -182,6 +182,43 @@ def test_census_walks_every_node():
 def test_missing_semicolon():
     with pytest.raises(ParseError, match=";"):
         parse("x = 1")
+    # End of input after a trailing comment is placed past the comment.
+    with pytest.raises(ParseError, match="^1:11: expected ';'"):
+        parse("o = 1 // c")
+
+
+# The language's characters, non-ASCII letters and digits that
+# ``str.isalpha``/``isdigit`` classify unlike ASCII, and more often pieces
+# of statements, so that some sources parse.
+_PIECES = st.sampled_from(["o = h;", "o = 0x1F ^ -h;", "l = (h < 3) * l;", "if (h) ",
+                           "else ", "while (l > 9) ", "{ ", "} ", "skip;", "// c\n", "\n"])
+_SOURCES = st.lists(st.one_of(
+    st.sampled_from(list("hlo_0179 \t\r\n+-*/%&|^~!<>=(){};") + list("é²½Ⅷ١")),
+    _PIECES, _PIECES, _PIECES), max_size=30).map("".join)
+
+
+def _offset(source: str, line: int, col: int) -> int:
+    return sum(len(text) + 1 for text in source.split("\n")[:line - 1]) + col - 1
+
+
+@settings(max_examples=400)
+@given(_SOURCES)
+def test_tokens_point_at_their_text_and_programs_print_back(source):
+    try:
+        toks = lang._tokenize(source)
+    except ParseError as e:
+        assert _offset(source, e.line, e.col) < len(source)
+    else:
+        offsets = [_offset(source, t.line, t.col) for t in toks]
+        for tok, at in zip(toks, offsets):
+            assert source[at:at + len(tok.text)] == tok.text or tok.kind == "eof"
+        assert offsets[-1] == len(source)
+        assert offsets == sorted(set(offsets))
+    try:
+        p = parse(source)
+    except ParseError:
+        return
+    assert parse(program_to_source(p)) == p
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +757,9 @@ def test_batch_runs_match_the_reference(p, cfg, budget, chunk_size):
     " while (o > 0) { if (o & 2) { skip; skip; } o = o - 1; }",
     "o = 0; while (o < h) { o = o + 1; if (o == 2) while (o < 4) o = o + 1; }",
     "o = h; if (h < 2) { if (h) o = 1 / 0; else skip; } else while (1) skip;",
+    # every atom takes the branch, then none does
+    "o = 0; while (o < h) { if (o >= 0) { o = o + 1; skip; } else skip; }",
+    "o = 0; while (o < h) { if (o < 0) skip; else { skip; o = o + 1; } }",
 ])
 def test_budget_thresholds_match_the_reference(source):
     p = parse(source)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -87,6 +88,12 @@ def test_distribution_rejects_negative_and_foreign_and_missing():
         Distribution(D4, {0: 1, 1: 0, 2: 0, 3: 0, 9: 0})
     with pytest.raises(InvalidDistributionError, match="no mass entry"):
         Distribution(D4, {0: 1, 1: 0, 2: 0})
+
+
+@pytest.mark.parametrize("atom", [9, [1]], ids=["foreign", "unhashable"])
+def test_indexing_by_a_foreign_atom_is_a_domain_mismatch(atom):
+    with pytest.raises(DomainMismatchError, match=f"atom {re.escape(repr(atom))} is not in"):
+        U4[atom]
 
 
 @pytest.mark.parametrize("build, message", [
@@ -369,6 +376,15 @@ def test_prime_variant_reference_values():
     assert ge_prime(M2, U4) == Fraction(5, 2)
     assert me_prime(bottom(D4), U4) == 0.0
     assert ge_prime(bottom(D4), U4) == 1
+
+
+@pytest.mark.parametrize("weights", [[1, 1, 1, 1], [0, 0, 7, 0], [5, 1, 1, 3]],
+                         ids=["uniform", "point-mass", "skewed"])
+def test_one_block_entropy_and_me_prime_are_positive_zero(weights):
+    mu = Distribution.from_weights(D4, weights)
+    for measure in (entropy, me_prime):
+        value = measure(bottom(D4), mu)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0, measure.__name__
 
 
 def test_me_identity_against_direct_form():

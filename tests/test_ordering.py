@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 from loiqif import (
@@ -279,6 +280,23 @@ def test_audit_is_deterministic_in_the_seed():
     a1 = equivalence_audit(A, B, trials=40, seed=9)
     a2 = equivalence_audit(A, B, trials=40, seed=9)
     assert (a1.x_ahead, a1.y_ahead, a1.samples) == (a2.x_ahead, a2.y_ahead, a2.samples)
+
+
+def test_audit_peak_does_not_grow_with_trials():
+    # The partitions of o = h & 341; and o = (h ^ 77) & 682; at 10 bits.
+    # Each sample is measured and dropped before the next is drawn.
+    d = Domain(range(1 << 10))
+    x, y = kernel(d, lambda h: h & 341), kernel(d, lambda h: (h ^ 77) & 682)
+    peaks = {}
+    for trials, counts in ((5, (7, 1, 1)), (40, (42, 1, 1)), (200, (202, 2, 3))):
+        tracemalloc.start()
+        try:
+            audit = equivalence_audit(x, y, trials=trials, seed=1)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (audit.samples, audit.x_ahead, audit.y_ahead) == counts
+    assert peaks[200] <= 1.5 * peaks[5]
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,10 @@ def test_domain_rejects_duplicates_and_empty():
 def test_domain_order_is_positional():
     d = Domain(["z", "a", "m"])
     assert d.position("z") == 0 and d.position("m") == 2
-    with pytest.raises(InvalidPartitionError):
-        d.position("q")
+    for foreign in ("q", [1], ([],)):   # an unhashable atom is foreign too
+        assert foreign not in d
+        with pytest.raises(InvalidPartitionError, match="not in the domain"):
+            d.position(foreign)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +174,8 @@ def test_invalid_partitions_name_the_atom():
         Partition(D4, [[0, 1, 2, 3], [9]])
     with pytest.raises(InvalidPartitionError, match="empty"):
         Partition(D4, [[0, 1, 2, 3], []])
+    with pytest.raises(InvalidPartitionError, match=r"atom \{\} is not in the domain"):
+        partition_from_json({"domain": [1, 2], "blocks": [[{}], [1, 2]]})
 
 
 # Up to seven atoms owned by up to seven blocks, given as a shuffled list of
