@@ -99,7 +99,9 @@ def _resolve_distribution(args, domain: Domain) -> tuple[Distribution, str]:
     if mu.domain != domain:
         raise QifError(f"{args.dist}: distribution domain does not match the "
                        f"program's {domain.size} enumerated atoms")
-    return mu, args.dist
+    # Over the program's own domain object, every later domain check is
+    # one identity test, not a walk over the atoms.
+    return Distribution.from_weights(domain, mu.weights), args.dist
 
 
 def _partition_text(x: Partition) -> str:

@@ -1002,13 +1002,13 @@ def enumerate_domain(cfg: AttackerConfig) -> Domain:
 
     Active mode: atoms are high values (a bare value for one high
     variable, tuples otherwise).  Passive mode with low variables: atoms
-    are (low part, high part) pairs.
+    are (low part, high part) pairs.  The domain holds the value ranges
+    alone, not the atoms.
     """
     _, ranges, n_lows, _ = _plan(cfg)
-    values = itertools.product(*ranges)
     if not n_lows:
-        return Domain(map(_collapse, values))
-    return Domain((_collapse(t[:n_lows]), _collapse(t[n_lows:])) for t in values)
+        return Domain.product(_collapse(tuple(ranges)))
+    return Domain.product((_collapse(tuple(ranges[:n_lows])), _collapse(tuple(ranges[n_lows:]))))
 
 
 def validate_program(p: Program, cfg: AttackerConfig) -> None:
@@ -1037,26 +1037,36 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
          ) -> tuple[Domain, Iterator[tuple[object, int | None]]]:
     """The domain and an iterator over (what the attacker sees of the run,
     its ``loop`` iteration count or None when out of budget), one run per
-    atom in domain order, from the atom's values put back under their names.
-    The atoms run ``CHUNK_SIZE`` at a time, each chunk as one batch."""
+    atom in domain order, from the atom's values under their names.  The
+    atoms run ``CHUNK_SIZE`` at a time, each chunk as one batch whose
+    columns are computed from the atom indexes."""
     validate_program(p, cfg)
     domain = enumerate_domain(cfg)
-    names, _, n_lows, pinned = _plan(cfg)
-    sizes = (n_lows, len(names) - n_lows) if n_lows else (len(names),)
+    names, ranges, _, pinned = _plan(cfg)
 
     def results():
-        atoms = domain.atoms
-        for start in range(0, len(atoms), CHUNK_SIZE):
-            chunk = atoms[start:start + CHUNK_SIZE]
-            columns: list[list] = []
-            for part, size in zip(zip(*chunk) if n_lows else (chunk,), sizes):
-                columns += [list(part)] if size == 1 else map(list, zip(*part))
-            inputs = dict(zip(names, columns))
-            inputs.update((name, [value] * len(chunk)) for name, value in pinned.items())
-            for atom, (obs, iterations) in zip(chunk, _evaluate(p, inputs, len(chunk), cfg, loop)):
+        atoms = iter(domain.atoms)
+        for start in range(0, domain.size, CHUNK_SIZE):
+            ids = range(start, min(start + CHUNK_SIZE, domain.size))
+            inputs = dict(zip(names, _columns(ranges, ids)))
+            inputs.update((name, [value] * len(ids)) for name, value in pinned.items())
+            for (obs, iterations), atom in zip(_evaluate(p, inputs, len(ids), cfg, loop), atoms):
                 yield attacker_view(cfg, atom, obs), iterations
 
     return domain, results()
+
+
+def _columns(ranges: list[range], ids: range) -> list[list[int]]:
+    """Each enumerated variable's value at the atoms ``ids``: the digits of
+    the atom index in the mixed radix of the value ranges, last range
+    fastest."""
+    columns = []
+    stride = 1
+    for r in reversed(ranges):
+        n = len(r)
+        columns.append([r[i // stride % n] for i in ids])
+        stride *= n
+    return columns[::-1]
 
 
 def loi(p: Program, cfg: AttackerConfig) -> tuple[Domain, Partition]:

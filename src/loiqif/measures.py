@@ -113,19 +113,19 @@ class Distribution:
         if len(weights) != domain.size:
             raise InvalidDistributionError(
                 f"{len(weights)} weights for a domain of {domain.size} atoms")
-        for a, w in zip(domain.atoms, weights):
+        for i, w in enumerate(weights):
             if not isinstance(w, int):
                 raise InvalidDistributionError(
-                    f"weight {reprlib.repr(w)} on atom {a!r} is not an integer")
+                    f"weight {reprlib.repr(w)} on atom {domain.atoms[i]!r} is not an integer")
         weight_sum = sum(weights)
         if total is None:
             total = weight_sum
         if total <= 0:
             raise InvalidDistributionError("weights must have a positive total")
-        for a, w in zip(domain.atoms, weights):
+        for i, w in enumerate(weights):
             if w < 0:
                 raise InvalidDistributionError(
-                    f"negative mass {_rational_text(Fraction(w, total))} on atom {a!r}")
+                    f"negative mass {_rational_text(Fraction(w, total))} on atom {domain.atoms[i]!r}")
         if weight_sum != total:
             q = Fraction(weight_sum, total)
             raise InvalidDistributionError(

@@ -14,6 +14,14 @@ of one domain form a complete lattice:
   of the two block relations (what both observations agree on);
 * ``top``/``bottom`` — all singletons / one block.
 
+A domain is stored one of two ways.  Atoms a caller lists are kept as a
+tuple and a dict from atom to position, about 130 bytes per int atom
+(more for tuple atoms).  ``Domain.product``, which builds every enumerated
+secret space, stores only its value ranges, a few hundred bytes at any
+size: atom i is read off the mixed-radix digits of i, an atom's position
+is computed back from its values, and iteration makes each atom as it
+goes.
+
 A partition is stored as one integer label per domain position, in
 restricted-growth form: blocks are numbered in order of their least atom,
 so equal partitions have equal label tuples.  Labels are built from keys
@@ -31,7 +39,11 @@ threads.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping
+import operator
+from collections.abc import Sequence
+from functools import partial
+from itertools import chain, repeat
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 Atom = Hashable
 
@@ -59,21 +71,40 @@ class Domain:
     position in the construction sequence matters.  That order is fixed
     for the lifetime of the domain and drives every canonical form and
     tie-break downstream.
+
+    ``atoms`` is a read-only sequence: the tuple of the atoms a caller
+    gives, or, for ``Domain.product``, a ``range`` or a product sequence
+    that computes each atom from its position and back.  Equality and
+    hashing go by the atoms alone, whatever holds them.
     """
 
-    __slots__ = ("atoms", "_pos")
+    __slots__ = ("atoms", "_find")
 
     def __init__(self, atoms: Iterable[Atom]):
-        self.atoms: tuple[Atom, ...] = tuple(atoms)
+        self.atoms: Sequence[Atom] = tuple(atoms)
         if not self.atoms:
             raise ValueError("a domain needs at least one atom")
-        self._pos: dict[Atom, int] = {a: i for i, a in enumerate(self.atoms)}
-        if len(self._pos) != len(self.atoms):
+        pos: dict[Atom, int] = {a: i for i, a in enumerate(self.atoms)}
+        if len(pos) != len(self.atoms):
             seen: set[Atom] = set()
             for a in self.atoms:
                 if a in seen:
                     raise ValueError(f"duplicate atom {a!r} in domain")
                 seen.add(a)
+        self._find: Callable[[Atom], int] = pos.__getitem__
+
+    @classmethod
+    def product(cls, shape: range | tuple) -> Domain:
+        """Every value of ``shape`` in lexicographic order: the ints of a
+        range, or for a tuple of shapes, the tuples holding one value of
+        each.  Only the shape is stored: atom i and an atom's position
+        are computed from it."""
+        d = object.__new__(cls)
+        d.atoms = _values(shape)
+        if not d.atoms:
+            raise ValueError("a domain needs at least one atom")
+        d._find = partial(_offset, d.atoms)
+        return d
 
     @property
     def size(self) -> int:
@@ -81,24 +112,99 @@ class Domain:
 
     def position(self, atom: Atom) -> int:
         try:
-            return self._pos[atom]
-        except (KeyError, TypeError):   # TypeError: an unhashable atom
+            return self._find(atom)
+        except (KeyError, ValueError, TypeError):   # TypeError: an unhashable atom
             raise InvalidPartitionError(f"atom {atom!r} is not in the domain") from None
 
     def __contains__(self, atom: Atom) -> bool:
         try:
-            return atom in self._pos
-        except TypeError:
+            self._find(atom)
+        except (KeyError, ValueError, TypeError):
             return False
+        return True
 
     def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Domain) and self.atoms == other.atoms)
+        if self is other:
+            return True
+        if not isinstance(other, Domain):
+            return False
+        a, b = self.atoms, other.atoms
+        if type(a) is type(b):      # tuples, ranges and products each compare by content
+            return a == b
+        return len(a) == len(b) and all(map(operator.eq, a, b))
 
     def __hash__(self) -> int:
-        return hash(self.atoms)
+        atoms = self.atoms
+        return hash((len(atoms), atoms[0], atoms[-1]))
 
     def __repr__(self) -> str:
         return f"Domain({list(self.atoms)!r})"
+
+
+def _values(shape: range | tuple) -> Sequence:
+    return shape if isinstance(shape, range) else _Product(map(_values, shape))
+
+
+def _offset(values: Sequence, value) -> int:
+    """Position of ``value`` in a range or a ``_Product``, found the way a
+    dict finds a key, by hash and then equality (an int is its own hash
+    below 2^61 - 1); ValueError or TypeError when it is absent."""
+    if isinstance(values, _Product):
+        if not isinstance(value, tuple) or len(value) != len(values.parts):
+            raise ValueError(f"{value!r} is not in the product")
+        return sum(_offset(part, v) * s for part, v, s in zip(values.parts, value, values._strides))
+    i = values.index(value if type(value) is int else hash(value))
+    if values[i] != value:
+        raise ValueError(f"{value!r} is not in the range")
+    return i
+
+
+def _digits(part: Sequence, stride: int, cycles: int) -> Iterator:
+    """One digit of a product's items in order: each value of ``part``
+    ``stride`` times in a row, the whole ``cycles`` times over."""
+    values = chain.from_iterable(repeat(part, cycles))
+    return values if stride == 1 else chain.from_iterable(map(repeat, values, repeat(stride)))
+
+
+class _Product(Sequence):
+    """The tuples holding one value of each part (a range or a
+    ``_Product``), last part fastest, held as the parts alone: item i is
+    read off the mixed-radix digits of i, and ``_offset`` adds them back
+    up."""
+
+    __slots__ = ("parts", "_strides", "_len")
+
+    def __init__(self, parts: Iterable[Sequence]):
+        self.parts = tuple(parts)
+        strides = []
+        n = 1
+        for part in reversed(self.parts):
+            strides.append(n)
+            n *= len(part)
+        self._strides = tuple(reversed(strides))
+        self._len = n
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(self._len)[i]))
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("domain index out of range")
+        return tuple([part[i // s % len(part)] for part, s in zip(self.parts, self._strides)])
+
+    def __iter__(self) -> Iterator[tuple]:
+        if not self.parts:
+            return iter(((),))
+        return zip(*(_digits(part, s, self._len // (len(part) * s))
+                     for part, s in zip(self.parts, self._strides)))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Product) and self.parts == other.parts
 
 
 class Partition:

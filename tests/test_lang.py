@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -12,6 +14,7 @@ from loiqif import (
     Domain,
     DomainMismatchError,
     EnumerationCapError,
+    InvalidPartitionError,
     ParseError,
     block_count,
     bottom,
@@ -33,6 +36,7 @@ from loiqif.lang import (
     _BINARY_LEVELS,
     _BINARY_OPS,
     ACTIVE,
+    CHUNK_SIZE,
     MAX_DEPTH,
     NON_TERMINATION,
     PASSIVE,
@@ -509,12 +513,26 @@ def _traced_peak(f) -> int:
 
 def test_loi_holds_no_view_per_atom():
     # 2^14 atoms and 256 distinct views: relabeling the views as they are
-    # yielded keeps only the distinct ones, so loi needs little more than
-    # the domain itself; a map from every atom to its view needs 2.4x.
-    cfg = cfg_high(bits=14)
+    # yielded keeps only the distinct ones, so loi needs the labels (the
+    # list relabel fills and the tuple made of it) and the run of one
+    # chunk, about 0.4 MB; a list of every atom's view traces 0.9 MB and a
+    # map from every atom to its view 2 MB.
     p = parse("o = h & 255;")
-    domain_peak = _traced_peak(lambda: enumerate_domain(cfg))
-    assert _traced_peak(lambda: loi(p, cfg)) <= 1.5 * domain_peak
+    one_chunk = _traced_peak(lambda: loi(p, cfg_high(bits=CHUNK_SIZE.bit_length() - 1)))
+    labels = sys.getsizeof(tuple(range(1 << 14)))
+    assert _traced_peak(lambda: loi(p, cfg_high(bits=14))) <= 2 * labels + one_chunk
+
+
+def test_enumerated_domain_holds_no_atom():
+    # 2^16 atoms as a range, as a product of highs, and as passive
+    # (low, high) pairs: the domain stores value ranges, never the atoms
+    # (a tuple of them and a position dict take several MB).
+    for cfg in (cfg_high(bits=16),
+                AttackerConfig(high_vars=(("a", 8), ("b", 8)), observed_vars=("o",)),
+                AttackerConfig(high_vars=(("h", 12),), low_vars=(("l", 4, None), ("m", 3, 5)),
+                               observed_vars=("o",), mode=PASSIVE)):
+        assert enumerate_domain(cfg).size == 1 << 16
+        assert _traced_peak(lambda: enumerate_domain(cfg)) < 64 * 1024
 
 
 def test_loi_octal_mask_shape():
@@ -544,7 +562,7 @@ def test_budget_monotonicity_splits_only_the_diverging_block():
 def test_multiple_high_variables_enumerate_tuples():
     cfg = AttackerConfig(high_vars=(("a", 1), ("b", 1)), observed_vars=("o",))
     d, x = loi(parse("o = a & b;"), cfg)
-    assert d.atoms == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert tuple(d.atoms) == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert x.blocks == (((0, 0), (0, 1), (1, 0)), ((1, 1),))
 
 
@@ -654,7 +672,84 @@ def test_passive_fixed_low_pins_enumeration():
     cfg = AttackerConfig(high_vars=(("h", 1),), low_vars=(("l", 2, 2),),
                          observed_vars=("o",), mode=PASSIVE)
     d = enumerate_domain(cfg)
-    assert d.atoms == ((2, 0), (2, 1))
+    assert tuple(d.atoms) == ((2, 0), (2, 1))
+
+
+# One configuration per shape of enumerated atom.  Each enumerated domain
+# must behave exactly as the tuple-backed domain of the same atoms.
+_ATOM_SHAPES = {
+    "one high": cfg_high(bits=3),
+    "two highs": AttackerConfig(high_vars=(("a", 2), ("b", 1)), observed_vars=("o",)),
+    "passive": AttackerConfig(high_vars=(("h", 1), ("g", 2)),
+                              low_vars=(("l", 1, None), ("m", 1, None)),
+                              observed_vars=("o",), mode=PASSIVE),
+    "passive pinned low": AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 2, 3),),
+                                         observed_vars=("o",), mode=PASSIVE),
+    "active pinned lows": AttackerConfig(high_vars=(("h", 1), ("g", 2)),
+                                         low_vars=(("l", 2, 1), ("m", 1, 0)),
+                                         observed_vars=("o",)),
+}
+
+
+def _reference_atoms(cfg: AttackerConfig) -> list:
+    """The atoms in lexicographic value order, built one by one."""
+    def collapse(values):
+        return values[0] if len(values) == 1 else values
+    highs = list(itertools.product(*(range(1 << b) for _, b in cfg.high_vars)))
+    if cfg.mode != PASSIVE or not cfg.low_vars:
+        return [collapse(h) for h in highs]
+    lows = itertools.product(*(range(1 << b) if v is None else (v,) for _, b, v in cfg.low_vars))
+    return [(collapse(lo), collapse(h)) for lo in lows for h in highs]
+
+
+def _as_floats(atom):
+    return tuple(map(_as_floats, atom)) if isinstance(atom, tuple) else float(atom)
+
+
+def _wrong_arity(atom) -> list:
+    if not isinstance(atom, tuple):
+        return [(atom, 0)]
+    out = [atom + (0,), atom[:-1]]
+    if isinstance(atom[-1], tuple):
+        out.append(atom[:-1] + (atom[-1] + (0,),))
+    return out
+
+
+@pytest.mark.parametrize("shape", _ATOM_SHAPES)
+def test_enumerated_domain_matches_tuple_domain(shape):
+    d = enumerate_domain(_ATOM_SHAPES[shape])
+    ref = Domain(_reference_atoms(_ATOM_SHAPES[shape]))
+    n = ref.size
+    assert list(d.atoms) == list(ref.atoms)
+    assert len(d.atoms) == d.size == n
+    for i in range(-n, n):
+        assert d.atoms[i] == ref.atoms[i]
+    for i in (n, -n - 1, 2 * n):
+        with pytest.raises(IndexError):
+            d.atoms[i]
+    for s in (slice(None), slice(1, -1), slice(None, None, -3), slice(n, n + 2), slice(-3, None, 2)):
+        assert tuple(d.atoms[s]) == ref.atoms[s]
+    for i, a in enumerate(ref.atoms):
+        assert a in d
+        assert d.position(a) == i
+        # A value equal to the atom, such as 1.0 for 1, finds it, as in a dict.
+        assert d.position(_as_floats(a)) == ref.position(_as_floats(a)) == i
+    for x in (True, False, 1.0):    # the ints they equal in a one-high domain
+        assert (x in d) == (x in ref)
+        if x in ref:
+            assert d.position(x) == ref.position(x)
+    foreign = [-1, n, "a", [1], {}, (0,), *_wrong_arity(ref.atoms[-1])]
+    for x in foreign:
+        assert x not in d and x not in ref
+        for domain in (d, ref):
+            with pytest.raises(InvalidPartitionError):
+                domain.position(x)
+    assert d == ref and ref == d and hash(d) == hash(ref)
+    for cfg in _ATOM_SHAPES.values():   # "two highs" and "active pinned lows" differ in content only
+        other = enumerate_domain(cfg)
+        assert (d == other) == (list(d.atoms) == list(other.atoms)) == (cfg is _ATOM_SHAPES[shape])
+    assert d != Domain(ref.atoms[::-1]) and Domain(ref.atoms[::-1]) != d
+    assert d != Domain(ref.atoms[:-1]) and d != Domain(ref.atoms[:-1] + (n,))
 
 
 # ---------------------------------------------------------------------------
