@@ -24,7 +24,8 @@ assignment whose wrapped value would need more than 2^20 bits are
 runtime faults; a right shift by more than 2^20 shifts by 2^20.  Both
 operands of ``&&``/``||`` are always evaluated (expressions have no side
 effects, so short-circuiting would be unobservable anyway).  ``parse``
-rejects syntax trees deeper than ``MAX_DEPTH`` levels.
+rejects syntax trees deeper than ``MAX_DEPTH`` levels and parentheses and
+braces nested deeper than ``_MAX_NESTING`` allows.
 
 Running a program on an initial store yields an ``Observable``: the
 observed variables' final values on normal termination, a single
@@ -231,12 +232,18 @@ _UNARY_PREC = len(_BINARY_LEVELS) + 1
 # per level, evaluation and parsing the printed form at most twice, which
 # stays well inside the interpreter's default recursion limit of 1000 frames.
 MAX_DEPTH = 300
+# Parentheses and braces add no AST node, so this bounds them instead: the
+# open ones may hold 600 parser frames, three per parenthesis and one per
+# brace, which leaves room for a caller 300 frames deep.
+_MAX_NESTING = 600
+_NESTING_STEP = {"(": 3, ")": -3, "{": 1, "}": -1}
 
 
 class _Parser:
     def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.pos = 0
+        self.nesting = 0   # parser frames the open parentheses and braces hold
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -245,6 +252,11 @@ class _Parser:
         tok = self.toks[self.pos]
         if tok.kind != "eof":
             self.pos += 1
+        self.nesting += _NESTING_STEP.get(tok.kind, 0)
+        if self.nesting > _MAX_NESTING:
+            raise ParseError("parentheses and braces nest too deep: at most "
+                             f"{_MAX_NESTING // 3} parentheses or {_MAX_NESTING} braces",
+                             tok.line, tok.col)
         return tok
 
     def expect(self, kind: str) -> _Token:

@@ -8,10 +8,11 @@ anything; every constructor's integer weights then pass one check,
 ``Distribution._set``.  ``distribution_from_json`` only maps JSON keys to
 atoms.
 
-Every measure is a function of one statistic, ``_ranked_weights``: the
-positive integer weights inside each block (blocks come from the
-partition's labels), sorted best guess first, whose sums are the block
-weights.  A measure makes one exact ``Fraction`` when it returns.
+Every measure is a function of one statistic, ``_Ranked``: the positive
+integer weights inside each block (blocks come from the partition's
+labels), sorted best guess first, whose sums are the block weights.  A
+caller that needs several measures builds it once (``measure_report``, the
+profile in ``ordering``).  A measure makes one exact ``Fraction`` when it returns.
 Every purely probabilistic measure (guessing probabilities, expected
 guess counts, guessing-entropy leakage) is therefore exact, and every
 probability the API takes or returns is a ``fractions.Fraction``.  Only
@@ -130,9 +131,10 @@ class Distribution:
             q = Fraction(weight_sum, total)
             raise InvalidDistributionError(
                 f"total mass is {_rational_text(q)}, off from 1 by {_rational_text(1 - q)}")
-        g = math.gcd(total, *weights)
+        weights = tuple(weights)   # gcd(*tuple) copies nothing; gcd(total, *list) copies twice
+        g = math.gcd(total, math.gcd(*weights))
         self.domain = domain
-        self.weights: tuple[int, ...] = tuple([w // g for w in weights])
+        self.weights: tuple[int, ...] = weights if g == 1 else tuple(w // g for w in weights)
         self.total: int = total // g
 
     @classmethod
@@ -273,33 +275,65 @@ def _log2_fraction(q: Fraction) -> float:
     return math.log2(q.numerator) - math.log2(q.denominator)
 
 
-def _ranked_weights(x: Partition, mu: Distribution) -> list[list[int]]:
-    """Positive atom weights of each block, in block order, best guess
-    first; their sums are the block weights.  Equal weights are
-    interchangeable, so the tie order does not matter."""
-    if x.domain != mu.domain:
-        raise DomainMismatchError("partition and distribution domains differ")
-    groups: list[list[int]] = [[] for _ in range(x.n_blocks)]
-    for label, w in zip(x.labels, mu.weights):
-        if w:
-            groups[label].append(w)
-    for g in groups:
-        g.sort(reverse=True)
-    return groups
+class _Ranked:
+    """Positive atom weights of each block of ``x``, in block order, best
+    guess first (ties in any order), with ``mu`` kept for the prior; one
+    method per formula."""
+
+    def __init__(self, x: Partition, mu: Distribution):
+        if x.domain != mu.domain:
+            raise DomainMismatchError("partition and distribution domains differ")
+        self.mu = mu
+        self.blocks: list[list[int]] = [[] for _ in range(x.n_blocks)]
+        for label, w in zip(x.labels, mu.weights):
+            if w:
+                self.blocks[label].append(w)
+        for ws in self.blocks:
+            ws.sort(reverse=True)
+
+    def entropy(self) -> float:
+        positive = [w for w in map(sum, self.blocks) if w]
+        # Divided by their gcd, the block weights are counts c_i over the
+        # least common denominator d = sum(c_i) of the block masses, and
+        # H = log2(d) - sum(c_i log2 c_i)/d.  Uniform over k blocks gives
+        # exactly log2(k), and one block log2(1) - 0/1 = +0.0.
+        g = math.gcd(*positive)
+        counts = [w // g for w in positive]
+        d = sum(counts)
+        clogc = math.fsum(c * math.log2(c) for c in counts)
+        return math.log2(d) - clogc / d
+
+    def guess_prob(self, n: int) -> Fraction:
+        if n < 1:
+            raise ValueError(f"number of tries must be >= 1, got {n}")
+        return Fraction(sum(sum(ws[:n]) for ws in self.blocks), self.mu.total)
+
+    def expected_guesses(self) -> Fraction:
+        return Fraction(sum(map(_guess_count, self.blocks)), self.mu.total)
+
+    def one_try_gain(self) -> Fraction:
+        return self.guess_prob(1) / Fraction(max(self.mu.weights), self.mu.total)
+
+    def ge_leakage(self) -> Fraction:
+        prior = Fraction(_guess_count(sorted(self.mu.weights, reverse=True)), self.mu.total)
+        return prior - self.expected_guesses()
+
+    def me_prime(self) -> float:
+        return _log2_fraction(Fraction(self.mu.total, max(map(sum, self.blocks))))
+
+    def ge_prime(self) -> Fraction:
+        return Fraction(_guess_count(sorted(map(sum, self.blocks), reverse=True)), self.mu.total)
+
+
+def _guess_count(ranked: Iterable[int]) -> int:
+    """Sum of i * w_i over weights ranked best guess first: the total
+    weight of the guesses needed, one per position."""
+    return sum(i * w for i, w in enumerate(ranked, start=1))
 
 
 def entropy(x: Partition, mu: Distribution) -> float:
     """Shannon entropy of the block masses, in bits."""
-    positive = [w for w in map(sum, _ranked_weights(x, mu)) if w]
-    # Divided by their gcd, the block weights are counts c_i over the least
-    # common denominator d = sum(c_i) of the block masses, and
-    # H = log2(d) - sum(c_i log2 c_i)/d.  Uniform over k blocks gives
-    # exactly log2(k), and one block log2(1) - 0/1 = +0.0.
-    g = math.gcd(*positive)
-    counts = [w // g for w in positive]
-    d = sum(counts)
-    clogc = math.fsum(c * math.log2(c) for c in counts)
-    return math.log2(d) - clogc / d
+    return _Ranked(x, mu).entropy()
 
 
 def joint_entropy(x: Partition, y: Partition, mu: Distribution) -> float:
@@ -324,28 +358,20 @@ def conditional_mutual_information(x: Partition, y: Partition, z: Partition,
 def guess_prob(x: Partition, mu: Distribution, n: int) -> Fraction:
     """G_n: expected probability of guessing the secret within n tries
     after observing the block, optimal guessing order."""
-    if n < 1:
-        raise ValueError(f"number of tries must be >= 1, got {n}")
-    return Fraction(sum(sum(ws[:n]) for ws in _ranked_weights(x, mu)), mu.total)
+    return _Ranked(x, mu).guess_prob(n)
 
 
 def expected_guesses(x: Partition, mu: Distribution) -> Fraction:
     """NG: expected number of guesses to identify the secret exactly,
     guessing likeliest-first within the observed block."""
-    return Fraction(sum(map(_guess_count, _ranked_weights(x, mu))), mu.total)
-
-
-def _guess_count(ranked: Iterable[int]) -> int:
-    """Sum of i * w_i over weights ranked best guess first: the total
-    weight of the guesses needed, one per position."""
-    return sum(i * w for i, w in enumerate(ranked, start=1))
+    return _Ranked(x, mu).expected_guesses()
 
 
 def one_try_gain(x: Partition, mu: Distribution) -> Fraction:
     """G_1(X) / G_1(no observation), the exact factor by which one
     observation multiplies the one-try guessing probability.  With no
     observation the best guess is the heaviest atom."""
-    return guess_prob(x, mu, 1) / Fraction(max(mu.weights), mu.total)
+    return _Ranked(x, mu).one_try_gain()
 
 
 def me_leakage(x: Partition, mu: Distribution) -> float:
@@ -359,21 +385,18 @@ def me_leakage(x: Partition, mu: Distribution) -> float:
 def ge_leakage(x: Partition, mu: Distribution) -> Fraction:
     """Guessing-entropy leakage: NG(no observation) − NG(X), exact.  With
     no observation every atom is guessed in order of weight."""
-    prior = Fraction(_guess_count(sorted(mu.weights, reverse=True)), mu.total)
-    return prior - expected_guesses(x, mu)
+    return _Ranked(x, mu).ge_leakage()
 
 
 def me_prime(x: Partition, mu: Distribution) -> float:
     """-log2 of the largest block mass (blocks treated as the secrets)."""
-    best = max(map(sum, _ranked_weights(x, mu)))
-    return _log2_fraction(Fraction(mu.total, best))
+    return _Ranked(x, mu).me_prime()
 
 
 def ge_prime(x: Partition, mu: Distribution) -> Fraction:
     """Expected number of guesses to name the block itself, blocks ranked
     by descending mass (ties by least atom, i.e. canonical block order)."""
-    ranked = sorted(map(sum, _ranked_weights(x, mu)), reverse=True)
-    return Fraction(_guess_count(ranked), mu.total)
+    return _Ranked(x, mu).ge_prime()
 
 
 def shannon_distance(x: Partition, y: Partition, mu: Distribution) -> float:
@@ -411,14 +434,15 @@ class MeasureReport:
 
 
 def measure_report(x: Partition, mu: Distribution, max_tries: int = 4) -> MeasureReport:
+    r = _Ranked(x, mu)
     return MeasureReport(
-        entropy_bits=entropy(x, mu),
-        guess_prob={n: guess_prob(x, mu, n) for n in range(1, max_tries + 1)},
-        expected_guesses=expected_guesses(x, mu),
-        me_leakage_bits=me_leakage(x, mu),
-        ge_leakage=ge_leakage(x, mu),
-        me_prime_bits=me_prime(x, mu),
-        ge_prime=ge_prime(x, mu),
+        entropy_bits=r.entropy(),
+        guess_prob={n: r.guess_prob(n) for n in range(1, max_tries + 1)},
+        expected_guesses=r.expected_guesses(),
+        me_leakage_bits=_log2_fraction(r.one_try_gain()),
+        ge_leakage=r.ge_leakage(),
+        me_prime_bits=r.me_prime(),
+        ge_prime=r.ge_prime(),
         channel_capacity_bits=channel_capacity(x),
     )
 

@@ -31,14 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .measures import (
-    Distribution,
-    distribution_from_json,
-    distribution_to_json,
-    entropy,
-    expected_guesses,
-    guess_prob,
-)
+from .measures import Distribution, _Ranked, distribution_from_json, distribution_to_json
 from .partition import Atom, Partition, QifError, atom_from_json, atom_to_json, leq
 
 ENTROPY_TOLERANCE = 1e-9
@@ -97,10 +90,10 @@ _PROFILE_TOLERANCE = (0, 0, 0, ENTROPY_TOLERANCE)
 
 
 def _profile(p: Partition, mu: Distribution, n: int) -> tuple:
-    """(G_n, G_1, −NG, H) of ``p`` under ``mu``: no entry falls when ``p``
-    is refined."""
-    return (guess_prob(p, mu, n), guess_prob(p, mu, 1),
-            -expected_guesses(p, mu), entropy(p, mu))
+    """(G_n, G_1, −NG, H) of ``p`` under ``mu``, from one block statistic:
+    no entry falls when ``p`` is refined."""
+    r = _Ranked(p, mu)
+    return r.guess_prob(n), r.guess_prob(1), -r.expected_guesses(), r.entropy()
 
 
 def _ahead(px: tuple, py: tuple) -> bool:

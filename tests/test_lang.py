@@ -173,6 +173,50 @@ def test_program_at_depth_limit_runs_prints_and_composes(source):
     program_to_source(composed)
 
 
+def _parse_outcome(source: str, frames: int = 0):
+    """``parse(source)``, or its error's text, from ``frames`` calls deeper."""
+    if frames:
+        return _parse_outcome(source, frames - 1)
+    try:
+        return parse(source)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _parens(k: int) -> str:
+    return "o = " + "(" * k + "h" + ")" * k + ";"
+
+
+def _braces(k: int, inner: str = "o = h;") -> str:
+    return "{" * k + inner + "}" * k
+
+
+# A parenthesis costs the parser three frames and a brace one; the open ones
+# may hold 600.  Each source is accepted (True) or rejected by that bound.
+_NESTED = {
+    "200 parentheses": (_parens(200), True),
+    "201 parentheses": (_parens(201), False),
+    "250 parentheses": (_parens(250), False),
+    "3000 parentheses": (_parens(3000), False),
+    "600 braces": (_braces(600), True),
+    "601 braces": (_braces(601), False),
+    "3000 braces": (_braces(3000), False),
+    "300 braces round 100 parentheses": (_braces(300, _parens(100)), True),
+    "300 braces round 101 parentheses": (_braces(300, _parens(101)), False),
+}
+
+
+@pytest.mark.parametrize("name", list(_NESTED))
+def test_nesting_bound_does_not_depend_on_the_callers_stack(name):
+    source, accepted = _NESTED[name]
+    at_top = _parse_outcome(source)
+    assert _parse_outcome(source, 300) == at_top
+    if accepted:
+        assert isinstance(at_top, Program)
+    else:
+        assert "nest too deep: at most 200 parentheses or 600 braces" in at_top
+
+
 def test_census_walks_every_node():
     p = parse("if (a < b) { while (c) d = e + -f; } else g = !h;")
     assert read_vars(p) == {"a", "b", "c", "e", "f", "h"}

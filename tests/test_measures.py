@@ -3,7 +3,9 @@ import json
 import math
 import random
 import re
+import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -501,6 +503,18 @@ def test_equal_distributions_from_unreduced_weights():
     assert a.weights == (1, 1, 0) and a.total == 2
 
 
+def test_uniform_holds_its_weights_at_most_twice():
+    # the list of ones and the tuple made of it, no reduced or unpacked copy
+    d = Domain.product(range(1 << 18))
+    tracemalloc.start()
+    try:
+        mu = Distribution.uniform(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * sys.getsizeof(mu.weights)
+
+
 @st.composite
 def _measured_pairs(draw):
     """A partition on up to 6 atoms, a distribution, and the same
@@ -549,6 +563,37 @@ def test_measures_match_fraction_oracles(case):
     assert ge_leakage(x, mu) == expected_guesses(prior, mu) - expected_guesses(x, mu)
     assert me_prime(x, mu) == me_prime_reference(x, mu)
     assert ge_prime(x, mu) == ge_prime_oracle(x, mu)
+
+
+@given(_measured_pairs(), st.integers(1, 8))
+def test_measure_report_equals_every_public_measure(case, max_tries):
+    """The report reads every field off one block statistic; each equals
+    the public measure exactly, floats bit for bit.  Up to 6 atoms, so
+    ``max_tries`` often passes the largest block."""
+    x, mu, _ = case
+    r = measure_report(x, mu, max_tries)
+    assert r.guess_prob == {n: guess_prob(x, mu, n) for n in range(1, max_tries + 1)}
+    exact = ((r.expected_guesses, expected_guesses(x, mu)), (r.ge_leakage, ge_leakage(x, mu)),
+             (r.ge_prime, ge_prime(x, mu)))
+    assert all(type(a) is Fraction and a == b for a, b in exact)
+    floats = ((r.entropy_bits, entropy(x, mu)), (r.me_leakage_bits, me_leakage(x, mu)),
+              (r.me_prime_bits, me_prime(x, mu)), (r.channel_capacity_bits, channel_capacity(x)))
+    assert all(a.hex() == b.hex() for a, b in floats)
+
+
+def test_report_and_profile_build_one_statistic(monkeypatch):
+    import loiqif.measures as measures
+    from loiqif.ordering import _profile
+
+    built = []
+    build = measures._Ranked.__init__
+    monkeypatch.setattr(measures._Ranked, "__init__",
+                        lambda self, x, mu: built.append(x) or build(self, x, mu))
+    measure_report(M1, U4, max_tries=8)
+    assert built == [M1]
+    built.clear()
+    _profile(M1, U4, 3)
+    assert built == [M1]
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,17 @@ def test_incomparable_pair_gets_both_witnesses():
     assert result.witness_yx.violated_block == (1, 2)
 
 
+def test_verify_witness_compares_each_domain_once(monkeypatch):
+    # A witness read back from JSON has its own domain object, so each
+    # comparison walks the atoms: one per partition, not one per measure.
+    w = witness_from_json(witness_to_json(compare(A, B).witness_xy))
+    compared = []
+    eq = Domain.__eq__
+    monkeypatch.setattr(Domain, "__eq__", lambda d, other: compared.append(d) or eq(d, other))
+    assert verify_witness(w, A, B)
+    assert len(compared) == 2
+
+
 def test_extrema_compare_with_witness():
     result = compare(bottom(D1234), top(D1234))
     assert result.relation is Relation.COARSER_THAN
@@ -262,9 +273,8 @@ def test_audit_reports_every_misordered_measure(monkeypatch):
         return values[name][0 if p is coarse else 1]
 
     monkeypatch.setattr(ordering, "compare", lambda x, y: results[id(x), id(y)])
-    monkeypatch.setattr(ordering, "guess_prob", lambda p, mu, n: value("G_n", p))
-    monkeypatch.setattr(ordering, "expected_guesses", lambda p, mu: value("NG", p))
-    monkeypatch.setattr(ordering, "entropy", lambda p, mu: value("H", p))
+    monkeypatch.setattr(ordering, "_profile", lambda p, mu, n: (
+        value("G_n", p), value("G_n", p), -value("NG", p), value("H", p)))
     for x, y, relation in cases:
         audit = equivalence_audit(x, y, trials=5, seed=4)
         assert audit.relation is relation
