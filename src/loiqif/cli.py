@@ -120,7 +120,8 @@ def _distribution_text(mu: Distribution) -> str:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    # Every object printed is a fresh tree, so no container can hold itself.
+    print(json.dumps(obj, indent=2, check_circular=False))
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,15 @@ Values are integers (booleans are 1/0).  A variable declared in the
 attacker configuration has a bit width; assignments to it wrap modulo
 2^width (unsigned).  Undeclared variables are unbounded.  Every operator
 is one entry of ``_BINARY_OPS`` or ``_UNARY_OPS``, a function of the
-operand values with Python integer semantics.  Division or modulo by
-zero, a negative shift count, a left shift by more than 2^20 and an
-assignment whose wrapped value would need more than 2^20 bits are
+operand values with Python integer semantics; ``_BINARY_COLUMNS`` and
+``_UNARY_COLUMNS`` give some of them over whole columns.  Division or
+modulo by zero, a negative shift count, a left shift by more than 2^20
+and an assignment whose wrapped value would need more than 2^20 bits are
 runtime faults; a right shift by more than 2^20 shifts by 2^20.  Both
 operands of ``&&``/``||`` are always evaluated (expressions have no side
 effects, so short-circuiting would be unobservable anyway).  ``parse``
-rejects syntax trees deeper than ``MAX_DEPTH`` levels and parentheses and
-braces nested deeper than ``_MAX_NESTING`` allows.
+rejects syntax trees deeper than ``MAX_DEPTH`` levels and constructs nested
+deeper than ``_MAX_NESTING`` allows.
 
 Running a program on an initial store yields an ``Observable``: the
 observed variables' final values on normal termination, a single
@@ -232,18 +233,20 @@ _UNARY_PREC = len(_BINARY_LEVELS) + 1
 # per level, evaluation and parsing the printed form at most twice, which
 # stays well inside the interpreter's default recursion limit of 1000 frames.
 MAX_DEPTH = 300
-# Parentheses and braces add no AST node, so this bounds them instead: the
-# open ones may hold 600 parser frames, three per parenthesis and one per
-# brace, which leaves room for a caller 300 frames deep.
+# The parser recurses once per open parenthesis (three frames), brace, if,
+# while or else body, unary operator and pending right operand of a binary
+# operator (one frame each).  ``_Parser.nesting`` counts those frames as it
+# goes and stops at this bound, before ``MAX_DEPTH`` is checked on the
+# finished tree: it leaves room for a caller 300 frames deep, so whether a
+# program parses does not depend on the caller's stack.
 _MAX_NESTING = 600
-_NESTING_STEP = {"(": 3, ")": -3, "{": 1, "}": -1}
 
 
 class _Parser:
     def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.pos = 0
-        self.nesting = 0   # parser frames the open parentheses and braces hold
+        self.nesting = 0   # parser frames the open constructs hold
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -252,12 +255,19 @@ class _Parser:
         tok = self.toks[self.pos]
         if tok.kind != "eof":
             self.pos += 1
-        self.nesting += _NESTING_STEP.get(tok.kind, 0)
-        if self.nesting > _MAX_NESTING:
-            raise ParseError("parentheses and braces nest too deep: at most "
-                             f"{_MAX_NESTING // 3} parentheses or {_MAX_NESTING} braces",
-                             tok.line, tok.col)
         return tok
+
+    def hold(self, frames: int, tok: _Token) -> None:
+        """Count ``frames`` more parser frames held by the construct opened
+        at ``tok``; its caller gives them back when the construct closes.
+        Counted inline, not by a wrapper, which would hold frames itself."""
+        self.nesting += frames
+        if self.nesting > _MAX_NESTING:
+            raise ParseError(
+                f"constructs nest too deep: at most {_MAX_NESTING // 3} parentheses or "
+                f"{_MAX_NESTING} braces, if, while or else bodies, unary operators or "
+                "right operands may be open at once, a parenthesis counting as three "
+                "of the others", tok.line, tok.col)
 
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
@@ -298,20 +308,26 @@ class _Parser:
             self.expect("(")
             cond = self.expression()
             self.expect(")")
+            self.hold(1, tok)
             then_branch = self.statement()
+            self.nesting -= 1
             else_branch: Stmt = Skip()
             if self.peek().kind == "else":
-                self.advance()
+                self.hold(1, self.advance())
                 else_branch = self.statement()
+                self.nesting -= 1
             return If(cond, then_branch, else_branch)
         if tok.kind == "while":
             self.advance()
             self.expect("(")
             cond = self.expression()
             self.expect(")")
-            return While(cond, self.statement())
+            self.hold(1, tok)
+            body = self.statement()
+            self.nesting -= 1
+            return While(cond, body)
         if tok.kind == "{":
-            self.advance()
+            self.hold(1, self.advance())
             stmts: list[Stmt] = []
             while self.peek().kind != "}":
                 if self.peek().kind == "eof":
@@ -319,6 +335,7 @@ class _Parser:
                                      tok.line, tok.col, expected=("}",))
                 self._append(stmts, self.statement())
             self.advance()
+            self.nesting -= 1
             if not stmts:
                 return Skip()
             return stmts[0] if len(stmts) == 1 else Seq(tuple(stmts))
@@ -331,15 +348,19 @@ class _Parser:
         as tightly as ``min_prec``; operators of one tier associate left."""
         left = self.unary()
         while (prec := _PREC.get(self.peek().kind, 0)) >= min_prec:
-            op = self.advance().kind
-            left = Binary(op, left, self.expression(prec + 1))
+            op = self.advance()
+            self.hold(1, op)
+            left = Binary(op.kind, left, self.expression(prec + 1))
+            self.nesting -= 1
         return left
 
     def unary(self) -> Expr:
         tok = self.peek()
         if tok.kind in ("!", "-", "~"):
-            self.advance()
-            return Unary(tok.kind, self.unary())
+            self.hold(1, self.advance())
+            operand = self.unary()
+            self.nesting -= 1
+            return Unary(tok.kind, operand)
         return self.primary()
 
     def primary(self) -> Expr:
@@ -357,9 +378,10 @@ class _Parser:
             self.advance()
             return Var(tok.text)
         if tok.kind == "(":
-            self.advance()
+            self.hold(3, self.advance())
             e = self.expression()
             self.expect(")")
+            self.nesting -= 3
             return e
         raise ParseError(
             f"expected an expression but found '{tok.text}'", tok.line, tok.col,
@@ -711,6 +733,45 @@ _UNARY_OPS = {
     "~": operator.invert,
 }
 
+
+def _nonzero(column: list) -> list:
+    """``column``, once it holds no zero divisor."""
+    if 0 in column:
+        raise _Fault
+    return column
+
+
+def _shift_counts(column: list) -> list:
+    """``column``, once every shift count in it is from 0 to the limit."""
+    if min(column, default=0) < 0 or max(column, default=0) > _SHIFT_LIMIT:
+        raise _Fault
+    return column
+
+
+# Whole-column forms of the operators whose per-atom form is Python code:
+# one comprehension each for the truth values, or, where the right operand
+# may fault or be clamped, one check of the right column and then the C
+# operator.  A failed check raises ``_Fault`` before any value is made, and
+# ``_apply`` falls back to the per-atom form.
+_BINARY_COLUMNS = {
+    "||": lambda left, right: [1 if a or b else 0 for a, b in zip(left, right)],
+    "&&": lambda left, right: [1 if a and b else 0 for a, b in zip(left, right)],
+    "==": lambda left, right: [1 if a == b else 0 for a, b in zip(left, right)],
+    "!=": lambda left, right: [1 if a != b else 0 for a, b in zip(left, right)],
+    "<": lambda left, right: [1 if a < b else 0 for a, b in zip(left, right)],
+    "<=": lambda left, right: [1 if a <= b else 0 for a, b in zip(left, right)],
+    ">": lambda left, right: [1 if a > b else 0 for a, b in zip(left, right)],
+    ">=": lambda left, right: [1 if a >= b else 0 for a, b in zip(left, right)],
+    "<<": lambda left, right: list(map(operator.lshift, left, _shift_counts(right))),
+    ">>": lambda left, right: list(map(operator.rshift, left, _shift_counts(right))),
+    "/": lambda left, right: list(map(operator.floordiv, left, _nonzero(right))),
+    "%": lambda left, right: list(map(operator.mod, left, _nonzero(right))),
+}
+
+_UNARY_COLUMNS = {
+    "!": lambda column: [0 if v else 1 for v in column],
+}
+
 # Atoms one batch evaluation runs together.  A statement costs a few ``map``
 # calls per batch whatever its size, and a chunk's columns live until its
 # last run ends: larger chunks spread the first cost over more atoms,
@@ -721,14 +782,15 @@ _FAULTED = Observable(RUNTIME_ERROR)
 _OUT_OF_STEPS = Observable(NON_TERMINATION)
 
 
-def _apply(op, stopped: dict, later: dict, *columns: list) -> tuple[list, dict]:
+def _apply(op, stopped: dict, later: dict, *columns: list, whole=None) -> tuple[list, dict]:
     """``op`` mapped over its operand columns, as ``_Chunk.values`` returns
     it.  An atom stopped in the first operand (``stopped``) or a later one
     (``later``), in that order of precedence, stays stopped; one on which
-    ``op`` faults stops here."""
+    ``op`` faults stops here.  When no atom has stopped, ``whole``, the
+    operator's whole-column form, maps the columns if it is given."""
     if not (stopped or later):
         try:
-            return list(map(op, *columns)), stopped
+            return whole(*columns) if whole else list(map(op, *columns)), stopped
         except _Fault:
             pass
     stopped = {**later, **stopped}
@@ -794,7 +856,8 @@ class _Chunk:
         if isinstance(e, Binary):
             left, stopped = self.values(e.left, ids)
             right, later = self.values(e.right, ids)
-            return _apply(_BINARY_OPS[e.op], stopped, later, left, right)
+            return _apply(_BINARY_OPS[e.op], stopped, later, left, right,
+                          whole=_BINARY_COLUMNS.get(e.op))
         if isinstance(e, Var):
             column = self.store.get(e.name)
             if column is None:
@@ -806,7 +869,7 @@ class _Chunk:
             return values, {}
         if isinstance(e, Unary):
             operand, stopped = self.values(e.operand, ids)
-            return _apply(_UNARY_OPS[e.op], stopped, {}, operand)
+            return _apply(_UNARY_OPS[e.op], stopped, {}, operand, whole=_UNARY_COLUMNS.get(e.op))
         return [int(e.value)] * len(ids), {}
 
     def live_values(self, e: Expr, batch: _Batch, width: int | None = None) -> list:

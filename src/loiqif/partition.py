@@ -294,7 +294,9 @@ def relabel(domain: Domain, keys: Iterable[Hashable]) -> Partition:
     """Partition grouping domain positions by equal key, one key per
     position in domain order."""
     ids: dict[Hashable, int] = {}
-    labels = tuple([ids.setdefault(k, len(ids)) for k in keys])
+    # A key first seen is numbered by the count of distinct keys before it.
+    # The labels go straight into the tuple, with no list of them first.
+    labels = tuple(map(ids.setdefault, keys, map(len, repeat(ids))))
     return Partition._from_labels(domain, labels, len(ids))
 
 

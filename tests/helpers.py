@@ -403,9 +403,10 @@ def runs_reference(p, cfg, loop=None) -> list[tuple]:
 # partition the kernel of an {atom: key} dict, lattice operations by the
 # brute-force oracles above.
 
-def loop_analysis_reference(p, cfg, stores: dict) -> tuple:
+def loop_analysis_reference(p, cfg, stores: dict, max_iterations=None) -> tuple:
     """(W partitions, W chain, collision, result) of the first top-level
-    loop of ``p``, with ``stores`` mapping each atom to its initial store."""
+    loop of ``p``, with ``stores`` mapping each atom to its initial store;
+    the chain stops at ``max_iterations`` if it has not stabilized by then."""
     domain = Domain(stores)
     loop = next(s for s in p.body.stmts if isinstance(s, While))
     traces = {a: run_counting_loop_reference(p, store, cfg, loop)
@@ -416,11 +417,12 @@ def loop_analysis_reference(p, cfg, stores: dict) -> tuple:
         return (a[0], what) if sees_lows else what
 
     last = max((n for _, n in traces.values() if n is not None), default=0)
+    stop = last + 1 if max_iterations is None else max_iterations
     w = [kernel(domain, {a: seen(a, obs) if n == i else seen(a, "elsewhere")
                          for a, (obs, n) in traces.items()})
-         for i in range(last + 2)]
+         for i in range(stop + 1)]
     chain = [w[0]]
-    for i in range(1, last + 2):
+    for i in range(1, stop + 1):
         chain.append(join_oracle(chain[-1], w[i]))
         if chain[-1] == chain[-2] and i >= last:
             break

@@ -1,7 +1,9 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from loiqif import (
     AttackerConfig,
@@ -36,7 +38,7 @@ from loiqif.lang import (
     map_nodes,
 )
 
-from helpers import loop_analysis_reference
+from helpers import loop_analysis_reference, store_of
 
 PASSWORD = parse("if (h == l) o = 1; else o = 2;")
 
@@ -385,6 +387,44 @@ def test_loop_decomposition_matches_the_kernel_reference(name):
         # Unresolved runs share one block per low part.
         assert collision.relates((2, 1), (2, 3)) and collision.relates((3, 1), (3, 2))
         assert not collision.relates((2, 1), (3, 1))
+
+
+# Loops whose atoms finish at many iteration counts, with outputs that meet
+# across counts, some faults, and, with a small budget or ``x != l`` from
+# below, atoms that run out of steps.
+_LOOP_CONFIGS = {
+    "active, pinned low": AttackerConfig(high_vars=(("h", 3),), low_vars=(("l", 2, 1),),
+                                         observed_vars=("o",)),
+    "passive, enumerated low": _PASSIVE_LOOP_CFG,
+    "passive, one pinned low": AttackerConfig(
+        high_vars=(("h", 2),), low_vars=(("l", 1, None), ("m", 2, 3)),
+        observed_vars=("o",), mode=PASSIVE),
+}
+_loop_programs = st.tuples(
+    st.sampled_from(["h", "h ^ l", "h + l", "h * 3 % 5", "h - l"]),
+    st.sampled_from(["x > 0", "x > l", "x != l", "x % 3 != 0", "x > 0 && !(x == l)"]),
+    st.sampled_from(["x = x - 1;", "x = x - 2;", "x = x / 2;", "if (l < 1) x = x - 1; else x = x >> 1;"]),
+    st.sampled_from(["o = o + 1;", "o = 1 - o;", "o = (o + 3) & 3;", "o = o ^ x;",
+                     "o = o + 4 / (x - 1);"]),
+    st.sampled_from(["", "o = o + x;", "o = o & 1;", "o = o % (x + 1);"]),
+).map(lambda t: parse(f"x = {t[0]}; o = 0; while ({t[1]}) {{ {t[2]} {t[3]} }} {t[4]}"))
+
+
+@given(_loop_programs, st.sampled_from(sorted(_LOOP_CONFIGS)), st.integers(6, 120),
+       st.one_of(st.none(), st.integers(1, 8)))
+def test_loop_analysis_matches_the_kernel_reference(p, config, budget, max_iterations):
+    cfg = replace(_LOOP_CONFIGS[config], step_budget=budget)
+    analysis = loop_analyze(p, cfg, max_iterations)
+    stores = {a: store_of(cfg, a) for a in analysis.domain.atoms}
+    w, chain, collision, result = loop_analysis_reference(p, cfg, stores, max_iterations)
+    full_chain = loop_analysis_reference(p, cfg, stores)[1]
+    assert analysis.domain == Domain(stores)
+    assert (analysis.w_partitions, analysis.w_chain) == (w, chain)
+    assert (analysis.collision, analysis.result) == (collision, result)
+    assert analysis.iterations_analyzed == len(chain) - 1
+    assert analysis.stabilized == (chain == full_chain)
+    if analysis.stabilized:
+        assert result == loi(p, cfg)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,27 @@ def test_loop_command_json(workspace, capsys):
     assert partition_from_json(obj["collision"]).blocks == ((0,), (1,), (2, 3))
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare", "loop"])
+def test_json_output_is_the_standard_indented_text(workspace, capsys, command):
+    # The printer skips json's check for containers that hold themselves;
+    # the text stays exactly what the default encoder prints.
+    cfg = workspace("cfg.json", CFG_2BIT)
+    passive = workspace("passive.json", {
+        "high": [{"name": "h", "bits": 2}], "low": [{"name": "l", "bits": 2}],
+        "observe": ["o"], "mode": "passive"})
+    argv = {
+        "analyze": ["analyze", workspace("pw.wh", PASSWORD_SRC), "--config", passive,
+                    "--uniform"],
+        "compare": ["compare", workspace("m1.wh", M1_SRC), workspace("m2.wh", M2_SRC),
+                    "--config", cfg, "--trials", "3"],
+        "loop": ["loop", workspace("count.wh", "o = 0; while (h > o) o = o + 1;\n"),
+                 "--config", cfg],
+    }[command]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_loop_command_reports_non_stabilization_without_failing(workspace, capsys):
     countdown = workspace("count.wh", "o = 0; while (h > o) o = o + 1;\n")
     cfg = workspace("cfg.json", {"high": [{"name": "h", "bits": 3}], "low": [],

@@ -33,8 +33,11 @@ from loiqif import (
 from loiqif import lang
 from loiqif.analysis import _find_top_level_loop, loop_analyze
 from loiqif.lang import (
+    _BINARY_COLUMNS,
     _BINARY_LEVELS,
     _BINARY_OPS,
+    _UNARY_COLUMNS,
+    _UNARY_OPS,
     ACTIVE,
     CHUNK_SIZE,
     MAX_DEPTH,
@@ -58,6 +61,7 @@ from loiqif.lang import (
     _evaluate,
     _SHIFT_LIMIT,
     _Fault,
+    _apply,
     _walk,
     assigned_vars,
     config_from_json,
@@ -191,7 +195,12 @@ def _braces(k: int, inner: str = "o = h;") -> str:
     return "{" * k + inner + "}" * k
 
 
-# A parenthesis costs the parser three frames and a brace one; the open ones
+def _ifs(k: int, inner: str = "o = h;") -> str:
+    return "if (h) " * k + inner
+
+
+# A parenthesis costs the parser three frames; a brace, an if, while or else
+# body, a unary operator and a pending right operand one each; the open ones
 # may hold 600.  Each source is accepted (True) or rejected by that bound.
 _NESTED = {
     "200 parentheses": (_parens(200), True),
@@ -203,6 +212,17 @@ _NESTED = {
     "3000 braces": (_braces(3000), False),
     "300 braces round 100 parentheses": (_braces(300, _parens(100)), True),
     "300 braces round 101 parentheses": (_braces(300, _parens(101)), False),
+    "200 ifs round 100 parentheses": (_ifs(200, _parens(100)), True),
+    "290 ifs round 200 parentheses": (_ifs(290, _parens(200)), False),
+    "1000 ifs": (_ifs(1000), False),
+    "601 whiles": ("while (h) " * 601 + "o = h;", False),
+    "700 else bodies": ("if (h) o = 0; else " * 700 + "o = h;", False),
+    "1000 unary operators": ("o = " + "-" * 1000 + "h;", False),
+    "150 right operands in parentheses": ("o = " + "h + (" * 150 + "h" + ")" * 150 + ";", True),
+    "151 right operands in parentheses": ("o = " + "h + (" * 151 + "h" + ")" * 151 + ";", False),
+    "a precedence ladder in parentheses": (
+        "o = " + "h || h && h | h ^ h & h == h < h << h + h * (" * 60 + "h" + ")" * 60 + ";",
+        False),
 }
 
 
@@ -557,10 +577,9 @@ def _traced_peak(f) -> int:
 
 def test_loi_holds_no_view_per_atom():
     # 2^14 atoms and 256 distinct views: relabeling the views as they are
-    # yielded keeps only the distinct ones, so loi needs the labels (the
-    # list relabel fills and the tuple made of it) and the run of one
-    # chunk, about 0.4 MB; a list of every atom's view traces 0.9 MB and a
-    # map from every atom to its view 2 MB.
+    # yielded keeps only the distinct ones, so loi needs the labels tuple
+    # and the run of one chunk, about 0.35 MB; a list of every atom's view
+    # traces 0.9 MB and a map from every atom to its view 2 MB.
     p = parse("o = h & 255;")
     one_chunk = _traced_peak(lambda: loi(p, cfg_high(bits=CHUNK_SIZE.bit_length() - 1)))
     labels = sys.getsizeof(tuple(range(1 << 14)))
@@ -853,6 +872,36 @@ _batch_programs = st.tuples(
     st.sampled_from([(), (Assign("x", IntLit(0)),), _ASSIGN_BOTH, _ASSIGN_BOTH]),
     st.lists(st.one_of(_batch_stmts, _bounded_loops(_batch_stmts)), min_size=1, max_size=4),
 ).map(lambda t: Program(Seq(t[0] + tuple(t[1]) + _ASSIGN_BOTH)))
+
+
+def _atom_by_atom(op, *columns) -> tuple[list, dict]:
+    values, stopped = [], {}
+    for i, args in enumerate(zip(*columns)):
+        try:
+            values.append(op(*args))
+        except _Fault:
+            values.append(None)
+            stopped[i] = _Fault
+    return values, stopped
+
+
+# Zero divisors, negative shift counts and counts past the shift limit,
+# where a right shift clamps and a left shift faults.
+_column_values = st.sampled_from([-3, -1, 0, 1, 2, 5, _SHIFT_LIMIT, _SHIFT_LIMIT + 1, 1 << 70])
+
+
+@pytest.mark.parametrize("op", sorted(_BINARY_COLUMNS) + sorted(_UNARY_COLUMNS))
+@given(pairs=st.lists(st.tuples(_column_values, _column_values), max_size=6))
+def test_column_kernels_match_their_per_atom_operators(op, pairs):
+    if op in _BINARY_COLUMNS:
+        per_atom, whole = _BINARY_OPS[op], _BINARY_COLUMNS[op]
+        columns = [a for a, _ in pairs], [b for _, b in pairs]
+    else:
+        per_atom, whole = _UNARY_OPS[op], _UNARY_COLUMNS[op]
+        columns = ([a for a, _ in pairs],)
+    got = _apply(per_atom, {}, {}, *columns, whole=whole)
+    assert got == _atom_by_atom(per_atom, *columns)
+    assert all(type(v) is int for v in got[0] if v is not None)
 
 
 def _or_config_error(f):
