@@ -8,6 +8,7 @@ cap exceeded, 1 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from collections import Counter
@@ -120,8 +121,13 @@ def _distribution_text(mu: Distribution) -> str:
 
 
 def _emit_json(obj) -> None:
+    # Written a few thousand encoder pieces at a time: the whole text is never
+    # held at once, and one write per piece would cost more than encoding.
     # Every object printed is a fresh tree, so no container can hold itself.
-    print(json.dumps(obj, indent=2, check_circular=False))
+    pieces = json.JSONEncoder(indent=2, check_circular=False).iterencode(obj)
+    for text in iter(lambda: "".join(itertools.islice(pieces, 4096)), ""):
+        sys.stdout.write(text)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------

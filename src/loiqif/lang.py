@@ -17,14 +17,17 @@ Grammar (C-like expression syntax, ``//`` comments)::
 Values are integers (booleans are 1/0).  A variable declared in the
 attacker configuration has a bit width; assignments to it wrap modulo
 2^width (unsigned).  Undeclared variables are unbounded.  Every operator
-is one entry of ``_BINARY_OPS`` or ``_UNARY_OPS``, a function of the
-operand values with Python integer semantics; ``_BINARY_COLUMNS`` and
-``_UNARY_COLUMNS`` give some of them over whole columns.  Division or
-modulo by zero, a negative shift count, a left shift by more than 2^20
-and an assignment whose wrapped value would need more than 2^20 bits are
-runtime faults; a right shift by more than 2^20 shifts by 2^20.  Both
-operands of ``&&``/``||`` are always evaluated (expressions have no side
-effects, so short-circuiting would be unobservable anyway).  ``parse``
+is one entry of ``_BINARY_OPS`` or ``_UNARY_OPS``, a function of whole
+operand columns with Python integer semantics.  Division or modulo by
+zero, a negative shift count, a left shift by more than 2^20 and an
+assignment whose wrapped value would need more than 2^20 bits are runtime
+faults; a right shift by more than 2^20 shifts by 2^20.  Only those
+operators and the wrap have a per-atom form (``_div``, ``_mod``, ``_shl``,
+``_shr``, ``_wrap``), run only after a check of the whole column fails.
+Operands are evaluated left to right, and a run stops at its first fault
+or read before assignment: nothing to the right of it is evaluated.  Both
+operands of ``&&``/``||`` are otherwise always evaluated (expressions
+have no side effects, so short-circuiting would be unobservable).  ``parse``
 rejects syntax trees deeper than ``MAX_DEPTH`` levels and constructs nested
 deeper than ``_MAX_NESTING`` allows.
 
@@ -602,13 +605,20 @@ def _config_int(value, what: str) -> int:
     return value
 
 
+def _config_name(decl) -> str:
+    name = decl["name"]
+    if not isinstance(name, str):
+        raise ConfigError(f"variable name must be a JSON string, got {name!r}")
+    return name
+
+
 def config_from_json(obj) -> AttackerConfig:
     if not isinstance(obj, dict):
         raise ConfigError("configuration must be a JSON object")
     try:
-        high = tuple((d["name"], _config_int(d["bits"], f"bits of {d['name']!r}"))
+        high = tuple((_config_name(d), _config_int(d["bits"], f"bits of {d['name']!r}"))
                      for d in obj.get("high", []))
-        low = tuple((d["name"], _config_int(d["bits"], f"bits of {d['name']!r}"),
+        low = tuple((_config_name(d), _config_int(d["bits"], f"bits of {d['name']!r}"),
                      None if d.get("value") is None
                      else _config_int(d["value"], f"value of {d['name']!r}"))
                     for d in obj.get("low", []))
@@ -662,7 +672,8 @@ class Observable:
 
 
 class _Fault(Exception):
-    pass
+    """A runtime fault.  A failed column check raises it with the operator's
+    per-atom form, which then finds the atoms that fault."""
 
 
 _SHIFT_LIMIT = 1 << 20
@@ -706,70 +717,55 @@ def _wrap(width: int, value: int) -> int:
     return value
 
 
-_BINARY_OPS = {
-    "||": lambda left, right: 1 if left or right else 0,
-    "&&": lambda left, right: 1 if left and right else 0,
-    "|": operator.or_,
-    "^": operator.xor,
-    "&": operator.and_,
-    "==": lambda left, right: 1 if left == right else 0,
-    "!=": lambda left, right: 1 if left != right else 0,
-    "<": lambda left, right: 1 if left < right else 0,
-    "<=": lambda left, right: 1 if left <= right else 0,
-    ">": lambda left, right: 1 if left > right else 0,
-    ">=": lambda left, right: 1 if left >= right else 0,
-    "<<": _shl,
-    ">>": _shr,
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _div,
-    "%": _mod,
-}
-
-_UNARY_OPS = {
-    "!": lambda v: 0 if v else 1,
-    "-": operator.neg,
-    "~": operator.invert,
-}
-
-
-def _nonzero(column: list) -> list:
-    """``column``, once it holds no zero divisor."""
+def _nonzero(column: list, per_atom) -> list:
+    """``column``, once it holds no zero divisor; else a ``_Fault`` that
+    carries ``per_atom``."""
     if 0 in column:
-        raise _Fault
+        raise _Fault(per_atom)
     return column
 
 
-def _shift_counts(column: list) -> list:
-    """``column``, once every shift count in it is from 0 to the limit."""
+def _shift_counts(column: list, per_atom) -> list:
+    """``column``, once every shift count in it is from 0 to the limit; else
+    a ``_Fault`` that carries ``per_atom``."""
     if min(column, default=0) < 0 or max(column, default=0) > _SHIFT_LIMIT:
-        raise _Fault
+        raise _Fault(per_atom)
     return column
 
 
-# Whole-column forms of the operators whose per-atom form is Python code:
-# one comprehension each for the truth values, or, where the right operand
-# may fault or be clamped, one check of the right column and then the C
-# operator.  A failed check raises ``_Fault`` before any value is made, and
-# ``_apply`` falls back to the per-atom form.
-_BINARY_COLUMNS = {
+def _mapped(op, *columns: list) -> list:
+    return list(map(op, *columns))
+
+
+# Every operator over whole operand columns: a C operator mapped, or one
+# comprehension giving the truth values as ints.  ``/ % << >>`` first check
+# their right column; a failed check raises ``_Fault`` with the per-atom
+# form before any value is made.
+_BINARY_OPS = {
     "||": lambda left, right: [1 if a or b else 0 for a, b in zip(left, right)],
     "&&": lambda left, right: [1 if a and b else 0 for a, b in zip(left, right)],
+    "|": partial(_mapped, operator.or_),
+    "^": partial(_mapped, operator.xor),
+    "&": partial(_mapped, operator.and_),
     "==": lambda left, right: [1 if a == b else 0 for a, b in zip(left, right)],
     "!=": lambda left, right: [1 if a != b else 0 for a, b in zip(left, right)],
     "<": lambda left, right: [1 if a < b else 0 for a, b in zip(left, right)],
     "<=": lambda left, right: [1 if a <= b else 0 for a, b in zip(left, right)],
     ">": lambda left, right: [1 if a > b else 0 for a, b in zip(left, right)],
     ">=": lambda left, right: [1 if a >= b else 0 for a, b in zip(left, right)],
-    "<<": lambda left, right: list(map(operator.lshift, left, _shift_counts(right))),
-    ">>": lambda left, right: list(map(operator.rshift, left, _shift_counts(right))),
-    "/": lambda left, right: list(map(operator.floordiv, left, _nonzero(right))),
-    "%": lambda left, right: list(map(operator.mod, left, _nonzero(right))),
+    "<<": lambda left, right: list(map(operator.lshift, left, _shift_counts(right, _shl))),
+    ">>": lambda left, right: list(map(operator.rshift, left, _shift_counts(right, _shr))),
+    "+": partial(_mapped, operator.add),
+    "-": partial(_mapped, operator.sub),
+    "*": partial(_mapped, operator.mul),
+    "/": lambda left, right: list(map(operator.floordiv, left, _nonzero(right, _div))),
+    "%": lambda left, right: list(map(operator.mod, left, _nonzero(right, _mod))),
 }
 
-_UNARY_COLUMNS = {
+_UNARY_OPS = {
     "!": lambda column: [0 if v else 1 for v in column],
+    "-": partial(_mapped, operator.neg),
+    "~": partial(_mapped, operator.invert),
 }
 
 # Atoms one batch evaluation runs together.  A statement costs a few ``map``
@@ -780,30 +776,6 @@ CHUNK_SIZE = 1024
 
 _FAULTED = Observable(RUNTIME_ERROR)
 _OUT_OF_STEPS = Observable(NON_TERMINATION)
-
-
-def _apply(op, stopped: dict, later: dict, *columns: list, whole=None) -> tuple[list, dict]:
-    """``op`` mapped over its operand columns, as ``_Chunk.values`` returns
-    it.  An atom stopped in the first operand (``stopped``) or a later one
-    (``later``), in that order of precedence, stays stopped; one on which
-    ``op`` faults stops here.  When no atom has stopped, ``whole``, the
-    operator's whole-column form, maps the columns if it is given."""
-    if not (stopped or later):
-        try:
-            return whole(*columns) if whole else list(map(op, *columns)), stopped
-        except _Fault:
-            pass
-    stopped = {**later, **stopped}
-    values = []
-    for i, args in enumerate(zip(*columns)):
-        if i not in stopped:
-            try:
-                values.append(op(*args))
-                continue
-            except _Fault:
-                stopped[i] = _Fault
-        values.append(None)
-    return values, stopped
 
 
 class _Batch:
@@ -828,10 +800,12 @@ class _Chunk:
     reached it: an operator is mapped over its operand columns, ``if``
     splits the batch by the condition and ``while`` repeats on the part
     still in the loop.  Steps are counted per batch until the cached
-    ``room`` says some atom may be out of them.  An atom leaves the batch
-    when it faults, runs out of steps or reads a variable it never
-    assigned; only an operator or a wrap to a declared width that faults,
-    or an operator that reads such a variable, is applied atom by atom.
+    ``room`` says some atom may be out of them.  An atom stops where it
+    faults, runs out of steps or reads a variable it never assigned: the
+    stop is recorded there and the atom leaves the batch, so nothing to
+    the right of that point is evaluated for it.  Only an operator or a
+    wrap to a declared width whose column check fails is applied atom by
+    atom.
     """
 
     def __init__(self, columns: dict[str, list], size: int, widths: dict[str, int],
@@ -848,49 +822,66 @@ class _Chunk:
         self.kinds = [TERMINATED] * size
         self.unbound: dict[int, str] = {}   # atom -> variable it read before assignment
 
-    def values(self, e: Expr, ids: list[int]) -> tuple[list, dict]:
-        """``e``'s value on each atom of ``ids`` (None where it stopped),
-        and the atoms whose evaluation stopped, by index into ``ids``:
-        ``_Fault``, or the variable read before assignment, whichever comes
-        first with operands evaluated left to right."""
+    def values(self, e: Expr, ids: list[int]) -> tuple[list[int], list]:
+        """The atoms of ``ids`` on which ``e`` evaluates, and its value on
+        each.  Operands are evaluated left to right, a right operand only on
+        the atoms its left one kept; an atom that faults or reads a variable
+        before assigning it stops there."""
         if isinstance(e, Binary):
-            left, stopped = self.values(e.left, ids)
-            right, later = self.values(e.right, ids)
-            return _apply(_BINARY_OPS[e.op], stopped, later, left, right,
-                          whole=_BINARY_COLUMNS.get(e.op))
+            left_ids, left = self.values(e.left, ids)
+            ids, right = self.values(e.right, left_ids)
+            if len(ids) < len(left_ids):
+                kept = set(ids)
+                left = [v for i, v in zip(left_ids, left) if i in kept]
+            return self._map(_BINARY_OPS[e.op], ids, left, right)
         if isinstance(e, Var):
             column = self.store.get(e.name)
             if column is None:
-                return [None] * len(ids), dict.fromkeys(range(len(ids)), e.name)
+                self.unbound.update(dict.fromkeys(ids, e.name))
+                return [], []
             # A copy even of a whole column: an assignment keeps the list it is given.
             values = column[:] if len(ids) == self.size else [column[i] for i in ids]
             if e.name in self.unset and None in values:
-                return values, {i: e.name for i, v in enumerate(values) if v is None}
-            return values, {}
+                self.unbound.update((i, e.name) for i, v in zip(ids, values) if v is None)
+                assigned = [v is not None for v in values]
+                return (list(itertools.compress(ids, assigned)),
+                        list(itertools.compress(values, assigned)))
+            return ids, values
         if isinstance(e, Unary):
-            operand, stopped = self.values(e.operand, ids)
-            return _apply(_UNARY_OPS[e.op], stopped, {}, operand, whole=_UNARY_COLUMNS.get(e.op))
-        return [int(e.value)] * len(ids), {}
+            ids, operand = self.values(e.operand, ids)
+            return self._map(_UNARY_OPS[e.op], ids, operand)
+        return ids, [int(e.value)] * len(ids)
+
+    def _map(self, op, ids: list[int], *columns: list) -> tuple[list[int], list]:
+        """``op`` over the operand columns of the atoms ``ids``, as
+        ``values`` returns it; after a failed column check, its per-atom
+        form."""
+        try:
+            return ids, op(*columns)
+        except _Fault as fault:
+            return self._each(fault.args[0], ids, *columns)
+
+    def _each(self, op, ids: list[int], *columns: list) -> tuple[list[int], list]:
+        """``op`` on each atom of ``ids``: the atoms on which it does not
+        fault, and its values there; the others stop with a runtime error."""
+        kept, values = [], []
+        for i, args in zip(ids, zip(*columns)):
+            try:
+                values.append(op(*args))
+                kept.append(i)
+            except _Fault:
+                self.kinds[i] = RUNTIME_ERROR
+                self.iterations[i] += self.counting or 0
+        return kept, values
 
     def live_values(self, e: Expr, batch: _Batch, width: int | None = None) -> list:
         """``e``'s value on each atom of the batch, wrapped to ``width``
-        bits when one is given, once the atoms whose evaluation stopped have
-        left it."""
-        values, stopped = self.values(e, batch.ids)
-        if width is not None and (stopped or (values and (
-                min(values) < 0 or max(values).bit_length() > width))):
-            values, stopped = _apply(partial(_wrap, width), stopped, {}, values)
-        if stopped:
-            for i, why in stopped.items():
-                atom = batch.ids[i]
-                if why is _Fault:
-                    self.kinds[atom] = RUNTIME_ERROR
-                    self.iterations[atom] += self.counting or 0
-                else:
-                    self.unbound[atom] = why
-            keep = [i not in stopped for i in range(len(values))]
-            batch.ids = list(itertools.compress(batch.ids, keep))
-            values = list(itertools.compress(values, keep))
+        bits when one is given, once the atoms that stopped have left it."""
+        ids, values = self.values(e, batch.ids)
+        if width is not None and values and (
+                min(values) < 0 or max(values).bit_length() > width):
+            ids, values = self._each(partial(_wrap, width), ids, values)
+        batch.ids = ids
         return values
 
     def spend(self, batch: _Batch) -> None:

@@ -2,12 +2,13 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from loiqif import Distribution, Domain, Partition, loi, parse
-from loiqif.cli import main
+from loiqif.cli import _emit_json, main
 from loiqif.lang import MAX_DEPTH, AttackerConfig
 from loiqif.measures import distribution_to_json
 from loiqif.partition import partition_from_json
@@ -359,6 +360,27 @@ def test_json_output_is_the_standard_indented_text(workspace, capsys, command):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+class _Sink:
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def test_json_output_is_written_without_holding_the_whole_text():
+    # 2^16 atoms print 0.84 MB of text, which the writer never holds whole.
+    sink = _Sink()
+    obj = {"blocks": [list(range(1 << 16))]}
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            _emit_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sink.size
+
+
 def test_loop_command_reports_non_stabilization_without_failing(workspace, capsys):
     countdown = workspace("count.wh", "o = 0; while (h > o) o = o + 1;\n")
     cfg = workspace("cfg.json", {"high": [{"name": "h", "bits": 3}], "low": [],
@@ -593,6 +615,21 @@ def test_non_integer_config_fields_exit_two(workspace, capsys, cfg_obj):
     assert "must be an integer" in err
 
 
+@pytest.mark.parametrize("cfg_obj", [
+    dict(CFG_2BIT, high=[{"name": None, "bits": 2}]),
+    dict(CFG_2BIT, high=[{"name": 7, "bits": 2}]),
+    dict(CFG_2BIT, high=[{"name": ["h"], "bits": 2}]),
+    dict(CFG_2BIT, low=[{"name": 7, "bits": 2, "value": 1}]),
+])
+def test_non_string_config_names_exit_two(workspace, capsys, cfg_obj):
+    # Read as a string, a null name would declare the None this program reads.
+    prog = workspace("none.wh", "o = None + 1;\n")
+    cfg = workspace("cfg.json", cfg_obj)
+    code, out, err = run_cli(capsys, "capacity", prog, "--config", cfg)
+    assert (code, out) == (2, "")
+    assert "variable name must be a JSON string" in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "multirun"])
 @pytest.mark.parametrize("guesses", ["0", "-3"])
 def test_guesses_below_one_exits_two(workspace, capsys, command, guesses):
@@ -814,9 +851,9 @@ def _mostly(usual: list, odd: list):
 
 
 _WIDTH = _mostly([1, 2, 3], [-1, 0, 10 ** 30, *_NOT_AN_INT])
-_HIGH = st.fixed_dictionaries({"name": _mostly(["h"], ["l"]), "bits": _WIDTH})
+_HIGH = st.fixed_dictionaries({"name": _mostly(["h"], ["l", None, 7, ["h"]]), "bits": _WIDTH})
 _LOW = st.fixed_dictionaries({
-    "name": _mostly(["l"], ["h"]),
+    "name": _mostly(["l"], ["h", None, 7, ["h"]]),
     "bits": _mostly([1, 2, 3, 10 ** 30], [-1, 0, *_NOT_AN_INT]),
     "value": _mostly([0, 5, 1], [-1, -5, 10 ** 30, *_NOT_AN_INT]),
 })
@@ -841,9 +878,10 @@ _FUZZ_COMMANDS = [["capacity"], ["analyze", "--uniform"], ["loop"]]
 @given(_CONFIG_OBJ, st.sampled_from(_FUZZ_PROGRAMS), st.sampled_from(_FUZZ_COMMANDS))
 def test_fuzzed_config_files_exit_zero_two_or_three(tmp_path_factory, obj, source, command):
     """Generated --config files: widths, values, budgets and caps that are
-    negative, zero, huge or not integers at all, unknown modes, observed
-    names nobody declares.  Every one exits 0, 2 or 3 without a traceback,
-    within 2 s, with the same stdout twice."""
+    negative, zero, huge or not integers at all, names that are not
+    strings, unknown modes, observed names nobody declares.  Every one
+    exits 0, 2 or 3 without a traceback, within 2 s, with the same stdout
+    twice."""
     work = tmp_path_factory.mktemp("fuzz")
     program, cfg = work / "p.wh", work / "cfg.json"
     program.write_text(source)

@@ -33,10 +33,8 @@ from loiqif import (
 from loiqif import lang
 from loiqif.analysis import _find_top_level_loop, loop_analyze
 from loiqif.lang import (
-    _BINARY_COLUMNS,
     _BINARY_LEVELS,
     _BINARY_OPS,
-    _UNARY_COLUMNS,
     _UNARY_OPS,
     ACTIVE,
     CHUNK_SIZE,
@@ -61,7 +59,6 @@ from loiqif.lang import (
     _evaluate,
     _SHIFT_LIMIT,
     _Fault,
-    _apply,
     _walk,
     assigned_vars,
     config_from_json,
@@ -409,6 +406,7 @@ def test_shift_count_limits():
 
 def test_operator_table_covers_the_grammar():
     assert set(_BINARY_OPS) == {op for level in _BINARY_LEVELS for op in level}
+    assert set(_UNARY_OPS) == {"!", "-", "~"}
 
 
 _stores = st.fixed_dictionaries({n: st.integers(-300, 300) for n in ("h", "l", "o")})
@@ -874,34 +872,26 @@ _batch_programs = st.tuples(
 ).map(lambda t: Program(Seq(t[0] + tuple(t[1]) + _ASSIGN_BOTH)))
 
 
-def _atom_by_atom(op, *columns) -> tuple[list, dict]:
-    values, stopped = [], {}
-    for i, args in enumerate(zip(*columns)):
-        try:
-            values.append(op(*args))
-        except _Fault:
-            values.append(None)
-            stopped[i] = _Fault
-    return values, stopped
-
-
 # Zero divisors, negative shift counts and counts past the shift limit,
 # where a right shift clamps and a left shift faults.
 _column_values = st.sampled_from([-3, -1, 0, 1, 2, 5, _SHIFT_LIMIT, _SHIFT_LIMIT + 1, 1 << 70])
 
 
-@pytest.mark.parametrize("op", sorted(_BINARY_COLUMNS) + sorted(_UNARY_COLUMNS))
-@given(pairs=st.lists(st.tuples(_column_values, _column_values), max_size=6))
-def test_column_kernels_match_their_per_atom_operators(op, pairs):
-    if op in _BINARY_COLUMNS:
-        per_atom, whole = _BINARY_OPS[op], _BINARY_COLUMNS[op]
-        columns = [a for a, _ in pairs], [b for _, b in pairs]
-    else:
-        per_atom, whole = _UNARY_OPS[op], _UNARY_COLUMNS[op]
-        columns = ([a for a, _ in pairs],)
-    got = _apply(per_atom, {}, {}, *columns, whole=whole)
-    assert got == _atom_by_atom(per_atom, *columns)
-    assert all(type(v) is int for v in got[0] if v is not None)
+@pytest.mark.parametrize("op, arity", [(op, 2) for op in sorted(_BINARY_OPS)]
+                         + [(op, 1) for op in sorted(_UNARY_OPS)])
+@given(pairs=st.lists(st.tuples(_column_values, _column_values), min_size=1, max_size=6))
+def test_each_operator_matches_the_reference_on_a_mixed_batch(op, arity, pairs):
+    # One batch holds atoms that pass the column check beside ones that fail it.
+    e = Binary(op, Var("h"), Var("l")) if arity == 2 else Unary(op, Var("h"))
+    columns = {"h": [h for h, _ in pairs], "l": [l for _, l in pairs]}
+    got = _evaluate(Program(Seq((Assign("o", e),))), columns, len(pairs), cfg_high())
+    for (h, l), (obs, _) in zip(pairs, got):
+        try:
+            want = Observable(TERMINATED, (eval_expr_reference(e, {"h": h, "l": l}),))
+        except _Fault:
+            want = Observable(RUNTIME_ERROR)
+        assert obs == want
+        assert all(type(v) is int for v in obs.values)
 
 
 def _or_config_error(f):
@@ -986,7 +976,8 @@ def test_the_left_operand_of_and_or_stops_a_run_first(op):
         Observable(RUNTIME_ERROR)
     # In one batch: atom 2 faults before it would read the y it never set.
     p = parse(f"if (h != 2) y = h; o = (1 / (h - 2)) {op} y;")
-    want = [Observable(TERMINATED, (_BINARY_OPS[op](1 // (h - 2), h),)) if h != 2
+    truth = all if op == "&&" else any
+    want = [Observable(TERMINATED, (int(truth((1 // (h - 2), h))),)) if h != 2
             else Observable(RUNTIME_ERROR) for h in range(4)]
     assert [obs for obs, _ in runs(p, cfg)[1]] == want
     with pytest.raises(ConfigError, match="variable 'y' read before assignment"):
