@@ -177,8 +177,8 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
     ``max_iterations`` caps the chain length.  The default is one past the
     largest iteration count any run reached: no run finishes later, so by
     then the chain has stopped growing and always stabilizes.  Partitions
-    are kernels of what the attacker sees of each run (``attacker_view``),
-    so a passive attacker also tells apart runs with different lows.
+    are kernels of the keys ``runs`` gives, so a passive attacker also
+    tells apart runs with different lows.
     """
     loop = _find_top_level_loop(p.body)
     if loop is None:
@@ -186,8 +186,12 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
     if max_iterations is not None and max_iterations < 1:
         raise AnalysisError("max_iterations must be >= 1")
 
-    domain, results = runs(p, cfg, loop)
-    views, counts = zip(*results)
+    domain, chunks = runs(p, cfg, loop)
+    views: list = []
+    counts: list[int | None] = []
+    for keys, chunk_counts in chunks:
+        views += keys
+        counts += chunk_counts
     # Number the views 0, 1, ... and the low parts -1, -2, ... once: every
     # key below is one of these integers, so no view meets a low part.
     numbered = relabel(domain, views)

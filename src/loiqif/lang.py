@@ -51,23 +51,28 @@ by the configuration's ``step_budget``, the one place a budget is set.
 ``runs`` is the one place that runs a program on every input: it
 enumerates the attacker-facing input atoms (values of the high variables
 when the attacker fixes the lows; (low, high) pairs for an eavesdropper),
-runs them ``CHUNK_SIZE`` at a time and yields what the attacker sees of
-each run, with the iteration count of a chosen loop.  ``loi`` interprets
-a program as a partition of the secret space, the kernel of those views
-— atoms are indistinguishable exactly when the program output looks the
-same.  It relabels the views as ``runs`` yields them, so only the
-distinct views outlive their chunk.
+runs them ``CHUNK_SIZE`` at a time and yields two columns per chunk: a
+key per atom, equal for two atoms exactly when the attacker sees their
+runs alike, and the iteration count of a chosen loop.  A key is the tuple
+of observed values or the kind of a stopped run, paired with the low
+index of the atom when the attacker sees enumerated lows go in.  ``loi``
+interprets a program as a partition of the secret space, the kernel of
+those keys — atoms are indistinguishable exactly when the program output
+looks the same.  It relabels the keys a chunk at a time, so only the
+distinct keys outlive their chunk.  An ``Observable`` is built only for
+the one run of ``eval_program`` or ``run_counting_loop``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterator, Mapping
 
-from .partition import Atom, Domain, Partition, QifError, relabel
+from .partition import Domain, Partition, QifError, relabel
 
 
 class ParseError(QifError):
@@ -549,9 +554,9 @@ class AttackerConfig:
     enumeration_cap: int = DEFAULT_CAP
 
     def __post_init__(self):
-        object.__setattr__(self, "high_vars", tuple((str(n), int(b)) for n, b in self.high_vars))
+        object.__setattr__(self, "high_vars", tuple((n, int(b)) for n, b in self.high_vars))
         object.__setattr__(self, "low_vars",
-                           tuple((str(n), int(b), None if v is None else int(v))
+                           tuple((n, int(b), None if v is None else int(v))
                                  for n, b, v in self.low_vars))
         if not self.observed_vars:
             object.__setattr__(self, "observed_vars",
@@ -563,6 +568,9 @@ class AttackerConfig:
         if self.step_budget < 1:
             raise ConfigError("step budget must be positive")
         names: set[str] = set()
+        for name in (*(n for n, _ in self.high_vars), *(n for n, _, _ in self.low_vars)):
+            if not isinstance(name, str):
+                raise ConfigError(f"variable name must be a string, got {name!r}")
         for name, bits in self.high_vars:
             if bits < 1:
                 raise ConfigError(f"high variable {name!r} needs a width >= 1")
@@ -605,20 +613,13 @@ def _config_int(value, what: str) -> int:
     return value
 
 
-def _config_name(decl) -> str:
-    name = decl["name"]
-    if not isinstance(name, str):
-        raise ConfigError(f"variable name must be a JSON string, got {name!r}")
-    return name
-
-
 def config_from_json(obj) -> AttackerConfig:
     if not isinstance(obj, dict):
         raise ConfigError("configuration must be a JSON object")
     try:
-        high = tuple((_config_name(d), _config_int(d["bits"], f"bits of {d['name']!r}"))
+        high = tuple((d["name"], _config_int(d["bits"], f"bits of {d['name']!r}"))
                      for d in obj.get("high", []))
-        low = tuple((_config_name(d), _config_int(d["bits"], f"bits of {d['name']!r}"),
+        low = tuple((d["name"], _config_int(d["bits"], f"bits of {d['name']!r}"),
                      None if d.get("value") is None
                      else _config_int(d["value"], f"value of {d['name']!r}"))
                     for d in obj.get("low", []))
@@ -773,10 +774,6 @@ _UNARY_OPS = {
 # last run ends: larger chunks spread the first cost over more atoms,
 # smaller ones bound the second.
 CHUNK_SIZE = 1024
-
-_FAULTED = Observable(RUNTIME_ERROR)
-_OUT_OF_STEPS = Observable(NON_TERMINATION)
-
 
 class _Batch:
     """The live atoms that run the same statements: their positions in the
@@ -990,34 +987,31 @@ class _Chunk:
             self.counting = None
         self._merge(batch, exited)
 
-    def results(self, observed: tuple[str, ...]) -> list[tuple[Observable, int | None]]:
-        """Each atom's observable and ``loop`` count (None when out of
-        steps), or a ConfigError for the lowest atom that read a variable
-        before assigning it."""
+    def results(self, observed: tuple[str, ...]) -> tuple[list, list]:
+        """Each atom's key and ``loop`` count, or a ConfigError for the
+        lowest atom that read a variable before assigning it.  The key is
+        the tuple of the observed variables' final values for a run that
+        terminated, else its kind, a string that equals no tuple; the count
+        is None for a run out of steps."""
         if self.unbound:
             atom = min(self.unbound)
             raise ConfigError(f"variable {self.unbound[atom]!r} read before assignment")
-        outputs = zip(*(self.store.get(name, [None] * self.size) for name in observed))
-        seen: dict[tuple, Observable] = {}
-        out = []
-        for kind, values, count in zip(self.kinds, outputs, self.iterations):
-            if kind is TERMINATED:
-                obs = seen.get(values)
-                if obs is None:
-                    obs = seen[values] = Observable(TERMINATED, values)
-                out.append((obs, count))
-            elif kind is RUNTIME_ERROR:
-                out.append((_FAULTED, count))
-            else:
-                out.append((_OUT_OF_STEPS, None))
-        return out
+        keys = list(zip(*(self.store.get(name, [None] * self.size) for name in observed)))
+        counts = self.iterations
+        if self.kinds.count(TERMINATED) < self.size:
+            for i, kind in enumerate(self.kinds):
+                if kind is not TERMINATED:
+                    keys[i] = kind
+                    if kind is NON_TERMINATION:
+                        counts[i] = None
+        return keys, counts
 
 
 def _evaluate(p: Program, columns: dict[str, list], size: int, cfg: AttackerConfig,
-              loop: While | None = None) -> list[tuple[Observable, int | None]]:
+              loop: While | None = None) -> tuple[list, list]:
     """Run ``p`` on ``size`` atoms at once, the initial value of each
-    variable given as a column, and return what ``run_counting_loop``
-    returns for each atom."""
+    variable given as a column, and return each atom's key and ``loop``
+    count as ``_Chunk.results`` gives them."""
     chunk = _Chunk(columns, size, cfg.widths(), cfg.step_budget, loop)
     chunk.run(p.body, _Batch(list(range(size)), 0, chunk.budget))
     return chunk.results(cfg.observed_vars)
@@ -1036,7 +1030,9 @@ def run_counting_loop(p: Program, initial: Mapping[str, int], cfg: AttackerConfi
     executions of ``loop`` (compared by identity) the run performed;
     None when the run exhausts its budget.  It is a batch of one."""
     columns = {name: [value] for name, value in initial.items()}
-    return _evaluate(p, columns, 1, cfg, loop)[0]
+    (key,), (count,) = _evaluate(p, columns, 1, cfg, loop)
+    obs = Observable(TERMINATED, key) if isinstance(key, tuple) else Observable(key)
+    return obs, count
 
 
 # ---------------------------------------------------------------------------
@@ -1088,38 +1084,31 @@ def validate_program(p: Program, cfg: AttackerConfig) -> None:
             raise ConfigError(f"observed variable {name!r} is never declared or assigned")
 
 
-def attacker_view(cfg: AttackerConfig, atom: Atom, seen):
-    """What the attacker sees of a run on ``atom`` whose output looks like
-    ``seen``.
-
-    A passive attacker watches the public low inputs go in as well as
-    the observed variables come out, so with enumerated lows the view is
-    the (low values, ``seen``) pair; two atoms with different low parts
-    always look different.  Otherwise the view is ``seen`` itself."""
-    return (atom[0], seen) if cfg.mode == PASSIVE and cfg.low_vars else seen
-
-
 def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
-         ) -> tuple[Domain, Iterator[tuple[object, int | None]]]:
-    """The domain and an iterator over (what the attacker sees of the run,
-    its ``loop`` iteration count or None when out of budget), one run per
-    atom in domain order, from the atom's values under their names.  The
-    atoms run ``CHUNK_SIZE`` at a time, each chunk as one batch whose
-    columns are computed from the atom indexes."""
+         ) -> tuple[Domain, Iterator[tuple[list, list]]]:
+    """The domain and an iterator over (keys, counts) column pairs, one pair
+    per ``CHUNK_SIZE`` atoms in domain order: each atom's key and ``loop``
+    count as ``_Chunk.results`` gives them.  Each chunk runs as one batch
+    whose columns are computed from the atom indexes.  A passive attacker
+    also watches the public lows go in, so with enumerated lows an atom's
+    key is paired with its low index, the atom index over the number of
+    high values: atoms with different lows never share a key."""
     validate_program(p, cfg)
     domain = enumerate_domain(cfg)
-    names, ranges, _, pinned = _plan(cfg)
+    names, ranges, n_lows, pinned = _plan(cfg)
+    highs = math.prod(map(len, ranges[n_lows:]))
 
-    def results():
-        atoms = iter(domain.atoms)
+    def chunks():
         for start in range(0, domain.size, CHUNK_SIZE):
             ids = range(start, min(start + CHUNK_SIZE, domain.size))
             inputs = dict(zip(names, _columns(ranges, ids)))
             inputs.update((name, [value] * len(ids)) for name, value in pinned.items())
-            for (obs, iterations), atom in zip(_evaluate(p, inputs, len(ids), cfg, loop), atoms):
-                yield attacker_view(cfg, atom, obs), iterations
+            keys, counts = _evaluate(p, inputs, len(ids), cfg, loop)
+            if n_lows:
+                keys = list(zip([i // highs for i in ids], keys))
+            yield keys, counts
 
-    return domain, results()
+    return domain, chunks()
 
 
 def _columns(ranges: list[range], ids: range) -> list[list[int]]:
@@ -1136,15 +1125,18 @@ def _columns(ranges: list[range], ids: range) -> list[list[int]]:
 
 
 def loi(p: Program, cfg: AttackerConfig) -> tuple[Domain, Partition]:
-    """The program's partition of the secret space: the kernel of what
-    the attacker sees of each run, relabeled as ``runs`` yields it."""
-    domain, results = runs(p, cfg)
-    return domain, relabel(domain, (view for view, _ in results))
+    """The program's partition of the secret space: the kernel of the keys
+    ``runs`` gives, relabeled a chunk at a time."""
+    domain, chunks = runs(p, cfg)
+    return domain, relabel(domain, itertools.chain.from_iterable(
+        map(operator.itemgetter(0), chunks)))
 
 
 def low_projection(domain: Domain, cfg: AttackerConfig) -> Partition:
     """Partition of the atoms by their low part (one block per low value);
     the one-block partition when lows are not enumerated.  It is what the
-    attacker sees of runs that all look alike."""
-    return relabel(domain, (attacker_view(cfg, a, None) for a in domain.atoms))
-
+    attacker sees of runs that all look alike: the atom index over the
+    number of high values, as in ``runs``."""
+    _, ranges, n_lows, _ = _plan(cfg)
+    highs = math.prod(map(len, ranges[n_lows:]))
+    return relabel(domain, (i // highs for i in range(domain.size)))

@@ -627,7 +627,7 @@ def test_non_string_config_names_exit_two(workspace, capsys, cfg_obj):
     cfg = workspace("cfg.json", cfg_obj)
     code, out, err = run_cli(capsys, "capacity", prog, "--config", cfg)
     assert (code, out) == (2, "")
-    assert "variable name must be a JSON string" in err
+    assert "variable name must be a string" in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "multirun"])

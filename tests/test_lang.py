@@ -417,7 +417,8 @@ _stores = st.fixed_dictionaries({n: st.integers(-300, 300) for n in ("h", "l", "
 def test_operator_table_matches_reference(e, stores):
     # One batch runs every store: atoms that fault sit beside ones that do not.
     columns = {n: [store[n] for store in stores] for n in ("h", "l", "o")}
-    got = _evaluate(Program(Seq((Assign("o", e),))), columns, len(stores), cfg_high())
+    got = _as_reference(*_evaluate(Program(Seq((Assign("o", e),))), columns, len(stores),
+                                   cfg_high()))
     for store, (obs, _) in zip(stores, got):
         try:
             want = Observable(TERMINATED, (eval_expr_reference(e, store),))
@@ -729,6 +730,15 @@ def test_config_validation_errors():
         AttackerConfig(high_vars=(("h", 2),), observed_vars=("o",), mode="sneaky")
 
 
+@pytest.mark.parametrize("name", [None, 7])
+def test_config_rejects_non_string_names(name):
+    # Turned into a string, such a name would declare a variable 'None' or '7'.
+    with pytest.raises(ConfigError, match=f"variable name must be a string, got {name!r}"):
+        AttackerConfig(high_vars=((name, 2),), observed_vars=("o",))
+    with pytest.raises(ConfigError, match=f"variable name must be a string, got {name!r}"):
+        AttackerConfig(high_vars=(("h", 2),), low_vars=((name, 2, 1),), observed_vars=("o",))
+
+
 def test_passive_fixed_low_pins_enumeration():
     cfg = AttackerConfig(high_vars=(("h", 1),), low_vars=(("l", 2, 2),),
                          observed_vars=("o",), mode=PASSIVE)
@@ -818,7 +828,9 @@ def test_enumerated_domain_matches_tuple_domain(shape):
 
 # Every configuration declares h, g and l, and together they cover each
 # shape of atom: high tuples with pinned lows, bare highs with two pinned
-# lows, and (low, high) pairs with a tuple on either side.
+# lows, and (low, high) pairs with a tuple on either side.  The last one
+# enumerates x as a second low around the pinned o, so the low index of an
+# atom steps over a mixed radix with a pinned digit in the middle.
 _BATCH_CONFIGS = [
     AttackerConfig(high_vars=(("h", 2), ("g", 1)), low_vars=(("l", 2, 2),),
                    observed_vars=("o", "x")),
@@ -827,6 +839,9 @@ _BATCH_CONFIGS = [
     AttackerConfig(high_vars=(("h", 2), ("g", 1)), low_vars=(("l", 2, None),),
                    observed_vars=("o", "x"), mode=PASSIVE),
     AttackerConfig(high_vars=(("h", 3),), low_vars=(("l", 1, None), ("g", 1, 1)),
+                   observed_vars=("o", "x"), mode=PASSIVE),
+    AttackerConfig(high_vars=(("h", 2), ("g", 1)),
+                   low_vars=(("l", 2, None), ("o", 2, 3), ("x", 1, None)),
                    observed_vars=("o", "x"), mode=PASSIVE),
 ]
 _batch_names = st.sampled_from(["h", "g", "l", "o", "x"])
@@ -884,7 +899,8 @@ def test_each_operator_matches_the_reference_on_a_mixed_batch(op, arity, pairs):
     # One batch holds atoms that pass the column check beside ones that fail it.
     e = Binary(op, Var("h"), Var("l")) if arity == 2 else Unary(op, Var("h"))
     columns = {"h": [h for h, _ in pairs], "l": [l for _, l in pairs]}
-    got = _evaluate(Program(Seq((Assign("o", e),))), columns, len(pairs), cfg_high())
+    got = _as_reference(*_evaluate(Program(Seq((Assign("o", e),))), columns, len(pairs),
+                                   cfg_high()))
     for (h, l), (obs, _) in zip(pairs, got):
         try:
             want = Observable(TERMINATED, (eval_expr_reference(e, {"h": h, "l": l}),))
@@ -901,8 +917,34 @@ def _or_config_error(f):
         return f"ConfigError: {exc}"
 
 
+def _as_reference(keys, counts, lows=None) -> list[tuple]:
+    """Key and count columns in the shape of ``runs_reference``: per atom an
+    (Observable, count) pair.  With ``lows``, the distinct low parts in
+    domain order, each key is a (low index, key) pair and its Observable
+    is paired with the low part of that index."""
+    def observable(key):
+        return Observable(TERMINATED, key) if isinstance(key, tuple) else Observable(key)
+
+    if lows is None:
+        return [(observable(key), count) for key, count in zip(keys, counts, strict=True)]
+    return [((lows[low], observable(key)), count)
+            for (low, key), count in zip(keys, counts, strict=True)]
+
+
+def _runs_as_reference(p, cfg, loop=None) -> list[tuple]:
+    """``runs`` read through ``_as_reference``, its columns joined."""
+    domain, chunks = runs(p, cfg, loop)
+    keys, counts = [], []
+    for chunk_keys, chunk_counts in chunks:
+        keys += chunk_keys
+        counts += chunk_counts
+    lows = (list(dict.fromkeys(a[0] for a in domain.atoms))
+            if cfg.mode == PASSIVE and cfg.low_vars else None)
+    return _as_reference(keys, counts, lows)
+
+
 def _assert_runs_match_reference(p, cfg, loop):
-    got = _or_config_error(lambda: list(runs(p, cfg, loop)[1]))
+    got = _or_config_error(lambda: _runs_as_reference(p, cfg, loop))
     want = _or_config_error(lambda: runs_reference(p, cfg, loop))
     assert got == want
     return want
@@ -960,7 +1002,8 @@ def test_steps_are_spent_before_evaluating_and_after_every_body():
     p = parse("o = 0; while (o < h) o = o + 1;")
     for budget in range(1, 10):
         bounded = replace(cfg, step_budget=budget)
-        kinds = [obs.kind for obs, _ in _evaluate(p, {"h": [0, 1, 2, 3]}, 4, bounded)]
+        kinds = [obs.kind for obs, _ in
+                 _as_reference(*_evaluate(p, {"h": [0, 1, 2, 3]}, 4, bounded))]
         assert kinds == [TERMINATED if 2 + 2 * h <= budget else NON_TERMINATION
                          for h in range(4)]
 
@@ -979,7 +1022,7 @@ def test_the_left_operand_of_and_or_stops_a_run_first(op):
     truth = all if op == "&&" else any
     want = [Observable(TERMINATED, (int(truth((1 // (h - 2), h))),)) if h != 2
             else Observable(RUNTIME_ERROR) for h in range(4)]
-    assert [obs for obs, _ in runs(p, cfg)[1]] == want
+    assert [obs for obs, _ in _runs_as_reference(p, cfg)] == want
     with pytest.raises(ConfigError, match="variable 'y' read before assignment"):
         loi(parse(f"if (h != 2) y = h; o = y {op} (1 / (h - 2));"), cfg)
 
@@ -988,7 +1031,7 @@ def test_assignment_masks_declared_variables_in_a_batch():
     cfg = AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 3, 5),),
                          observed_vars=("l", "h", "x"))
     p = parse("l = l + h * 2; h = h - 2; x = 0 - h; if (h & 1) l = 0 - 1;")
-    assert [obs.values for obs, _ in runs(p, cfg)[1]] == \
+    assert [obs.values for obs, _ in _runs_as_reference(p, cfg)] == \
         [(5, 2, -2), (7, 3, -3), (1, 0, 0), (7, 1, -1)]
 
 
@@ -1017,7 +1060,7 @@ def test_loop_counts_keep_a_fault_and_drop_out_of_budget():
     p = parse("x = 0; if (h == 7) while (1) skip;"
               " while (x < 5) { x = x + 1; o = 10 / (h - x); }")
     cfg = cfg_high(bits=3, step_budget=100)
-    got = list(runs(p, cfg, p.body.stmts[2])[1])
+    got = _runs_as_reference(p, cfg, p.body.stmts[2])
     # Atom h in 1..5 faults during iteration h, after h - 1 bodies.
     assert got == ([(Observable(TERMINATED, (-2,)), 5)]
                    + [(Observable(RUNTIME_ERROR), h - 1) for h in range(1, 6)]
@@ -1048,3 +1091,16 @@ def test_read_before_assignment_names_the_lowest_atom(chunk_size):
             with pytest.raises(ConfigError) as err:
                 loi(parse(source + " y = 0; z = 0;"), cfg)
             assert str(err.value) == f"variable {name!r} read before assignment"
+
+
+@pytest.mark.parametrize("cfg, by_low", [
+    (_BATCH_CONFIGS[-1], True),
+    (AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 2, None),),
+                    observed_vars=("o",), mode=PASSIVE), True),
+    (_BATCH_CONFIGS[0], False),
+    (AttackerConfig(high_vars=(("h", 3),), observed_vars=("o",), mode=PASSIVE), False),
+])
+def test_low_projection_groups_atoms_by_their_low_part(cfg, by_low):
+    d = enumerate_domain(cfg)
+    want = kernel(d, lambda a: a[0]) if by_low else bottom(d)
+    assert low_projection(d, cfg) == want
