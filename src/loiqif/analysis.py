@@ -18,9 +18,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Sequence
 
 from .lang import (
     _SHIFT_LIMIT,
@@ -139,23 +140,69 @@ def self_compose(p1: Program, p2: Program, cfg: AttackerConfig
 # ---------------------------------------------------------------------------
 # Loop analysis
 
+class StepPartitions(Sequence):
+    """One partition per step of a loop's chain, kept as its splits.
+
+    Step j sets the keys of the atoms that finish after exactly j
+    iterations (``positions[j]``) to ``keys[j]``; every other atom keeps its
+    base key.  Item i of a joined sequence applies steps 0 .. i, of a plain
+    one step i alone; either way the ``Partition`` is one ``relabel`` of the
+    whole domain, built on access and not kept, so access costs O(atoms).
+    ``shape(i)`` is item i's block count and block-size histogram, stored
+    when the sequence was made, so reading it builds no partition.
+    """
+
+    __slots__ = ("domain", "_base", "_positions", "_keys", "_joined", "_shapes")
+
+    def __init__(self, domain: Domain, base: list, positions: Sequence[list[int]],
+                 keys: Sequence[list[int]], joined: bool,
+                 shapes: Sequence[tuple[int, tuple[tuple[int, int], ...]]]):
+        self.domain = domain
+        self._base = base
+        self._positions = positions
+        self._keys = keys
+        self._joined = joined
+        self._shapes = shapes
+
+    def __len__(self) -> int:
+        return len(self._shapes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]
+        keys = self._base[:]
+        for j in range(i + 1) if self._joined else (i,):
+            for position, key in zip(self._positions[j], self._keys[j]):
+                keys[position] = key
+        return relabel(self.domain, keys)
+
+    def shape(self, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Item i's block count and its (block size, number of blocks)
+        pairs, largest size first."""
+        return self._shapes[i]
+
+
 @dataclass(frozen=True)
 class LoopAnalysis:
     """Per-iteration decomposition of a loop's partition.
 
     ``w_partitions[i]`` distinguishes inputs by their output when the
     loop finishes in exactly i iterations (everything else pooled);
-    ``w_chain[i]`` is the join of the first i+1 of those.  ``collision``
-    merges inputs whose runs produce the same output at two or more
-    different iteration counts (inputs that never resolve form one
-    block).  ``result`` is the meet of the final chain element with the
-    collision partition and equals the program's partition whenever the
-    chain stabilized.
+    ``w_chain[i]`` is the join of the first i+1 of those.  Both are
+    read-only ``StepPartitions`` sequences: they hold the chain as the
+    atoms each step moves, build a ``Partition`` on access at O(atoms)
+    apiece, and give each item's block count and size histogram without
+    building it.  ``collision`` merges inputs whose runs produce the same
+    output at two or more different iteration counts (inputs that never
+    resolve form one block).  ``result`` is the meet of the final chain
+    element with the collision partition and equals the program's
+    partition whenever the chain stabilized.
     """
 
     domain: Domain
-    w_partitions: tuple[Partition, ...]
-    w_chain: tuple[Partition, ...]
+    w_partitions: StepPartitions
+    w_chain: StepPartitions
     collision: Partition
     result: Partition
     iterations_analyzed: int
@@ -170,6 +217,19 @@ def _find_top_level_loop(s: Stmt) -> While | None:
     return next(filter(None, map(_find_top_level_loop, subs)), None)
 
 
+def _shape(sizes: Counter) -> tuple[int, tuple[tuple[int, int], ...]]:
+    return sum(sizes.values()), tuple(sorted(sizes.items(), reverse=True))
+
+
+def _move(sizes: Counter, old: int, new: int) -> None:
+    """One block of ``sizes`` shrinks from ``old`` atoms to ``new`` (0: gone)."""
+    sizes[old] -= 1
+    if not sizes[old]:
+        del sizes[old]
+    if new:
+        sizes[new] += 1
+
+
 def loop_analyze(p: Program, cfg: AttackerConfig,
                  max_iterations: int | None = None) -> LoopAnalysis:
     """Analyze the first top-level while loop of the program.
@@ -178,7 +238,9 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
     largest iteration count any run reached: no run finishes later, so by
     then the chain has stopped growing and always stabilizes.  Partitions
     are kernels of the keys ``runs`` gives, so a passive attacker also
-    tells apart runs with different lows.
+    tells apart runs with different lows.  Each step costs the atoms that
+    finish at its iteration count; of the step partitions, only the last
+    chain element is built here, for ``result``.
     """
     loop = _find_top_level_loop(p.body)
     if loop is None:
@@ -196,7 +258,8 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
     # key below is one of these integers, so no view meets a low part.
     numbered = relabel(domain, views)
     views, n_views = numbered.labels, numbered.n_blocks
-    elsewhere = [~low for low in low_projection(domain, cfg).labels]
+    lows = low_projection(domain, cfg).labels
+    elsewhere = [~low for low in lows]
     resolved_by = max((n for n in counts if n is not None), default=0)
     if max_iterations is None:
         max_iterations = resolved_by + 1
@@ -207,39 +270,47 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
         if n is not None:
             buckets[n].append(position)
 
-    # W_<=i, the join of W_0 .. W_i, keys an atom done after j <= i
-    # iterations by (j, view) and every other atom by its low part: a view
-    # fixes the low part, so two atoms every W_j keys alike share both.
-    # ``running`` holds those keys, so step i rewrites only bucket i.  Each
-    # join refines the one before, so the chain has stopped growing when
-    # its block count has.
-    running = elsewhere[:]
-    chain: list[Partition] = []
+    # A step partition keys an atom by its low part, or by (step, view) as
+    # the integer step * n_views + view once it applies the atom's step:
+    # W_<=i, the join of W_0 .. W_i, applies steps 0 .. i, and W_i step i
+    # alone.  A view fixes the low part, so two atoms every W_j keys alike
+    # share both.  Step i takes bucket i's atoms out of their low parts'
+    # blocks and groups them by view, so both shapes follow from the
+    # bucket's view groups and the atoms each low part has left.
+    low_size = Counter(lows)
+    left = dict(low_size)
+    lows_shape = Counter(low_size.values())
+    chain_sizes = lows_shape.copy()
+    keys, w_shapes, chain_shapes = [], [], []
     stabilized = False
     for n in range(max_iterations + 1):
-        for position in buckets[n]:
-            running[position] = n * n_views + views[position]
-        chain.append(relabel(domain, running))
-        if n and chain[-1].n_blocks == chain[-2].n_blocks and n >= resolved_by:
+        bucket = buckets[n]
+        step_keys = [n * n_views + views[position] for position in bucket]
+        groups = Counter(step_keys).values()
+        taken = Counter(lows[position] for position in bucket)
+        w_sizes = lows_shape + Counter(groups)
+        chain_sizes.update(groups)
+        for low, k in taken.items():
+            _move(w_sizes, low_size[low], low_size[low] - k)
+            _move(chain_sizes, left[low], left[low] - k)
+            left[low] -= k
+        keys.append(step_keys)
+        w_shapes.append(_shape(w_sizes))
+        chain_shapes.append(_shape(chain_sizes))
+        # Each join refines the one before, so the chain has stopped
+        # growing when its block count has.
+        if n and chain_shapes[-1][0] == chain_shapes[-2][0] and n >= resolved_by:
             stabilized = True
             break
-    # W_i keys bucket i by view and every other atom by its low part.  They
-    # are built after the chain, not in turn with it: interleaving the two
-    # kinds of label tuple fragments the heap (11 MB more peak RSS for the
-    # countdown loop at 11 bits).
-    w_parts = []
-    for bucket in buckets[:len(chain)]:
-        keys = elsewhere[:]
-        for position in bucket:
-            keys[position] = views[position]
-        w_parts.append(relabel(domain, keys))
 
+    w_parts = StepPartitions(domain, elsewhere, buckets, keys, False, w_shapes)
+    chain = StepPartitions(domain, elsewhere, buckets, keys, True, chain_shapes)
     collision = _collision_partition(domain, views, counts, elsewhere)
     result = meet(chain[-1], collision)
     return LoopAnalysis(
         domain=domain,
-        w_partitions=tuple(w_parts),
-        w_chain=tuple(chain),
+        w_partitions=w_parts,
+        w_chain=chain,
         collision=collision,
         result=result,
         iterations_analyzed=n,

@@ -12,10 +12,12 @@ import itertools
 import json
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import replace
 
 from .analysis import (
     LoopAnalysis,
+    StepPartitions,
     leaks_same_information,
     loop_analyze,
     multi_run,
@@ -105,12 +107,25 @@ def _resolve_distribution(args, domain: Domain) -> tuple[Distribution, str]:
     return Distribution.from_weights(domain, mu.weights), args.dist
 
 
+def _shape_text(domain: Domain, n_blocks: int, sizes) -> str:
+    """A partition too large to print: its block count and its (block size,
+    number of blocks) pairs, largest size first."""
+    shape = ",".join(f"{s}x{c}" for s, c in sorted(sizes, reverse=True))
+    return f"<{n_blocks} blocks over {domain.size} atoms; sizes {shape}>"
+
+
 def _partition_text(x: Partition) -> str:
     if x.domain.size <= 64:
         return str(x)
-    sizes = Counter(Counter(x.labels).values())
-    shape = ",".join(f"{s}x{c}" for s, c in sorted(sizes.items(), reverse=True))
-    return f"<{block_count(x)} blocks over {x.domain.size} atoms; sizes {shape}>"
+    return _shape_text(x.domain, block_count(x), Counter(Counter(x.labels).values()).items())
+
+
+def _step_text(steps: StepPartitions, i: int) -> str:
+    """``_partition_text(steps[i])``, read off the stored shape when the
+    domain is too large to print, so no partition is built."""
+    if steps.domain.size <= 64:
+        return str(steps[i])
+    return _shape_text(steps.domain, *steps.shape(i))
 
 
 def _distribution_text(mu: Distribution) -> str:
@@ -120,14 +135,40 @@ def _distribution_text(mu: Distribution) -> str:
     return f"<{len(support)} atoms with positive mass>"
 
 
-def _emit_json(obj) -> None:
-    # Written a few thousand encoder pieces at a time: the whole text is never
-    # held at once, and one write per piece would cost more than encoding.
-    # Every object printed is a fresh tree, so no container can hold itself.
-    pieces = json.JSONEncoder(indent=2, check_circular=False).iterencode(obj)
-    for text in iter(lambda: "".join(itertools.islice(pieces, 4096)), ""):
-        sys.stdout.write(text)
-    sys.stdout.write("\n")
+def _emit_json(obj: dict) -> None:
+    """Write ``obj`` as ``json.dump(obj, indent=2)`` would, plus a newline.
+
+    A value that is an iterator is written as an array, one item at a
+    time, so only one item's tree is held at once.  Each value is encoded
+    on its own and indented to its depth: an encoded string holds no raw
+    newline, so every newline of the encoder's text starts a line.  Text is
+    written a few thousand encoder pieces at a time: the whole text is never
+    held at once, and one write per piece would cost more than encoding.
+    Every object printed is a fresh tree, so no container can hold itself.
+    """
+    encoder = json.JSONEncoder(indent=2, check_circular=False)
+    write = sys.stdout.write
+
+    def emit(value, depth: int) -> None:
+        pieces = encoder.iterencode(value)
+        newline = "\n" + "  " * depth
+        for text in iter(lambda: "".join(itertools.islice(pieces, 4096)), ""):
+            write(text.replace("\n", newline))
+
+    separator = "{"
+    for key, value in obj.items():
+        write(f"{separator}\n  {encoder.encode(key)}: ")
+        separator = ","
+        if not isinstance(value, Iterator):
+            emit(value, 1)
+            continue
+        opening = "["
+        for item in value:
+            write(f"{opening}\n    ")
+            opening = ","
+            emit(item, 2)
+        write("[]" if opening == "[" else "\n  ]")
+    write("{}\n" if separator == "{" else "\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +353,12 @@ def cmd_multirun(args) -> int:
 # loop
 
 def _loop_to_json(analysis: LoopAnalysis, direct: Partition, matches: bool) -> dict:
+    """The ``loop --json`` object; the two chains are iterators for
+    ``_emit_json``, so each of their partitions is built and encoded in
+    turn."""
     return {
-        "iteration_partitions": [partition_to_json(w) for w in analysis.w_partitions],
-        "chain": [partition_to_json(w) for w in analysis.w_chain],
+        "iteration_partitions": map(partition_to_json, analysis.w_partitions),
+        "chain": map(partition_to_json, analysis.w_chain),
         "collision": partition_to_json(analysis.collision),
         "result": partition_to_json(analysis.result),
         "iterations_analyzed": analysis.iterations_analyzed,
@@ -333,10 +377,9 @@ def cmd_loop(args) -> int:
     if args.json:
         _emit_json(_loop_to_json(analysis, direct, matches))
     else:
-        for i, w in enumerate(analysis.w_partitions):
-            print(f"W_{i}: {_partition_text(w)}")
-        for i, w in enumerate(analysis.w_chain):
-            print(f"W_<={i}: {_partition_text(w)}")
+        for name, steps in (("W_", analysis.w_partitions), ("W_<=", analysis.w_chain)):
+            for i in range(len(steps)):
+                print(f"{name}{i}: {_step_text(steps, i)}")
         print(f"collision C: {_partition_text(analysis.collision)}")
         print(f"result: {_partition_text(analysis.result)}")
         print(f"iterations analyzed: {analysis.iterations_analyzed}"

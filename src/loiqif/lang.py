@@ -72,7 +72,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterator, Mapping
 
-from .partition import Domain, Partition, QifError, relabel
+from .partition import Domain, Partition, QifError, _digits, relabel
 
 
 class ParseError(QifError):
@@ -554,10 +554,16 @@ class AttackerConfig:
     enumeration_cap: int = DEFAULT_CAP
 
     def __post_init__(self):
-        object.__setattr__(self, "high_vars", tuple((n, int(b)) for n, b in self.high_vars))
-        object.__setattr__(self, "low_vars",
-                           tuple((n, int(b), None if v is None else int(v))
-                                 for n, b, v in self.low_vars))
+        object.__setattr__(self, "high_vars", tuple((n, b) for n, b in self.high_vars))
+        object.__setattr__(self, "low_vars", tuple((n, b, v) for n, b, v in self.low_vars))
+        for name, bits in self.high_vars:
+            _check_int(bits, f"bits of {name!r}")
+        for name, bits, value in self.low_vars:
+            _check_int(bits, f"bits of {name!r}")
+            if value is not None:
+                _check_int(value, f"value of {name!r}")
+        _check_int(self.step_budget, "budget")
+        _check_int(self.enumeration_cap, "cap")
         if not self.observed_vars:
             object.__setattr__(self, "observed_vars",
                                tuple(n for n, _, _ in self.low_vars))
@@ -607,22 +613,17 @@ class AttackerConfig:
                                             for n, b, v in self.low_vars))
 
 
-def _config_int(value, what: str) -> int:
+def _check_int(value, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def config_from_json(obj) -> AttackerConfig:
     if not isinstance(obj, dict):
         raise ConfigError("configuration must be a JSON object")
     try:
-        high = tuple((d["name"], _config_int(d["bits"], f"bits of {d['name']!r}"))
-                     for d in obj.get("high", []))
-        low = tuple((d["name"], _config_int(d["bits"], f"bits of {d['name']!r}"),
-                     None if d.get("value") is None
-                     else _config_int(d["value"], f"value of {d['name']!r}"))
-                    for d in obj.get("low", []))
+        high = tuple((d["name"], d["bits"]) for d in obj.get("high", []))
+        low = tuple((d["name"], d["bits"], d.get("value")) for d in obj.get("low", []))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad variable declaration: {exc}") from None
     observe = obj.get("observe", [])
@@ -633,8 +634,8 @@ def config_from_json(obj) -> AttackerConfig:
         low_vars=low,
         observed_vars=tuple(observe),
         mode=obj.get("mode", ACTIVE),
-        step_budget=_config_int(obj.get("budget", DEFAULT_BUDGET), "budget"),
-        enumeration_cap=_config_int(obj.get("cap", DEFAULT_CAP), "cap"),
+        step_budget=obj.get("budget", DEFAULT_BUDGET),
+        enumeration_cap=obj.get("cap", DEFAULT_CAP),
     )
 
 
@@ -1089,38 +1090,42 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
     """The domain and an iterator over (keys, counts) column pairs, one pair
     per ``CHUNK_SIZE`` atoms in domain order: each atom's key and ``loop``
     count as ``_Chunk.results`` gives them.  Each chunk runs as one batch
-    whose columns are computed from the atom indexes.  A passive attacker
-    also watches the public lows go in, so with enumerated lows an atom's
-    key is paired with its low index, the atom index over the number of
-    high values: atoms with different lows never share a key."""
+    whose input columns are the next values of one ``_columns`` stream per
+    variable.  A passive attacker also watches the public lows go in, so
+    with enumerated lows an atom's key is paired with its low index, the
+    atom index over the number of high values: atoms with different lows
+    never share a key."""
     validate_program(p, cfg)
     domain = enumerate_domain(cfg)
     names, ranges, n_lows, pinned = _plan(cfg)
     highs = math.prod(map(len, ranges[n_lows:]))
 
     def chunks():
+        columns = _columns(ranges)
+        low_index = _digits(range(domain.size // highs), highs, 1)
         for start in range(0, domain.size, CHUNK_SIZE):
-            ids = range(start, min(start + CHUNK_SIZE, domain.size))
-            inputs = dict(zip(names, _columns(ranges, ids)))
-            inputs.update((name, [value] * len(ids)) for name, value in pinned.items())
-            keys, counts = _evaluate(p, inputs, len(ids), cfg, loop)
+            size = min(CHUNK_SIZE, domain.size - start)
+            inputs = {name: list(itertools.islice(column, size))
+                      for name, column in zip(names, columns)}
+            inputs.update((name, [value] * size) for name, value in pinned.items())
+            keys, counts = _evaluate(p, inputs, size, cfg, loop)
             if n_lows:
-                keys = list(zip([i // highs for i in ids], keys))
+                keys = list(zip(itertools.islice(low_index, size), keys))
             yield keys, counts
 
     return domain, chunks()
 
 
-def _columns(ranges: list[range], ids: range) -> list[list[int]]:
-    """Each enumerated variable's value at the atoms ``ids``: the digits of
-    the atom index in the mixed radix of the value ranges, last range
-    fastest."""
+def _columns(ranges: list[range]) -> list[Iterator[int]]:
+    """Each enumerated variable's values at atoms 0, 1, ... in turn: the
+    digits of the atom index in the mixed radix of the value ranges, last
+    range fastest, each column made of whole repeated runs of its range."""
+    size = math.prod(map(len, ranges))
     columns = []
     stride = 1
     for r in reversed(ranges):
-        n = len(r)
-        columns.append([r[i // stride % n] for i in ids])
-        stride *= n
+        columns.append(_digits(r, stride, size // (len(r) * stride)))
+        stride *= len(r)
     return columns[::-1]
 
 

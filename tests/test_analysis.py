@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from loiqif import (
     leq,
     loi,
     loop_analyze,
+    meet,
     multi_run,
     parse,
     program_capacity,
@@ -376,8 +378,8 @@ def test_loop_decomposition_matches_the_kernel_reference(name):
     analysis = loop_analyze(p, cfg)
     w, chain, collision, result = loop_analysis_reference(p, cfg, stores)
     assert analysis.domain == Domain(stores)
-    assert analysis.w_partitions == w
-    assert analysis.w_chain == chain
+    assert tuple(analysis.w_partitions) == w
+    assert tuple(analysis.w_chain) == chain
     assert analysis.collision == collision
     assert analysis.result == result == loi(p, cfg)[1]
     assert analysis.stabilized and len(chain) > 2
@@ -419,12 +421,40 @@ def test_loop_analysis_matches_the_kernel_reference(p, config, budget, max_itera
     w, chain, collision, result = loop_analysis_reference(p, cfg, stores, max_iterations)
     full_chain = loop_analysis_reference(p, cfg, stores)[1]
     assert analysis.domain == Domain(stores)
-    assert (analysis.w_partitions, analysis.w_chain) == (w, chain)
+    assert (tuple(analysis.w_partitions), tuple(analysis.w_chain)) == (w, chain)
     assert (analysis.collision, analysis.result) == (collision, result)
     assert analysis.iterations_analyzed == len(chain) - 1
     assert analysis.stabilized == (chain == full_chain)
     if analysis.stabilized:
         assert result == loi(p, cfg)[1]
+
+
+def _shape_of(x):
+    sizes = Counter(Counter(x.labels).values())
+    return x.n_blocks, tuple(sorted(sizes.items(), reverse=True))
+
+
+@given(_loop_programs, st.integers(6, 120), st.one_of(st.none(), st.integers(1, 8)))
+def test_loop_steps_store_the_shape_of_the_partitions_they_build(p, budget, max_iterations):
+    # The text of ``loop`` reads each step's block count and size histogram
+    # without building the step's partition; both must be the built one's.
+    for config in _LOOP_CONFIGS.values():
+        analysis = loop_analyze(p, replace(config, step_budget=budget), max_iterations)
+        for steps in (analysis.w_partitions, analysis.w_chain):
+            n = len(steps)
+            assert n == analysis.iterations_analyzed + 1
+            built = list(steps)
+            assert len(built) == n
+            for i, x in enumerate(built):
+                assert steps[i] == steps[i - n] == x
+                assert steps.shape(i) == _shape_of(x)
+            assert steps[1:] == tuple(built[1:])
+            assert list(reversed(steps)) == built[::-1]
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    steps[i]
+        assert built[-1] == multi_run(list(analysis.w_partitions))
+        assert analysis.result == meet(built[-1], analysis.collision)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import json
 import time
 import tracemalloc
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -379,6 +380,35 @@ def test_json_output_is_written_without_holding_the_whole_text():
     finally:
         tracemalloc.stop()
     assert peak < sink.size
+
+
+def test_json_iterator_values_print_as_arrays_of_the_standard_text(capsys):
+    def obj():
+        return {"empty": iter([]), "none": {}, "nil": [], "n": 3,
+                "items": ({"domain": [i, [i, "\n"]], "blocks": [[i]]} for i in range(3)),
+                "last": map(str, range(2))}
+
+    _emit_json(obj())
+    out = capsys.readouterr().out
+    tree = {key: list(value) if isinstance(value, Iterator) else value
+            for key, value in obj().items()}
+    assert out == json.dumps(tree, indent=2) + "\n"
+    _emit_json({})
+    assert capsys.readouterr().out == "{}\n"
+
+
+def test_json_iterator_items_are_built_and_written_one_at_a_time():
+    # 64 items of 2^12 ints print 3.1 MB of text; the items alone would take
+    # about 9 MB held at once.
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            _emit_json({"chain": (list(range(i, i + 4096)) for i in range(64))})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sink.size // 4
 
 
 def test_loop_command_reports_non_stabilization_without_failing(workspace, capsys):

@@ -739,6 +739,21 @@ def test_config_rejects_non_string_names(name):
         AttackerConfig(high_vars=(("h", 2),), low_vars=((name, 2, 1),), observed_vars=("o",))
 
 
+@pytest.mark.parametrize("value", [2.7, "3", True])
+def test_config_rejects_non_integer_widths_values_and_bounds(value):
+    # Turned into an int, 2.7 would declare a 2-bit variable and "3" a 3-bit one.
+    def config(high=2, low=2, pinned=1, budget=100, cap=64):
+        return AttackerConfig(high_vars=(("h", high),), low_vars=(("l", low, pinned),),
+                              observed_vars=("o",), step_budget=budget, enumeration_cap=cap)
+
+    config()
+    for field, what in [("high", "bits of 'h'"), ("low", "bits of 'l'"),
+                        ("pinned", "value of 'l'"), ("budget", "budget"), ("cap", "cap")]:
+        with pytest.raises(ConfigError) as err:
+            config(**{field: value})
+        assert str(err.value) == f"{what} must be an integer, got {value!r}"
+
+
 def test_passive_fixed_low_pins_enumeration():
     cfg = AttackerConfig(high_vars=(("h", 1),), low_vars=(("l", 2, 2),),
                          observed_vars=("o",), mode=PASSIVE)
@@ -967,7 +982,7 @@ def test_batch_runs_match_the_reference(p, cfg, budget, chunk_size):
             analysis = loop_analyze(p, cfg)
             w, chain, collision, result = loop_analysis_reference(
                 p, cfg, {a: store_of(cfg, a) for a in d.atoms})
-            assert (analysis.w_partitions, analysis.w_chain) == (w, chain)
+            assert (tuple(analysis.w_partitions), tuple(analysis.w_chain)) == (w, chain)
             assert (analysis.collision, analysis.result) == (collision, result)
 
 
