@@ -12,7 +12,6 @@ import itertools
 import json
 import sys
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import replace
 
 from .analysis import (
@@ -138,37 +137,21 @@ def _distribution_text(mu: Distribution) -> str:
 def _emit_json(obj: dict) -> None:
     """Write ``obj`` as ``json.dump(obj, indent=2)`` would, plus a newline.
 
-    A value that is an iterator is written as an array, one item at a
-    time, so only one item's tree is held at once.  Each value is encoded
-    on its own and indented to its depth: an encoded string holds no raw
-    newline, so every newline of the encoder's text starts a line.  Text is
-    written a few thousand encoder pieces at a time: the whole text is never
-    held at once, and one write per piece would cost more than encoding.
-    Every object printed is a fresh tree, so no container can hold itself.
+    A value may be a builder, a function of no arguments: it is written as
+    the tree it returns.  ``iterencode`` always runs json's Python encoder,
+    which calls ``default`` on a builder only when it reaches that value,
+    so a list of builders is built, written and dropped one item at a
+    time.  Text is written a few thousand encoder pieces at a
+    time: the whole text is never held at once, and one write per piece
+    would cost more than encoding.  Every object printed is a fresh tree,
+    so no container can hold itself.
     """
-    encoder = json.JSONEncoder(indent=2, check_circular=False)
-    write = sys.stdout.write
-
-    def emit(value, depth: int) -> None:
-        pieces = encoder.iterencode(value)
-        newline = "\n" + "  " * depth
-        for text in iter(lambda: "".join(itertools.islice(pieces, 4096)), ""):
-            write(text.replace("\n", newline))
-
-    separator = "{"
-    for key, value in obj.items():
-        write(f"{separator}\n  {encoder.encode(key)}: ")
-        separator = ","
-        if not isinstance(value, Iterator):
-            emit(value, 1)
-            continue
-        opening = "["
-        for item in value:
-            write(f"{opening}\n    ")
-            opening = ","
-            emit(item, 2)
-        write("[]" if opening == "[" else "\n  ]")
-    write("{}\n" if separator == "{" else "\n}\n")
+    encoder = json.JSONEncoder(indent=2, check_circular=False,
+                               default=lambda build: build())
+    pieces = encoder.iterencode(obj)
+    for text in iter(lambda: "".join(itertools.islice(pieces, 4096)), ""):
+        sys.stdout.write(text)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +336,14 @@ def cmd_multirun(args) -> int:
 # loop
 
 def _loop_to_json(analysis: LoopAnalysis, direct: Partition, matches: bool) -> dict:
-    """The ``loop --json`` object; the two chains are iterators for
-    ``_emit_json``, so each of their partitions is built and encoded in
-    turn."""
+    """The ``loop --json`` object; each partition of the two chains is a
+    builder for ``_emit_json``, so it is built and encoded in turn."""
+    def builders(steps: StepPartitions) -> list:
+        return [lambda i=i: partition_to_json(steps[i]) for i in range(len(steps))]
+
     return {
-        "iteration_partitions": map(partition_to_json, analysis.w_partitions),
-        "chain": map(partition_to_json, analysis.w_chain),
+        "iteration_partitions": builders(analysis.w_partitions),
+        "chain": builders(analysis.w_chain),
         "collision": partition_to_json(analysis.collision),
         "result": partition_to_json(analysis.result),
         "iterations_analyzed": analysis.iterations_analyzed,

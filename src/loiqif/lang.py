@@ -72,7 +72,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterator, Mapping
 
-from .partition import Domain, Partition, QifError, _digits, relabel
+from .partition import Domain, Partition, QifError, _Product, relabel
 
 
 class ParseError(QifError):
@@ -554,48 +554,34 @@ class AttackerConfig:
     enumeration_cap: int = DEFAULT_CAP
 
     def __post_init__(self):
-        object.__setattr__(self, "high_vars", tuple((n, b) for n, b in self.high_vars))
-        object.__setattr__(self, "low_vars", tuple((n, b, v) for n, b, v in self.low_vars))
-        for name, bits in self.high_vars:
-            _check_int(bits, f"bits of {name!r}")
-        for name, bits, value in self.low_vars:
-            _check_int(bits, f"bits of {name!r}")
-            if value is not None:
-                _check_int(value, f"value of {name!r}")
         _check_int(self.step_budget, "budget")
         _check_int(self.enumeration_cap, "cap")
-        if not self.observed_vars:
-            object.__setattr__(self, "observed_vars",
-                               tuple(n for n, _, _ in self.low_vars))
-        else:
-            object.__setattr__(self, "observed_vars", tuple(self.observed_vars))
         if self.mode not in (ACTIVE, PASSIVE):
             raise ConfigError(f"mode must be '{ACTIVE}' or '{PASSIVE}', got {self.mode!r}")
         if self.step_budget < 1:
             raise ConfigError("step budget must be positive")
         names: set[str] = set()
-        for name in (*(n for n, _ in self.high_vars), *(n for n, _, _ in self.low_vars)):
-            if not isinstance(name, str):
-                raise ConfigError(f"variable name must be a string, got {name!r}")
+        highs, lows = [], []
         for name, bits in self.high_vars:
-            if bits < 1:
-                raise ConfigError(f"high variable {name!r} needs a width >= 1")
-            if name in names:
-                raise ConfigError(f"variable {name!r} declared twice")
-            names.add(name)
+            _check_declaration(names, "high", name, bits, None)
+            highs.append((name, bits))
         for name, bits, value in self.low_vars:
-            if bits < 1:
-                raise ConfigError(f"low variable {name!r} needs a width >= 1")
-            if name in names:
-                raise ConfigError(f"variable {name!r} declared twice")
-            names.add(name)
+            _check_declaration(names, "low", name, bits, value)
             if self.mode == ACTIVE and value is None:
                 raise ConfigError(
                     f"active mode: low variable {name!r} needs a fixed value")
-            if value is not None and (value < 0 or value.bit_length() > bits):
-                raise ConfigError(
-                    f"value {value} of low variable {name!r} exceeds {bits} bit(s)")
-        if not self.observed_vars:
+            lows.append((name, bits, value))
+        object.__setattr__(self, "high_vars", tuple(highs))
+        object.__setattr__(self, "low_vars", tuple(lows))
+        observed = self.observed_vars
+        if isinstance(observed, str):
+            raise ConfigError(f"observed variables must be a sequence of names, got {observed!r}")
+        observed = tuple(observed) if observed else tuple(n for n, _, _ in lows)
+        for name in observed:
+            if not isinstance(name, str):
+                raise ConfigError(f"observed variable name must be a string, got {name!r}")
+        object.__setattr__(self, "observed_vars", observed)
+        if not observed:
             raise ConfigError("nothing to observe: no observed variables and no low variables")
 
     def widths(self) -> dict[str, int]:
@@ -611,6 +597,23 @@ class AttackerConfig:
                 raise ConfigError(f"{name!r} is not a declared low variable")
         return replace(self, low_vars=tuple((n, b, values.get(n, v))
                                             for n, b, v in self.low_vars))
+
+
+def _check_declaration(names: set[str], kind: str, name, bits, value) -> None:
+    """Reject a bad ``kind`` ("high" or "low") declaration, or one whose
+    name is already in ``names``; add its name to ``names``."""
+    if not isinstance(name, str):
+        raise ConfigError(f"variable name must be a string, got {name!r}")
+    _check_int(bits, f"bits of {name!r}")
+    if value is not None:
+        _check_int(value, f"value of {name!r}")
+    if bits < 1:
+        raise ConfigError(f"{kind} variable {name!r} needs a width >= 1")
+    if name in names:
+        raise ConfigError(f"variable {name!r} declared twice")
+    names.add(name)
+    if value is not None and (value < 0 or value.bit_length() > bits):
+        raise ConfigError(f"value {value} of low variable {name!r} exceeds {bits} bit(s)")
 
 
 def _check_int(value, what: str) -> None:
@@ -1090,19 +1093,19 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
     """The domain and an iterator over (keys, counts) column pairs, one pair
     per ``CHUNK_SIZE`` atoms in domain order: each atom's key and ``loop``
     count as ``_Chunk.results`` gives them.  Each chunk runs as one batch
-    whose input columns are the next values of one ``_columns`` stream per
-    variable.  A passive attacker also watches the public lows go in, so
-    with enumerated lows an atom's key is paired with its low index, the
-    atom index over the number of high values: atoms with different lows
-    never share a key."""
+    whose input columns are the next values of the columns of the
+    product of the value ranges, one per enumerated variable.  A passive
+    attacker also watches the public lows go in, so with enumerated lows
+    an atom's key is paired with its low index, the atom index over the
+    number of high values: atoms with different lows never share a key."""
     validate_program(p, cfg)
     domain = enumerate_domain(cfg)
     names, ranges, n_lows, pinned = _plan(cfg)
     highs = math.prod(map(len, ranges[n_lows:]))
 
     def chunks():
-        columns = _columns(ranges)
-        low_index = _digits(range(domain.size // highs), highs, 1)
+        columns = _Product(ranges).columns()
+        low_index, _ = _Product((range(domain.size // highs), range(highs))).columns()
         for start in range(0, domain.size, CHUNK_SIZE):
             size = min(CHUNK_SIZE, domain.size - start)
             inputs = {name: list(itertools.islice(column, size))
@@ -1114,19 +1117,6 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
             yield keys, counts
 
     return domain, chunks()
-
-
-def _columns(ranges: list[range]) -> list[Iterator[int]]:
-    """Each enumerated variable's values at atoms 0, 1, ... in turn: the
-    digits of the atom index in the mixed radix of the value ranges, last
-    range fastest, each column made of whole repeated runs of its range."""
-    size = math.prod(map(len, ranges))
-    columns = []
-    stride = 1
-    for r in reversed(ranges):
-        columns.append(_digits(r, stride, size // (len(r) * stride)))
-        stride *= len(r)
-    return columns[::-1]
 
 
 def loi(p: Program, cfg: AttackerConfig) -> tuple[Domain, Partition]:

@@ -200,8 +200,13 @@ class _Product(Sequence):
     def __iter__(self) -> Iterator[tuple]:
         if not self.parts:
             return iter(((),))
-        return zip(*(_digits(part, s, self._len // (len(part) * s))
-                     for part, s in zip(self.parts, self._strides)))
+        return zip(*self.columns())
+
+    def columns(self) -> list[Iterator]:
+        """One iterator per part over that coordinate of the items in
+        order, each made of whole repeated runs of its part."""
+        return [_digits(part, s, self._len // (len(part) * s))
+                for part, s in zip(self.parts, self._strides)]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Product) and self.parts == other.parts

@@ -3,7 +3,6 @@ import io
 import json
 import time
 import tracemalloc
-from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +18,7 @@ from helpers import mass_strings
 M1_SRC = "if (h == 1) o = 0; else o = 1;\n"
 M2_SRC = "o = h;\n"
 PASSWORD_SRC = "if (h == l) o = 1; else o = 2;\n"
+PASSIVE_LOOP_SRC = "x = h;\no = 0;\nwhile (x > l) { x = x - 1; o = 1 - o; }\n"
 LOOP_SRC = "l = 0;\nwhile (l < h) { if (h == 2) l = 3; else l = l + 1; }\n"
 
 CFG_2BIT = {"high": [{"name": "h", "bits": 2}], "low": [],
@@ -340,7 +340,7 @@ def test_loop_command_json(workspace, capsys):
     assert partition_from_json(obj["collision"]).blocks == ((0,), (1,), (2, 3))
 
 
-@pytest.mark.parametrize("command", ["analyze", "compare", "loop"])
+@pytest.mark.parametrize("command", ["analyze", "compare", "loop", "passive loop"])
 def test_json_output_is_the_standard_indented_text(workspace, capsys, command):
     # The printer skips json's check for containers that hold themselves;
     # the text stays exactly what the default encoder prints.
@@ -355,6 +355,7 @@ def test_json_output_is_the_standard_indented_text(workspace, capsys, command):
                     "--config", cfg, "--trials", "3"],
         "loop": ["loop", workspace("count.wh", "o = 0; while (h > o) o = o + 1;\n"),
                  "--config", cfg],
+        "passive loop": ["loop", workspace("ploop.wh", PASSIVE_LOOP_SRC), "--config", passive],
     }[command]
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
@@ -382,29 +383,27 @@ def test_json_output_is_written_without_holding_the_whole_text():
     assert peak < sink.size
 
 
-def test_json_iterator_values_print_as_arrays_of_the_standard_text(capsys):
-    def obj():
-        return {"empty": iter([]), "none": {}, "nil": [], "n": 3,
-                "items": ({"domain": [i, [i, "\n"]], "blocks": [[i]]} for i in range(3)),
-                "last": map(str, range(2))}
-
-    _emit_json(obj())
-    out = capsys.readouterr().out
-    tree = {key: list(value) if isinstance(value, Iterator) else value
-            for key, value in obj().items()}
-    assert out == json.dumps(tree, indent=2) + "\n"
+def test_json_builder_values_print_as_the_standard_text(capsys):
+    tree = {"empty": [], "none": {}, "nil": [], "n": 3, "nl": "\n",
+            "items": [{"domain": [i, [i, "\n"]], "blocks": [[i]]} for i in range(3)],
+            "nested": [[{}]], "last": ["0", "1"]}
+    obj = {"empty": lambda: [], "none": lambda: {}, "nil": [], "n": lambda: 3, "nl": "\n",
+           "items": [lambda i=i: tree["items"][i] for i in range(3)],
+           "nested": lambda: [lambda: [lambda: {}]], "last": [lambda: "0", lambda: "1"]}
+    _emit_json(obj)
+    assert capsys.readouterr().out == json.dumps(tree, indent=2) + "\n"
     _emit_json({})
     assert capsys.readouterr().out == "{}\n"
 
 
-def test_json_iterator_items_are_built_and_written_one_at_a_time():
+def test_json_builder_items_are_built_and_written_one_at_a_time():
     # 64 items of 2^12 ints print 3.1 MB of text; the items alone would take
     # about 9 MB held at once.
     sink = _Sink()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
-            _emit_json({"chain": (list(range(i, i + 4096)) for i in range(64))})
+            _emit_json({"chain": [lambda i=i: list(range(i, i + 4096)) for i in range(64)]})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

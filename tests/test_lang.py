@@ -754,6 +754,20 @@ def test_config_rejects_non_integer_widths_values_and_bounds(value):
         assert str(err.value) == f"{what} must be an integer, got {value!r}"
 
 
+def test_config_rejects_a_bare_string_or_a_non_string_observed_name():
+    # A bare "ab" would observe the variables a and b.
+    with pytest.raises(ConfigError) as err:
+        AttackerConfig(high_vars=(("h", 2),), observed_vars="ab")
+    assert str(err.value) == "observed variables must be a sequence of names, got 'ab'"
+    for observed in [(7,), ("o", None), (("o",),)]:
+        with pytest.raises(ConfigError) as err:
+            AttackerConfig(high_vars=(("h", 2),), observed_vars=observed)
+        bad = next(n for n in observed if not isinstance(n, str))
+        assert str(err.value) == f"observed variable name must be a string, got {bad!r}"
+    assert AttackerConfig(high_vars=(("h", 2),), observed_vars=["o", "p"]).observed_vars == ("o", "p")
+    assert AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 1, 0),)).observed_vars == ("l",)
+
+
 def test_passive_fixed_low_pins_enumeration():
     cfg = AttackerConfig(high_vars=(("h", 1),), low_vars=(("l", 2, 2),),
                          observed_vars=("o",), mode=PASSIVE)

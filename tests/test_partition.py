@@ -21,7 +21,7 @@ from loiqif import (
     meet,
     top,
 )
-from loiqif.partition import partition_from_json, partition_to_json, relabel
+from loiqif.partition import _Product, partition_from_json, partition_to_json, relabel
 
 from helpers import (
     BELL,
@@ -332,6 +332,24 @@ def test_tuple_atoms_survive_json():
     d = Domain([(0, 0), (0, 1), (1, 0), (1, 1)])
     p = Partition(d, [[(0, 0), (1, 1)], [(0, 1), (1, 0)]])
     assert partition_from_json(partition_to_json(p)) == p
+
+
+@pytest.mark.parametrize("parts", [
+    [range(5)],
+    [range(3), range(2, 6), range(4)],
+    [_Product([range(2), range(3)]), range(2)],
+    [range(1), _Product([range(3), _Product([range(7, 8), range(2)])]), range(1)],
+    [range(4, 5), range(1), range(3)],
+], ids=["single", "several", "nested", "deeply nested", "length-1 parts"])
+def test_product_columns_are_the_coordinates_of_its_items(parts):
+    product = _Product(parts)
+    items = list(product)
+    assert items == [product[i] for i in range(len(product))]
+    columns = product.columns()
+    assert len(columns) == len(parts)
+    for k, column in enumerate(product.columns()):
+        assert list(column) == [item[k] for item in items]
+    assert list(zip(*columns)) == items
 
 
 def test_relabel_keeps_one_copy_of_its_labels():
