@@ -141,10 +141,10 @@ def _emit_json(obj: dict) -> None:
     the tree it returns.  ``iterencode`` always runs json's Python encoder,
     which calls ``default`` on a builder only when it reaches that value,
     so a list of builders is built, written and dropped one item at a
-    time.  Text is written a few thousand encoder pieces at a
-    time: the whole text is never held at once, and one write per piece
-    would cost more than encoding.  Every object printed is a fresh tree,
-    so no container can hold itself.
+    time.  Text is written a few thousand encoder pieces at a time: the
+    whole text is never held at once, and one write per piece would cost
+    more than encoding.  Trees may share a partition's cached tuples, but
+    no container printed can hold itself.
     """
     encoder = json.JSONEncoder(indent=2, check_circular=False,
                                default=lambda build: build())
@@ -264,10 +264,13 @@ def _parse_run_assignment(text: str) -> dict[str, int]:
     values: dict[str, int] = {}
     for piece in text.split(","):
         name, sep, value = piece.partition("=")
-        if not sep or not name.strip():
+        name = name.strip()
+        if not sep or not name:
             raise QifError(f"bad --run assignment {text!r}: expected name=value")
+        if name in values:
+            raise QifError(f"--run {text!r} assigns {name!r} twice")
         try:
-            values[name.strip()] = int(value, 0)
+            values[name] = int(value, 0)
         except ValueError:
             raise QifError(f"bad --run value in {text!r}") from None
     return values
@@ -309,7 +312,7 @@ def cmd_multirun(args) -> int:
                      for values, part in zip(runs, parts)],
             "join": partition_to_json(joined),
             "same_information": same_info,
-            "witness_pair": list(pair) if pair else None,
+            "witness_pair": pair,
             "distribution": dist_id,
             "measures": measure_report_to_json(report),
         })

@@ -562,10 +562,12 @@ class AttackerConfig:
             raise ConfigError("step budget must be positive")
         names: set[str] = set()
         highs, lows = [], []
-        for name, bits in self.high_vars:
+        for decl in _sequence(self.high_vars, "high variables must be a sequence of declarations"):
+            name, bits = _sequence(decl, "a high variable must be (name, bits)", 2)
             _check_declaration(names, "high", name, bits, None)
             highs.append((name, bits))
-        for name, bits, value in self.low_vars:
+        for decl in _sequence(self.low_vars, "low variables must be a sequence of declarations"):
+            name, bits, value = _sequence(decl, "a low variable must be (name, bits, value)", 3)
             _check_declaration(names, "low", name, bits, value)
             if self.mode == ACTIVE and value is None:
                 raise ConfigError(
@@ -573,9 +575,7 @@ class AttackerConfig:
             lows.append((name, bits, value))
         object.__setattr__(self, "high_vars", tuple(highs))
         object.__setattr__(self, "low_vars", tuple(lows))
-        observed = self.observed_vars
-        if isinstance(observed, str):
-            raise ConfigError(f"observed variables must be a sequence of names, got {observed!r}")
+        observed = _sequence(self.observed_vars, "observed variables must be a sequence of names")
         observed = tuple(observed) if observed else tuple(n for n, _, _ in lows)
         for name in observed:
             if not isinstance(name, str):
@@ -597,6 +597,13 @@ class AttackerConfig:
                 raise ConfigError(f"{name!r} is not a declared low variable")
         return replace(self, low_vars=tuple((n, b, values.get(n, v))
                                             for n, b, v in self.low_vars))
+
+
+def _sequence(value, must: str, length: int | None = None) -> tuple | list:
+    """``value`` if it is a tuple or a list (of ``length`` items), else a ConfigError."""
+    if isinstance(value, (tuple, list)) and (length is None or len(value) == length):
+        return value
+    raise ConfigError(f"{must}, got {value!r}")
 
 
 def _check_declaration(names: set[str], kind: str, name, bits, value) -> None:
@@ -640,23 +647,6 @@ def config_from_json(obj) -> AttackerConfig:
         step_budget=obj.get("budget", DEFAULT_BUDGET),
         enumeration_cap=obj.get("cap", DEFAULT_CAP),
     )
-
-
-def config_to_json(cfg: AttackerConfig) -> dict:
-    low = []
-    for name, bits, value in cfg.low_vars:
-        entry: dict = {"name": name, "bits": bits}
-        if value is not None:
-            entry["value"] = value
-        low.append(entry)
-    return {
-        "high": [{"name": n, "bits": b} for n, b in cfg.high_vars],
-        "low": low,
-        "observe": list(cfg.observed_vars),
-        "mode": cfg.mode,
-        "budget": cfg.step_budget,
-        "cap": cfg.enumeration_cap,
-    }
 
 
 # ---------------------------------------------------------------------------

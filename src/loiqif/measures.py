@@ -468,10 +468,22 @@ def measure_report_to_json(r: MeasureReport) -> dict:
 # ---------------------------------------------------------------------------
 # Distribution JSON form: {"domain": [...], "mass": {"atom": "3/8", ...}}
 
+def _mass_keys(domain: Domain) -> dict[str, Atom]:
+    """Each atom of ``domain`` under its mass key; two atoms with one key are an error."""
+    by_key: dict[str, Atom] = {}
+    for a in domain.atoms:
+        key = atom_key(a)
+        if key in by_key:
+            raise InvalidDistributionError(
+                f"atoms {by_key[key]!r} and {a!r} have the same mass key {key!r}")
+        by_key[key] = a
+    return by_key
+
+
 def distribution_to_json(d: Distribution) -> dict:
     return {
         "domain": domain_to_json(d.domain),
-        "mass": {atom_key(a): str(m) for a, m in d.mass.items()},
+        "mass": dict(zip(_mass_keys(d.domain), map(str, d.mass.values()))),
     }
 
 
@@ -484,7 +496,7 @@ def distribution_from_json(obj) -> Distribution:
     if not isinstance(obj["mass"], dict):
         raise InvalidDistributionError('"mass" must be a JSON object keyed by atom')
     domain = domain_from_json(obj["domain"])
-    by_key = {atom_key(a): a for a in domain.atoms}
+    by_key = _mass_keys(domain)
     mass: dict[Atom, int | str] = dict.fromkeys(domain.atoms, 0)
     for key, text in obj["mass"].items():
         if key not in by_key:

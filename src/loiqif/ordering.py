@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .measures import Distribution, _Ranked, distribution_from_json, distribution_to_json
-from .partition import Atom, Partition, QifError, atom_from_json, atom_to_json, leq
+from .partition import Atom, Partition, QifError, atom_from_json, leq
 
 ENTROPY_TOLERANCE = 1e-9
 
@@ -224,7 +224,7 @@ def witness_to_json(w: OrderWitness) -> dict:
     return {
         "distribution": distribution_to_json(w.distribution),
         "n": w.n,
-        "violated_block": [atom_to_json(a) for a in w.violated_block],
+        "violated_block": w.violated_block,
     }
 
 
@@ -234,7 +234,7 @@ def witness_from_json(obj) -> OrderWitness:
     n, block = obj["n"], obj["violated_block"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise QifError(f'witness "n" must be an integer, got {n!r}')
-    if not isinstance(block, list):
+    if not isinstance(block, (list, tuple)):
         raise QifError(f'witness "violated_block" must be an array, got {block!r}')
     return OrderWitness(
         distribution=distribution_from_json(obj["distribution"]),

@@ -383,15 +383,9 @@ def block_count(x: Partition) -> int:
 # ---------------------------------------------------------------------------
 # JSON forms
 #
-# Atoms serialize as themselves when JSON-representable (str, int), tuples
-# become arrays.  {"domain": [...], "blocks": [[...], ...]} with blocks in
-# canonical order on output; input may be in any order and is canonicalized.
-
-def atom_to_json(atom: Atom):
-    if isinstance(atom, tuple):
-        return [atom_to_json(a) for a in atom]
-    return atom
-
+# {"domain": [...], "blocks": [[...], ...]}, blocks in canonical order on
+# output and in any order on input.  The forms hold the library's own
+# tuples, which json writes as arrays; readers take lists or tuples.
 
 def atom_from_json(value) -> Atom:
     if isinstance(value, list):
@@ -406,12 +400,12 @@ def atom_key(atom: Atom) -> str:
     return str(atom)
 
 
-def domain_to_json(domain: Domain) -> list:
-    return [atom_to_json(a) for a in domain.atoms]
+def domain_to_json(domain: Domain) -> tuple:
+    return tuple(domain.atoms)
 
 
 def domain_from_json(obj) -> Domain:
-    if not isinstance(obj, list):
+    if not isinstance(obj, (list, tuple)):
         raise InvalidPartitionError("domain must be a JSON array of atoms")
     try:
         return Domain(atom_from_json(v) for v in obj)
@@ -423,7 +417,7 @@ def domain_from_json(obj) -> Domain:
 def partition_to_json(x: Partition) -> dict:
     return {
         "domain": domain_to_json(x.domain),
-        "blocks": [[atom_to_json(a) for a in block] for block in x.blocks],
+        "blocks": x.blocks,
     }
 
 

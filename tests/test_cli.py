@@ -311,6 +311,18 @@ def test_multirun_requires_full_assignment(workspace, capsys):
     assert "not a declared low variable" in err or "unassigned" in err
 
 
+def test_multirun_rejects_a_variable_assigned_twice_in_one_run(workspace, capsys):
+    pw = workspace("pw.wh", PASSWORD_SRC)
+    cfg = workspace("cfg.json", {
+        "high": [{"name": "h", "bits": 3}],
+        "low": [{"name": "l", "bits": 3, "value": 0}],
+        "observe": ["o"], "mode": "active"})
+    code, out, err = run_cli(capsys, "multirun", pw, "--config", cfg, "--uniform",
+                             "--run", "l=5", "--run", "l=1, l =2")
+    assert (code, out) == (2, "")
+    assert "--run 'l=1, l =2' assigns 'l' twice" in err
+
+
 # ---------------------------------------------------------------------------
 # loop / capacity
 

@@ -46,6 +46,7 @@ from loiqif.measures import (
     measure_report_to_json,
     one_try_gain,
 )
+from loiqif.partition import atom_key
 
 from helpers import (
     all_partitions,
@@ -201,6 +202,18 @@ def test_json_numbers_are_read_as_their_decimal_text():
     obj = {"domain": [0, 1, 2], "mass": {"0": 0.1, "1": 0.7, "2": 2e-1}}
     assert distribution_from_json(obj) == Distribution(Domain([0, 1, 2]),
                                                        {0: "1/10", 1: "7/10", 2: "1/5"})
+
+
+def test_distribution_json_rejects_two_atoms_with_one_mass_key():
+    for atoms in [["0", 0], [(0, 1), "(0,1)"]]:
+        first, second = atoms
+        message = f"atoms {first!r} and {second!r} have the same mass key {atom_key(first)!r}"
+        with pytest.raises(InvalidDistributionError) as err:
+            distribution_to_json(Distribution.uniform(Domain(atoms)))
+        assert str(err.value) == message
+        with pytest.raises(InvalidDistributionError) as err:
+            distribution_from_json({"domain": atoms, "mass": {atom_key(second): "1"}})
+        assert str(err.value) == message
 
 
 def test_distribution_json_reports_exact_deficit():

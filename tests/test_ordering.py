@@ -1,7 +1,10 @@
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
+
+from hypothesis import given, strategies as st
 
 from loiqif import (
     Distribution,
@@ -21,12 +24,14 @@ from loiqif import (
     top,
     verify_witness,
 )
+from loiqif.measures import distribution_from_json, distribution_to_json
 from loiqif.ordering import (
     OrderWitness,
     order_result_to_json,
     witness_from_json,
     witness_to_json,
 )
+from loiqif.partition import atom_key, partition_from_json, partition_to_json, relabel
 
 from helpers import all_partitions
 
@@ -323,6 +328,59 @@ def test_order_result_json_shape():
     obj = order_result_to_json(compare(A, B))
     assert obj["relation"] == "incomparable"
     assert obj["witness_xy"]["n"] == 1
-    assert obj["witness_xy"]["violated_block"] == [1, 3]
+    assert obj["witness_xy"]["violated_block"] == (1, 3)
     obj2 = order_result_to_json(compare(A, A))
     assert obj2 == {"relation": "equal", "witness_xy": None, "witness_yx": None}
+
+
+# Atoms as a caller may list them: ints, strings and nested tuples of
+# them.  A listed domain keeps one mass key per atom so that every
+# distribution over it has a JSON form.
+_json_atoms = st.recursive(st.integers(-3, 3) | st.text(max_size=2),
+                           lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=5)
+_json_domains = st.one_of(
+    st.lists(_json_atoms, min_size=1, max_size=8, unique_by=atom_key).map(Domain),
+    st.sampled_from([range(1), range(5), (range(2), range(3)), (range(2), (range(1), range(2)))])
+    .map(Domain.product),
+)
+
+
+@st.composite
+def _json_partitions(draw):
+    domain = draw(_json_domains)
+    return relabel(domain, draw(st.lists(st.integers(0, 3),
+                                         min_size=domain.size, max_size=domain.size)))
+
+
+def _listed(atom):
+    """An atom with every tuple in it copied into a list."""
+    return [_listed(a) for a in atom] if isinstance(atom, tuple) else atom
+
+
+def _listed_distribution(mu):
+    return {"domain": [_listed(a) for a in mu.domain.atoms],
+            "mass": {atom_key(a): str(m) for a, m in mu.mass.items()}}
+
+
+@given(_json_partitions(), st.integers(0, 2**32))
+def test_json_forms_hold_tuples_written_as_the_listed_forms(x, seed):
+    # The listed forms are the trees the JSON forms were built as when
+    # every tuple was copied into a list first.
+    block = x.blocks[seed % x.n_blocks]
+    mu = Distribution.random(x.domain, random.Random(seed))
+    w = OrderWitness(Distribution.uniform_on(x.domain, block), len(block) - 1, block)
+    cases = [
+        (partition_to_json, partition_from_json, x,
+         {"domain": [_listed(a) for a in x.domain.atoms],
+          "blocks": [[_listed(a) for a in b] for b in x.blocks]}),
+        (distribution_to_json, distribution_from_json, mu, _listed_distribution(mu)),
+        (witness_to_json, witness_from_json, w,
+         {"distribution": _listed_distribution(w.distribution), "n": w.n,
+          "violated_block": [_listed(a) for a in block]}),
+    ]
+    for to_json, from_json, value, listed in cases:
+        form = to_json(value)
+        for indent in (None, 2):
+            assert json.dumps(form, indent=indent) == json.dumps(listed, indent=indent)
+        assert from_json(form) == value
+        assert from_json(json.loads(json.dumps(form))) == value

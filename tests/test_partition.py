@@ -312,7 +312,7 @@ def test_operations_agree_with_relation_oracles(data):
 
 def test_partition_json_round_trip():
     obj = partition_to_json(A)
-    assert obj == {"domain": [1, 2, 3, 4], "blocks": [[1, 2], [3, 4]]}
+    assert obj == {"domain": (1, 2, 3, 4), "blocks": ((1, 2), (3, 4))}
     assert partition_from_json(obj) == A
 
 
