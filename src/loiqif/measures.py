@@ -3,10 +3,11 @@
 A ``Distribution`` holds one non-negative integer weight per domain
 position over a common positive total.  A mass (a ``Fraction``, an
 ``int``, a ``Decimal`` or a string such as ``"3/8"`` or ``"1e-3"``) becomes
-exact in one conversion, ``_exact``, which bounds a decimal exponent before it builds
-anything; every constructor's integer weights then pass one check,
-``Distribution._set``.  ``distribution_from_json`` only maps JSON keys to
-atoms.
+an exact integer pair in one conversion, ``_ratio``: a plain ``"a/b"`` or
+``"a"`` by ``int`` alone, anything else through ``_exact``, which bounds a
+decimal exponent before it builds anything; every constructor's integer
+weights then pass one check, ``Distribution._set``.
+``distribution_from_json`` only maps JSON keys to atoms.
 
 Every measure is a function of one statistic, ``_Ranked``: the positive
 integer weights inside each block (blocks come from the partition's
@@ -89,7 +90,8 @@ class Distribution:
     ``weights[i] / total``.  ``mass``, ``items()``, indexing and
     ``block_mass`` give masses as ``Fraction``, built on each call.
 
-    A mass becomes exact in one place, ``_exact``; every constructor
+    A mass becomes exact in one place, ``_ratio``, as an integer pair
+    (no ``Fraction`` per atom for a plain ``"a/b"``); every constructor
     reduces its input to integer weights over a total, and one check,
     ``_set``, rejects a wrong count, a non-integer or negative weight and
     a sum other than the total.
@@ -99,13 +101,13 @@ class Distribution:
 
     def __init__(self, domain: Domain, mass: Mapping[Atom, Fraction | int | str | Decimal]):
         _require_known(domain, mass)
-        values: list[Fraction] = []
+        ratios: list[tuple[int, int]] = []
         for a in domain.atoms:
             if a not in mass:
                 raise InvalidDistributionError(f"no mass entry for atom {a!r}")
-            values.append(_exact(mass[a], a))
-        d = math.lcm(*(v.denominator for v in values))
-        self._set(domain, [v.numerator * (d // v.denominator) for v in values], d)
+            ratios.append(_ratio(mass[a], a))
+        d = math.lcm(*(q for _, q in ratios))
+        self._set(domain, [p * (d // q) for p, q in ratios], d)
 
     def _set(self, domain: Domain, weights: Sequence[int], total: int | None) -> None:
         """Store one non-negative integer weight per atom over ``total``
@@ -227,6 +229,27 @@ def _require_known(domain: Domain, atoms: Iterable[Atom]) -> None:
 # for a million.
 MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _ratio(value: Fraction | int | str | Decimal, atom: Atom) -> tuple[int, int]:
+    """A mass as an integer numerator over a positive denominator, not
+    necessarily in lowest terms.  Text of ASCII digits, alone or over a
+    non-zero denominator of ASCII digits after one ``/``, is read by
+    ``int`` alone; everything else, and text that ``int`` refuses at the
+    int-string digit limit, is read by ``_exact``, so the masses accepted
+    and the messages given are ``Fraction``'s."""
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            try:
+                p, q = int(num), int(den or "1")
+            except ValueError:   # past the int-string digit limit; _exact gives the message
+                pass
+            else:
+                if q:
+                    return p, q
+    v = _exact(value, atom)
+    return v.numerator, v.denominator
 
 
 def _exact(value: Fraction | int | str | Decimal, atom: Atom) -> Fraction:
@@ -480,10 +503,16 @@ def _mass_keys(domain: Domain) -> dict[str, Atom]:
     return by_key
 
 
+def _mass_text(w: int, total: int) -> str:
+    """``str(Fraction(w, total))`` without building the ``Fraction``."""
+    g = math.gcd(w, total)
+    return f"{w // g}/{total // g}" if total != g else str(w // g)
+
+
 def distribution_to_json(d: Distribution) -> dict:
     return {
         "domain": domain_to_json(d.domain),
-        "mass": dict(zip(_mass_keys(d.domain), map(str, d.mass.values()))),
+        "mass": {key: _mass_text(w, d.total) for key, w in zip(_mass_keys(d.domain), d.weights)},
     }
 
 

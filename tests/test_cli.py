@@ -623,6 +623,18 @@ def test_huge_distribution_mass_exits_two_with_short_message(workspace, capsys,
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("mass", ["9" * 10_000, "1/" + "9" * 5000])
+def test_distribution_mass_past_the_digit_limit_exits_two(workspace, capsys, mass):
+    m1 = workspace("m1.wh", M1_SRC)
+    cfg = workspace("cfg.json", CFG_2BIT)
+    dist = workspace("mu.json", {"domain": [0, 1, 2, 3],
+                                 "mass": {"0": mass, "1": "1", "2": "0", "3": "0"}})
+    code, out, err = run_cli(capsys, "analyze", m1, "--config", cfg, "--dist", dist)
+    assert code == 2 and out == ""
+    assert "bad mass" in err and "for atom 0: Exceeds the limit" in err
+    assert len(err) < 200
+
+
 def test_zero_mass_with_huge_exponent_is_zero(workspace, capsys):
     m1 = workspace("m1.wh", M1_SRC)
     cfg = workspace("cfg.json", CFG_2BIT)

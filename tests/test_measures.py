@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import reprlib
 import sys
 import time
 import tracemalloc
@@ -40,6 +41,7 @@ from loiqif import (
 )
 from loiqif.measures import (
     _exact,
+    _ratio,
     distribution_from_json,
     distribution_to_json,
     format_real,
@@ -132,10 +134,52 @@ def _read(convert, text):
         return "rejected"
 
 
+def _ratio_value(text):
+    p, q = _ratio(text, 0)
+    assert isinstance(p, int) and isinstance(q, int) and q > 0
+    return Fraction(p, q)
+
+
 @settings(max_examples=400)
-@given(mass_strings())
+@given(st.one_of(mass_strings(), st.sampled_from([
+    "007", "00/08", "0/5", "00/000", "1/0", "٣/٤", "٣", "1_0/20", "2/8", "1/ 2", "1//2",
+    "1/2/3", "/2", "1/", " 1/2", "1/2\n", "+1/2", "1.5/2", "²/3"])))
 def test_mass_conversion_agrees_with_fraction(text):
+    """_ratio reads plain digit ratios by int alone and the rest by _exact;
+    either way the value, or the rejection, is Fraction's."""
     assert _read(lambda t: _exact(t, 0), text) == _read(Fraction, text)
+    assert _read(_ratio_value, text) == _read(Fraction, text)
+
+
+@pytest.mark.parametrize("text", ["9" * 10_000, "1/" + "9" * 5000, "9" * 5000 + "/1"])
+def test_mass_past_the_digit_limit_is_rejected_as_fraction_rejects_it(text):
+    """int refuses the text at the int-string digit limit; the reader falls
+    back to _exact and gives its message, from the constructor and from
+    the JSON reader alike."""
+    with pytest.raises(ValueError) as fraction_error:
+        Fraction(text)
+    message = (f"bad mass {reprlib.repr(text)} for atom 0: "
+               f"{str(fraction_error.value).partition(':')[0]}")
+    for build in (lambda: Distribution(D4, {0: text, 1: 1, 2: 0, 3: 0}),
+                  lambda: distribution_from_json({"domain": [0, 1, 2, 3],
+                                                  "mass": {"0": text, "1": "1"}})):
+        with pytest.raises(InvalidDistributionError) as info:
+            build()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mass, message", [
+    # Every bad mass is parsed in domain order, whatever the file order.
+    ({"1": "abc", "0": "xyz"}, "bad mass 'xyz' for atom 0"),
+    ({"1": "1/0", "0": "1", "2": "-1"}, "bad mass '1/0' for atom 1"),
+    # Unknown keys and values that are no number or string come first, in file order.
+    ({"1": "abc", "9": "xyz", "0": [1]}, "mass entry for unknown atom '9'"),
+    ({"1": "abc", "0": [1], "9": "xyz"}, "bad mass [1] for atom '0'"),
+])
+def test_distribution_json_names_the_first_bad_mass(mass, message):
+    with pytest.raises(InvalidDistributionError) as info:
+        distribution_from_json({"domain": [0, 1, 2], "mass": mass})
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize("mantissa", ["0", "-0.000", "00_0.0", "1", "-2.5", "0.001", "7_0",
@@ -189,6 +233,17 @@ def test_random_distribution_is_seeded_and_exact():
     b = Distribution.random(D4, random.Random(7))
     assert a == b
     assert sum(a.mass.values()) == 1
+
+
+@given(st.lists(st.integers(0, 10**30), min_size=1, max_size=6).filter(any),
+       st.integers(0, 5))
+def test_distribution_json_writes_each_mass_as_its_fraction(weights, zeros):
+    weights = weights + [0] * zeros
+    mu = Distribution.from_weights(Domain(range(len(weights))), weights)
+    written = list(distribution_to_json(mu)["mass"].values())
+    assert written == [str(Fraction(w, mu.total)) for w in mu.weights]
+    assert ("1" in written) == (len([w for w in weights if w]) == 1)
+    assert ("0" in written) == (zeros > 0 or 0 in weights)
 
 
 def test_distribution_json_round_trip():
