@@ -13,6 +13,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 from .analysis import (
     LoopAnalysis,
@@ -34,9 +35,9 @@ from .lang import (
 )
 from .measures import (
     Distribution,
+    _read_distribution,
     channel_capacity,
     conditional_entropy,
-    distribution_from_json,
     format_real,
     measure_report,
     measure_report_to_json,
@@ -97,13 +98,13 @@ def _load_config(args) -> AttackerConfig:
 def _resolve_distribution(args, domain: Domain) -> tuple[Distribution, str]:
     if args.uniform:
         return Distribution.uniform(domain), "uniform"
-    mu = distribution_from_json(_read_json(args.dist))
-    if mu.domain != domain:
-        raise QifError(f"{args.dist}: distribution domain does not match the "
-                       f"program's {domain.size} enumerated atoms")
     # Over the program's own domain object, every later domain check is
     # one identity test, not a walk over the atoms.
-    return Distribution.from_weights(domain, mu.weights), args.dist
+    mu = _read_distribution(_read_json(args.dist), domain)
+    if mu.domain is not domain:
+        raise QifError(f"{args.dist}: distribution domain does not match the "
+                       f"program's {domain.size} enumerated atoms")
+    return mu, args.dist
 
 
 def _shape_text(domain: Domain, n_blocks: int, sizes) -> str:
@@ -128,10 +129,14 @@ def _step_text(steps: StepPartitions, i: int) -> str:
 
 
 def _distribution_text(mu: Distribution) -> str:
-    support = [(a, m) for a, m in mu.items() if m > 0]
-    if len(support) <= 16:
-        return "{" + ", ".join(f"{a}: {m}" for a, m in support) + "}"
-    return f"<{len(support)} atoms with positive mass>"
+    """The positive masses, or only their count past 16; a ``Fraction`` is
+    built only for a mass it prints."""
+    positive = len(mu.weights) - mu.weights.count(0)
+    if positive > 16:
+        return f"<{positive} atoms with positive mass>"
+    atoms, weights = mu.domain.atoms, mu.weights
+    support = itertools.compress(itertools.count(), weights)
+    return "{" + ", ".join(f"{atoms[i]}: {Fraction(weights[i], mu.total)}" for i in support) + "}"
 
 
 def _emit_json(obj: dict) -> None:

@@ -6,8 +6,17 @@ position over a common positive total.  A mass (a ``Fraction``, an
 an exact integer pair in one conversion, ``_ratio``: a plain ``"a/b"`` or
 ``"a"`` by ``int`` alone, anything else through ``_exact``, which bounds a
 decimal exponent before it builds anything; every constructor's integer
-weights then pass one check, ``Distribution._set``.
-``distribution_from_json`` only maps JSON keys to atoms.
+weights then pass one check, ``Distribution._set``, or the same checks
+made once by the JSON reader.
+
+The JSON form has one reader, ``_read_distribution(obj, domain)``.  The
+command line passes the program's domain: a file that lists its atoms in
+order (an int as the same int, a tuple as a list of the same) is read by
+looking up each atom's key in the file's own dict, in domain order, with
+no second ``Domain`` and no map of its own, and its weights are checked
+once.  Any other file, and one with a fault to name, is read over the
+domain it lists, so every message and the order of the errors stay the
+same.  ``distribution_from_json(obj)`` is that general reader alone.
 
 Every measure is a function of one statistic, ``_Ranked``: the positive
 integer weights inside each block (blocks come from the partition's
@@ -50,12 +59,14 @@ equal masses is provably irrelevant to the values.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 import reprlib
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .partition import (
@@ -65,7 +76,7 @@ from .partition import (
     InvalidPartitionError,
     Partition,
     QifError,
-    atom_key,
+    atom_keys,
     block_count,
     domain_from_json,
     domain_to_json,
@@ -133,6 +144,9 @@ class Distribution:
             q = Fraction(weight_sum, total)
             raise InvalidDistributionError(
                 f"total mass is {_rational_text(q)}, off from 1 by {_rational_text(1 - q)}")
+        self._store(domain, weights, total)
+
+    def _store(self, domain: Domain, weights: Sequence[int], total: int) -> None:
         weights = tuple(weights)   # gcd(*tuple) copies nothing; gcd(total, *list) copies twice
         g = math.gcd(total, math.gcd(*weights))
         self.domain = domain
@@ -143,6 +157,13 @@ class Distribution:
     def _of(cls, domain: Domain, weights: Sequence[int], total: int | None) -> Distribution:
         mu = object.__new__(cls)
         mu._set(domain, weights, total)
+        return mu
+
+    @classmethod
+    def _checked(cls, domain: Domain, weights: Sequence[int], total: int) -> Distribution:
+        """Trusted constructor: the caller has made the checks of ``_set``."""
+        mu = object.__new__(cls)
+        mu._store(domain, weights, total)
         return mu
 
     @classmethod
@@ -494,8 +515,7 @@ def measure_report_to_json(r: MeasureReport) -> dict:
 def _mass_keys(domain: Domain) -> dict[str, Atom]:
     """Each atom of ``domain`` under its mass key; two atoms with one key are an error."""
     by_key: dict[str, Atom] = {}
-    for a in domain.atoms:
-        key = atom_key(a)
+    for key, a in zip(atom_keys(domain), domain.atoms):
         if key in by_key:
             raise InvalidDistributionError(
                 f"atoms {by_key[key]!r} and {a!r} have the same mass key {key!r}")
@@ -520,14 +540,33 @@ def distribution_from_json(obj) -> Distribution:
     """Distribution from its JSON form.  Masses are strings (``"3/8"``,
     ``"0.25"``, ``"1e-3"``) or JSON numbers, read by ``Distribution``;
     atoms without an entry get mass 0."""
+    return _read_distribution(obj, None)
+
+
+def _read_distribution(obj, domain: Domain | None) -> Distribution:
+    """The one reader of the JSON form.  When the file lists ``domain``'s
+    atoms in order, its masses are read off its own dict over ``domain``
+    itself.  Any other file is read over the domain it lists, as it
+    stands, and then moved onto ``domain`` if the two are equal, so a
+    result over another domain means a mismatch.
+
+    Errors come in one order: a malformed file or domain; then, in file
+    order, an unknown key or a mass that is no number or string; then the
+    first bad mass in domain order (``Distribution``'s checks)."""
     if not isinstance(obj, dict) or "domain" not in obj or "mass" not in obj:
         raise InvalidDistributionError('expected {"domain": [...], "mass": {...}}')
-    if not isinstance(obj["mass"], dict):
+    file_mass = obj["mass"]
+    if not isinstance(file_mass, dict):
         raise InvalidDistributionError('"mass" must be a JSON object keyed by atom')
-    domain = domain_from_json(obj["domain"])
-    by_key = _mass_keys(domain)
-    mass: dict[Atom, int | str] = dict.fromkeys(domain.atoms, 0)
-    for key, text in obj["mass"].items():
+    if domain is not None and _lists_atoms(obj["domain"], domain.atoms):
+        mu = _read_listed(domain, file_mass)
+        if mu is not None:
+            return mu
+    # Any other file, and a listed one with a fault to name.
+    listed = domain_from_json(obj["domain"])
+    by_key = _mass_keys(listed)
+    mass: dict[Atom, int | str] = dict.fromkeys(listed.atoms, 0)
+    for key, text in file_mass.items():
         if key not in by_key:
             raise InvalidDistributionError(f"mass entry for unknown atom {key!r}")
         if isinstance(text, bool) or not isinstance(text, (str, int, float)):
@@ -535,4 +574,79 @@ def distribution_from_json(obj) -> Distribution:
                 f"bad mass {reprlib.repr(text)} for atom {key!r}: expected a number or a string")
         # A JSON number stands for its decimal text, not the nearest binary float.
         mass[by_key[key]] = repr(text) if isinstance(text, float) else text
-    return Distribution(domain, mass)
+    mu = Distribution(listed, mass)
+    if domain is None or listed != domain:
+        return mu
+    return Distribution._checked(domain, mu.weights, mu.total)
+
+
+def _lists_atoms(values, atoms: Sequence) -> bool:
+    """True when the JSON array ``values`` holds ``atoms`` in order, an int
+    as the same int and a tuple as a list of the same: a float or a bool
+    never matches."""
+    if type(values) is not list or len(values) != len(atoms):
+        return False
+    if isinstance(atoms, range):
+        return set(map(type, values)) == {int} and all(map(operator.eq, values, atoms))
+    return all(map(_same_atom, values, atoms))
+
+
+def _same_atom(value, atom: Atom) -> bool:
+    if type(atom) is tuple:
+        return type(value) is list and len(value) == len(atom) and all(map(_same_atom, value, atom))
+    return type(value) is int and type(atom) is int and value == atom
+
+
+# A key the file does not hold, and how many distinct mass texts
+# _read_listed keeps the weight of (a file's masses repeat: zeros, small
+# weights over one total).
+_ABSENT = object()
+_KNOWN_TEXTS = 4096
+
+
+def _read_listed(domain: Domain, masses: dict) -> Distribution | None:
+    """The distribution ``masses`` gives ``domain``'s atoms, each mass
+    looked up by its atom's key in domain order, with one check of the
+    weights; None when a key is unknown, a mass is malformed or negative,
+    or the masses do not add up to 1, for the general reader to name.
+
+    Each weight is taken over the least common denominator d of the masses
+    so far.  When d grows, the weights before it are scaled up once at the
+    end, so no per-atom ratio is kept."""
+    weights: list[int] = []
+    grew: list[tuple[int, int]] = []    # (weights so far, d until then)
+    d = 1
+    known: dict[str, int] = {}          # weight over d of a mass text
+    absent = 0
+    try:
+        for value in map(masses.get, atom_keys(domain), repeat(_ABSENT)):
+            w = known.get(value) if type(value) is str else None
+            if w is None:
+                if value is _ABSENT:
+                    absent += 1
+                    weights.append(0)
+                    continue
+                if type(value) not in (str, int, float):   # a bool, null, array or object
+                    return None
+                p, q = _ratio(repr(value) if type(value) is float else value, None)
+                if p < 0:
+                    return None
+                if d % q:
+                    grew.append((len(weights), d))
+                    d = math.lcm(d, q)
+                    known.clear()
+                w = p * (d // q)
+                if type(value) is str and len(known) < _KNOWN_TEXTS:
+                    known[value] = w
+            weights.append(w)
+    except InvalidDistributionError:
+        return None
+    if domain.size - absent != len(masses):
+        return None
+    start = 0
+    for end, was in grew:
+        weights[start:end] = map((d // was).__mul__, weights[start:end])
+        start = end
+    if sum(weights) != d:
+        return None
+    return Distribution._checked(domain, weights, d)

@@ -76,11 +76,14 @@ class OrderResult:
 
 def find_split_block(x: Partition, y: Partition) -> tuple[Atom, ...] | None:
     """First block of ``y`` (canonical order) that meets two or more
-    blocks of ``x``; None when ``x`` is below ``y`` (``leq``)."""
+    blocks of ``x``; None when ``x`` is below ``y`` (``leq``).  The block
+    is read off ``y``'s labels, so ``y.blocks`` stays unbuilt."""
     if leq(x, y):
         return None
     meets = Counter(yl for yl, _ in set(zip(y.labels, x.labels)))
-    return y.blocks[min(yl for yl, n in meets.items() if n > 1)]
+    label = min(yl for yl, n in meets.items() if n > 1)
+    positions = itertools.compress(itertools.count(), map(label.__eq__, y.labels))
+    return tuple(map(y.domain.atoms.__getitem__, positions))
 
 
 # Names of the profile entries, in order, and the slack each comparison

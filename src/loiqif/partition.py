@@ -383,9 +383,9 @@ def block_count(x: Partition) -> int:
 # ---------------------------------------------------------------------------
 # JSON forms
 #
-# {"domain": [...], "blocks": [[...], ...]}, blocks in canonical order on
-# output and in any order on input.  The forms hold the library's own
-# tuples, which json writes as arrays; readers take lists or tuples.
+# {"domain": [...], "blocks": [[...], ...]}, blocks in canonical order.
+# The forms hold the library's own tuples, which json writes as arrays;
+# readers take lists or tuples.
 
 def atom_from_json(value) -> Atom:
     if isinstance(value, list):
@@ -398,6 +398,25 @@ def atom_key(atom: Atom) -> str:
     if isinstance(atom, tuple):
         return "(" + ",".join(atom_key(a) for a in atom) + ")"
     return str(atom)
+
+
+def atom_keys(domain: Domain) -> Iterator[str]:
+    """``atom_key`` of each atom, in domain order.  For an enumerated
+    domain no atom is built: each key is one ``str.format`` of the atom's
+    int values, which run in the order of the flat product of its value
+    ranges."""
+    if isinstance(domain.atoms, tuple):
+        return map(atom_key, domain.atoms)
+    ranges: list[range] = []
+
+    def template(values: Sequence) -> str:
+        if isinstance(values, range):
+            ranges.append(values)
+            return "{}"
+        return "(" + ",".join(map(template, values.parts)) + ")"
+
+    key = template(domain.atoms)
+    return map(key.format, *_Product(ranges).columns()) if ranges else iter((key,))
 
 
 def domain_to_json(domain: Domain) -> tuple:
@@ -419,11 +438,3 @@ def partition_to_json(x: Partition) -> dict:
         "domain": domain_to_json(x.domain),
         "blocks": x.blocks,
     }
-
-
-def partition_from_json(obj) -> Partition:
-    if not isinstance(obj, dict) or "domain" not in obj or "blocks" not in obj:
-        raise InvalidPartitionError('expected {"domain": [...], "blocks": [...]}')
-    domain = domain_from_json(obj["domain"])
-    blocks = [[atom_from_json(a) for a in block] for block in obj["blocks"]]
-    return Partition(domain, blocks)

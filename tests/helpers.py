@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +33,8 @@ from loiqif.lang import (
     enumerate_domain,
     validate_program,
 )
-from loiqif.measures import MAX_DECIMAL_EXPONENT
+from loiqif.measures import MAX_DECIMAL_EXPONENT, InvalidDistributionError
+from loiqif.partition import atom_key, domain_from_json
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -435,6 +437,44 @@ def loop_analysis_reference(p, cfg, stores: dict, max_iterations=None) -> tuple:
         else seen(a, obs) if len(counts_of[seen(a, obs)]) >= 2 else ("alone", a)
         for a, (obs, n) in traces.items()})
     return tuple(w[:len(chain)]), tuple(chain), collision, meet_oracle(chain[-1], collision)
+
+
+# ---------------------------------------------------------------------------
+# The --dist reader as it was before it read against the program's domain
+
+def distribution_from_json_reference(obj) -> Distribution:
+    """Build the file's domain, map every atom's key to it, map the masses
+    onto the atoms by key in file order, and let ``Distribution`` read
+    them in domain order."""
+    if not isinstance(obj, dict) or "domain" not in obj or "mass" not in obj:
+        raise InvalidDistributionError('expected {"domain": [...], "mass": {...}}')
+    if not isinstance(obj["mass"], dict):
+        raise InvalidDistributionError('"mass" must be a JSON object keyed by atom')
+    domain = domain_from_json(obj["domain"])
+    by_key = {}
+    for a in domain.atoms:
+        key = atom_key(a)
+        if key in by_key:
+            raise InvalidDistributionError(
+                f"atoms {by_key[key]!r} and {a!r} have the same mass key {key!r}")
+        by_key[key] = a
+    mass = dict.fromkeys(domain.atoms, 0)
+    for key, text in obj["mass"].items():
+        if key not in by_key:
+            raise InvalidDistributionError(f"mass entry for unknown atom {key!r}")
+        if isinstance(text, bool) or not isinstance(text, (str, int, float)):
+            raise InvalidDistributionError(
+                f"bad mass {reprlib.repr(text)} for atom {key!r}: expected a number or a string")
+        mass[by_key[key]] = repr(text) if isinstance(text, float) else text
+    return Distribution(domain, mass)
+
+
+def read_distribution_reference(obj, domain: Domain) -> Distribution:
+    """The file read over its own domain, then moved onto ``domain`` when
+    the two are equal, as ``analyze --dist`` did; a result over another
+    domain is a mismatch."""
+    mu = distribution_from_json_reference(obj)
+    return Distribution.from_weights(domain, mu.weights) if mu.domain == domain else mu
 
 
 # ---------------------------------------------------------------------------

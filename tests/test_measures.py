@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -9,6 +11,7 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,20 +42,26 @@ from loiqif import (
     shannon_distance,
     top,
 )
+from loiqif import cli
+from loiqif.lang import config_from_json, enumerate_domain
 from loiqif.measures import (
     _exact,
+    _lists_atoms,
     _ratio,
+    _read_distribution,
+    _read_listed,
     distribution_from_json,
     distribution_to_json,
     format_real,
     measure_report_to_json,
     one_try_gain,
 )
-from loiqif.partition import atom_key
+from loiqif.partition import atom_from_json, atom_key
 
 from helpers import (
     all_partitions,
     conditional_entropy_oracle,
+    distribution_from_json_reference,
     entropy_oracle,
     entropy_lcm_reference,
     expected_guesses_oracle,
@@ -63,6 +72,7 @@ from helpers import (
     me_leakage_direct,
     me_prime_reference,
     random_partition,
+    read_distribution_reference,
 )
 
 TOL = 1e-9
@@ -275,6 +285,158 @@ def test_distribution_json_reports_exact_deficit():
     obj = {"domain": [0, 1], "mass": {"0": "1/3", "1": "1/3"}}
     with pytest.raises(InvalidDistributionError, match="1/3"):
         distribution_from_json(obj)
+
+
+# The two domains a --dist file is read against below: a 2-bit active
+# high (int atoms) and a passive 1-bit low with a 2-bit high ((l, h) atoms).
+_DIST_CONFIGS = {
+    "active": {"high": [{"name": "h", "bits": 2}], "observe": ["o"]},
+    "passive": {"high": [{"name": "h", "bits": 2}], "low": [{"name": "l", "bits": 1}],
+                "observe": ["o"], "mode": "passive"},
+}
+_DIST_DOMAINS = {mode: enumerate_domain(config_from_json(cfg))
+                 for mode, cfg in _DIST_CONFIGS.items()}
+_BAD_MASSES = ["abc", "1/0", "-1/4", "2", [1], None, True, {}, -1, 0.1, 1e-3, "1e-3", 2]
+
+
+def _listed(atom):
+    return [_listed(a) for a in atom] if isinstance(atom, tuple) else atom
+
+
+def _loosened(value, to_bool: bool):
+    """The JSON atom with its last int as a float, or as a bool if it is 0 or 1."""
+    if isinstance(value, list):
+        return value[:-1] + [_loosened(value[-1], to_bool)]
+    return bool(value) if to_bool and value in (0, 1) else float(value)
+
+
+@st.composite
+def _dist_files(draw, domain):
+    """A --dist file for ``domain``: its atoms listed in order, permuted,
+    cut short, with one int as a float or a bool, or with an atom twice;
+    masses from random weights in several spellings, zeros sometimes left
+    out, then maybe one bad mass and one unknown key, in any file order."""
+    atoms = [_listed(a) for a in domain.atoms]
+    index = st.integers(0, len(atoms) - 1)
+    shape = draw(st.sampled_from(["same", "permuted", "shorter", "loose", "duplicate"]))
+    listed = list(atoms)
+    if shape == "permuted":
+        listed = draw(st.permutations(atoms))
+    elif shape == "shorter":
+        listed = atoms[:draw(index)]
+    elif shape == "loose":
+        i = draw(index)
+        listed[i] = _loosened(atoms[i], draw(st.booleans()))
+    elif shape == "duplicate":
+        listed.insert(draw(index), atoms[draw(index)])
+    # A loosened atom is keyed as the file lists it or as the program's atom.
+    keyed = draw(st.sampled_from([listed, atoms])) if shape == "loose" else listed
+    keys = list(dict.fromkeys(atom_key(atom_from_json(a)) for a in keyed))
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(keys), max_size=len(keys)))
+    total = max(sum(weights), 1)
+    entries = []
+    for key, w in zip(keys, weights):
+        spelling = draw(st.sampled_from(["reduced", "unreduced", "absent", "float"]))
+        if spelling == "absent" and not w:
+            continue
+        if spelling == "float" and (w * 4) % total == 0:
+            entries.append((key, w / total))
+        else:
+            entries.append((key, str(Fraction(w, total)) if spelling == "reduced"
+                            else f"{w}/{total}"))
+    if entries and draw(st.booleans()):
+        i = draw(st.integers(0, len(entries) - 1))
+        entries[i] = (entries[i][0], draw(st.sampled_from(_BAD_MASSES)))
+    if draw(st.booleans()):
+        entries.insert(draw(st.integers(0, len(entries))),
+                       (draw(st.sampled_from(["9", "(7,7)", "1.0", "True"])), "0"))
+    if draw(st.booleans()):
+        entries = draw(st.permutations(entries))
+    return {"domain": listed, "mass": dict(entries)}
+
+
+def _outcome(read, *args):
+    """What ``read`` makes of its arguments: the distribution's atoms (by
+    repr, so 1.0 and True differ from 1), weights and total, or the error
+    it raises."""
+    try:
+        mu = read(*args)
+    except Exception as exc:   # compared with the reference's, type and text
+        return type(exc), str(exc)
+    return [repr(a) for a in mu.domain.atoms], mu.weights, mu.total
+
+
+def _cli_outcome(mode, obj, path) -> tuple:
+    cfg, prog = path.with_suffix(".cfg.json"), path.with_suffix(".wh")
+    cfg.write_text(json.dumps(_DIST_CONFIGS[mode]))
+    prog.write_text("o = h & 1;\n")
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", str(prog), "--config", str(cfg), "--dist", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_dist_reader(mode, obj, path):
+    """The file reads as the reference reads it: alone, against the
+    program's domain (over that very domain object when they match), and
+    through ``analyze --dist``, stdout, stderr and exit code alike."""
+    domain = _DIST_DOMAINS[mode]
+    assert (_outcome(distribution_from_json, obj)
+            == _outcome(distribution_from_json_reference, obj))
+    got = _outcome(_read_distribution, obj, domain)
+    assert got == _outcome(read_distribution_reference, obj, domain)
+    if isinstance(got[0], list):   # a distribution, not an error
+        mu = _read_distribution(obj, domain)
+        assert (mu.domain is domain) == (mu.domain == domain)
+        if _lists_atoms(obj["domain"], domain.atoms):   # read straight off the file's dict
+            assert _read_listed(domain, obj["mass"]) == mu
+    with mock.patch.object(cli, "_read_distribution", read_distribution_reference):
+        want = _cli_outcome(mode, obj, path)
+    assert _cli_outcome(mode, obj, path) == want
+
+
+@pytest.mark.parametrize("mode, obj, message", [
+    ("active", {"domain": [0, 1, 2, 3], "mass": {"0": "1/2", "3": "1/2"}}, None),
+    ("active", {"domain": [3, 2, 1, 0], "mass": {"0": "1/2", "3": "1/2"}}, "does not match"),
+    ("active", {"domain": [0, 1, 2], "mass": {"0": "1"}}, "does not match"),
+    ("active", {"domain": [0, 1.0, 2, 3], "mass": {"1.0": "1"}}, None),
+    ("active", {"domain": [0, True, 2, 3], "mass": {"True": "1"}}, None),
+    ("active", {"domain": [0, 1.0, 2, 3], "mass": {"1": "1"}}, "unknown atom '1'"),
+    ("active", {"domain": [0, True, 2, 3], "mass": {"1": "1"}}, "unknown atom '1'"),
+    ("passive", {"domain": [[l, h * 1.0] for l in range(2) for h in range(4)],
+                 "mass": {"(0,0)": "1"}}, "unknown atom '(0,0)'"),
+    ("active", {"domain": [0, 1, 2, 3], "mass": {"0": True}}, "bad mass True for atom '0'"),
+    ("active", {"domain": [0, 1, 2, 3], "mass": {"0": "1/2", "1": "1/4", "2": "1/6", "3": "1/12"}},
+     None),
+    ("passive", {"domain": [[0, 0], [0, 1.0]], "mass": {"(0,0)": "1"}}, "does not match"),
+    ("active", {"domain": [0, 1, 1, 3], "mass": {"0": "1"}}, "duplicate atom 1"),
+    ("active", {"domain": [0, 1, 2, 3], "mass": {"3": "abc", "9": "1", "0": [1]}},
+     "mass entry for unknown atom '9'"),
+    ("active", {"domain": [0, 1, 2, 3], "mass": {"3": "abc", "0": [1], "9": "1"}},
+     "bad mass [1] for atom '0'"),
+    ("active", {"domain": [0, 1, 2, 3], "mass": {"0": "1/2", "2": "x/2", "1": "-1/2", "3": "1/0"}},
+     "bad mass 'x/2' for atom 2"),
+    ("passive", {"domain": [[l, h] for l in range(2) for h in range(4)],
+                 "mass": {"(1,3)": "1/0", "(0,0)": "1", "(0,2)": "-1"}},
+     "bad mass '1/0' for atom (1, 3)"),
+    ("passive", {"domain": [[l, h] for l in range(2) for h in range(4)],
+                 "mass": {"(1,3)": "1/4", "(0,0)": "1/2", "(0,2)": "1/3"}},
+     "total mass is 13/12"),
+])
+def test_dist_reader_keeps_every_rule(tmp_path, mode, obj, message):
+    _check_dist_reader(mode, obj, tmp_path / "mu.json")
+    code, _, err = _cli_outcome(mode, obj, tmp_path / "mu.json")
+    assert code == (0 if message is None else 2)
+    assert message is None or message in err
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(_DIST_DOMAINS)).flatmap(
+    lambda mode: st.tuples(st.just(mode), _dist_files(_DIST_DOMAINS[mode]))))
+def test_dist_reader_agrees_with_the_reference_on_fuzzed_files(tmp_path_factory, case):
+    mode, obj = case
+    _check_dist_reader(mode, obj, tmp_path_factory.mktemp("dist") / "mu.json")
 
 
 # ---------------------------------------------------------------------------

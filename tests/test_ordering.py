@@ -31,7 +31,7 @@ from loiqif.ordering import (
     witness_from_json,
     witness_to_json,
 )
-from loiqif.partition import atom_key, partition_from_json, partition_to_json, relabel
+from loiqif.partition import atom_key, partition_to_json, relabel
 
 from helpers import all_partitions
 
@@ -352,6 +352,23 @@ def _json_partitions(draw):
                                          min_size=domain.size, max_size=domain.size)))
 
 
+@st.composite
+def _partition_pairs(draw):
+    domain = draw(_json_domains)
+    labels = st.lists(st.integers(0, 3), min_size=domain.size, max_size=domain.size)
+    return relabel(domain, draw(labels)), relabel(domain, draw(labels))
+
+
+@given(_partition_pairs())
+def test_split_block_is_read_off_the_labels(pair):
+    x, y = pair
+    block = find_split_block(x, y)
+    assert y._blocks is None     # the block cache of y stays unfilled
+    split = [b for b in y.blocks if len({x.block_of(a) for a in b}) > 1]
+    assert block == (split[0] if split else None)
+    assert block is None or block == y.blocks[y.block_of(block[0])]
+
+
 def _listed(atom):
     """An atom with every tuple in it copied into a list."""
     return [_listed(a) for a in atom] if isinstance(atom, tuple) else atom
@@ -370,7 +387,7 @@ def test_json_forms_hold_tuples_written_as_the_listed_forms(x, seed):
     mu = Distribution.random(x.domain, random.Random(seed))
     w = OrderWitness(Distribution.uniform_on(x.domain, block), len(block) - 1, block)
     cases = [
-        (partition_to_json, partition_from_json, x,
+        (partition_to_json, None, x,
          {"domain": [_listed(a) for a in x.domain.atoms],
           "blocks": [[_listed(a) for a in b] for b in x.blocks]}),
         (distribution_to_json, distribution_from_json, mu, _listed_distribution(mu)),
@@ -382,5 +399,6 @@ def test_json_forms_hold_tuples_written_as_the_listed_forms(x, seed):
         form = to_json(value)
         for indent in (None, 2):
             assert json.dumps(form, indent=indent) == json.dumps(listed, indent=indent)
-        assert from_json(form) == value
-        assert from_json(json.loads(json.dumps(form))) == value
+        if from_json is not None:   # no partition reader: the CLI reads none
+            assert from_json(form) == value
+            assert from_json(json.loads(json.dumps(form))) == value
