@@ -6,17 +6,16 @@ position over a common positive total.  A mass (a ``Fraction``, an
 an exact integer pair in one conversion, ``_ratio``: a plain ``"a/b"`` or
 ``"a"`` by ``int`` alone, anything else through ``_exact``, which bounds a
 decimal exponent before it builds anything; every constructor's integer
-weights then pass one check, ``Distribution._set``, or the same checks
-made once by the JSON reader.
+weights then pass one check, ``Distribution._set``.
 
-The JSON form has one reader, ``_read_distribution(obj, domain)``.  The
-command line passes the program's domain: a file that lists its atoms in
-order (an int as the same int, a tuple as a list of the same) is read by
-looking up each atom's key in the file's own dict, in domain order, with
-no second ``Domain`` and no map of its own, and its weights are checked
-once.  Any other file, and one with a fault to name, is read over the
-domain it lists, so every message and the order of the errors stay the
-same.  ``distribution_from_json(obj)`` is that general reader alone.
+The JSON form has one reader, ``_read_distribution(obj, domain)``, which
+makes one pass over one domain: ``domain`` itself when the file lists its
+atoms in order (an int as the same int, a tuple as a list of the same),
+with no second ``Domain`` and no map of keys, and otherwise the domain the
+file lists.  Each atom's mass is looked up by its key in the file's own
+dict, in domain order, and the weights are checked once.  Only a file with
+a fault is scanned again, in file order, to name the fault.
+``distribution_from_json(obj)`` is the reader with no domain.
 
 Every measure is a function of one statistic, ``_Ranked``: the positive
 integer weights inside each block (blocks come from the partition's
@@ -538,46 +537,95 @@ def distribution_to_json(d: Distribution) -> dict:
 
 def distribution_from_json(obj) -> Distribution:
     """Distribution from its JSON form.  Masses are strings (``"3/8"``,
-    ``"0.25"``, ``"1e-3"``) or JSON numbers, read by ``Distribution``;
-    atoms without an entry get mass 0."""
+    ``"0.25"``, ``"1e-3"``) or JSON numbers, read by ``_ratio``; atoms
+    without an entry get mass 0."""
     return _read_distribution(obj, None)
 
 
+# A key the file does not hold, and how many distinct mass texts
+# _read_distribution keeps the weight of (a file's masses repeat: zeros,
+# small weights over one total).
+_ABSENT = object()
+_KNOWN_TEXTS = 4096
+
+
 def _read_distribution(obj, domain: Domain | None) -> Distribution:
-    """The one reader of the JSON form.  When the file lists ``domain``'s
-    atoms in order, its masses are read off its own dict over ``domain``
-    itself.  Any other file is read over the domain it lists, as it
-    stands, and then moved onto ``domain`` if the two are equal, so a
-    result over another domain means a mismatch.
+    """The one reader of the JSON form.  It reads the file over ``domain``
+    itself when the file lists its atoms in order, and otherwise over the
+    domain the file lists; the result is over ``domain`` whenever the two
+    are equal, so one over another domain means a mismatch.  Each atom's
+    mass is its key's entry in the file's dict, in domain order.
 
     Errors come in one order: a malformed file or domain; then, in file
     order, an unknown key or a mass that is no number or string; then the
-    first bad mass in domain order (``Distribution``'s checks)."""
+    first bad mass in domain order, the first negative one, and a total
+    other than 1.
+
+    Each weight is taken over the least common denominator d of the masses
+    so far.  When d grows, the weights before it are scaled up once at the
+    end, so no per-atom ratio is kept."""
     if not isinstance(obj, dict) or "domain" not in obj or "mass" not in obj:
         raise InvalidDistributionError('expected {"domain": [...], "mass": {...}}')
-    file_mass = obj["mass"]
-    if not isinstance(file_mass, dict):
+    masses = obj["mass"]
+    if not isinstance(masses, dict):
         raise InvalidDistributionError('"mass" must be a JSON object keyed by atom')
     if domain is not None and _lists_atoms(obj["domain"], domain.atoms):
-        mu = _read_listed(domain, file_mass)
-        if mu is not None:
-            return mu
-    # Any other file, and a listed one with a fault to name.
-    listed = domain_from_json(obj["domain"])
-    by_key = _mass_keys(listed)
-    mass: dict[Atom, int | str] = dict.fromkeys(listed.atoms, 0)
-    for key, text in file_mass.items():
-        if key not in by_key:
+        listed, keys = domain, atom_keys(domain)
+    else:
+        listed = domain_from_json(obj["domain"])
+        keys = _mass_keys(listed)
+    weights: list[int] = []
+    grew: list[tuple[int, int]] = []    # (weights so far, d until then)
+    d = 1
+    known: dict[str, int] = {}          # weight over d of a mass text
+    absent = 0
+    negative = False
+    for value in map(masses.get, keys, repeat(_ABSENT)):
+        w = known.get(value) if type(value) is str else None
+        if w is None:
+            if value is _ABSENT:
+                absent += 1
+                weights.append(0)
+                continue
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                _name_file_fault(masses, listed)   # this entry, if no earlier one
+            # A JSON number stands for its decimal text, not the nearest binary float.
+            text = repr(value) if isinstance(value, float) else value
+            try:
+                p, q = _ratio(text, None)
+            except InvalidDistributionError:
+                _name_file_fault(masses, listed)
+                _ratio(text, listed.atoms[len(weights)])   # raises again, naming the atom
+            negative = negative or p < 0
+            if d % q:
+                grew.append((len(weights), d))
+                d = math.lcm(d, q)
+                known.clear()
+            w = p * (d // q)
+            if type(value) is str and len(known) < _KNOWN_TEXTS:
+                known[value] = w
+        weights.append(w)
+    if listed.size - absent != len(masses):
+        _name_file_fault(masses, listed)       # a key for no atom
+    start = 0
+    for end, was in grew:
+        weights[start:end] = map((d // was).__mul__, weights[start:end])
+        start = end
+    if negative or sum(weights) != d:
+        Distribution._of(listed, weights, d)   # _set names the fault
+    return Distribution._checked(domain if listed == domain else listed, weights, d)
+
+
+def _name_file_fault(masses: dict, listed: Domain) -> None:
+    """Raise for the first entry, in file order, whose key names no atom of
+    ``listed`` or whose mass is no number or string, if there is one."""
+    keys = set(atom_keys(listed))
+    for key, value in masses.items():
+        if key not in keys:
             raise InvalidDistributionError(f"mass entry for unknown atom {key!r}")
-        if isinstance(text, bool) or not isinstance(text, (str, int, float)):
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise InvalidDistributionError(
-                f"bad mass {reprlib.repr(text)} for atom {key!r}: expected a number or a string")
-        # A JSON number stands for its decimal text, not the nearest binary float.
-        mass[by_key[key]] = repr(text) if isinstance(text, float) else text
-    mu = Distribution(listed, mass)
-    if domain is None or listed != domain:
-        return mu
-    return Distribution._checked(domain, mu.weights, mu.total)
+                f"bad mass {reprlib.repr(value)} for atom {key!r}: expected a number or a string")
 
 
 def _lists_atoms(values, atoms: Sequence) -> bool:
@@ -595,58 +643,3 @@ def _same_atom(value, atom: Atom) -> bool:
     if type(atom) is tuple:
         return type(value) is list and len(value) == len(atom) and all(map(_same_atom, value, atom))
     return type(value) is int and type(atom) is int and value == atom
-
-
-# A key the file does not hold, and how many distinct mass texts
-# _read_listed keeps the weight of (a file's masses repeat: zeros, small
-# weights over one total).
-_ABSENT = object()
-_KNOWN_TEXTS = 4096
-
-
-def _read_listed(domain: Domain, masses: dict) -> Distribution | None:
-    """The distribution ``masses`` gives ``domain``'s atoms, each mass
-    looked up by its atom's key in domain order, with one check of the
-    weights; None when a key is unknown, a mass is malformed or negative,
-    or the masses do not add up to 1, for the general reader to name.
-
-    Each weight is taken over the least common denominator d of the masses
-    so far.  When d grows, the weights before it are scaled up once at the
-    end, so no per-atom ratio is kept."""
-    weights: list[int] = []
-    grew: list[tuple[int, int]] = []    # (weights so far, d until then)
-    d = 1
-    known: dict[str, int] = {}          # weight over d of a mass text
-    absent = 0
-    try:
-        for value in map(masses.get, atom_keys(domain), repeat(_ABSENT)):
-            w = known.get(value) if type(value) is str else None
-            if w is None:
-                if value is _ABSENT:
-                    absent += 1
-                    weights.append(0)
-                    continue
-                if type(value) not in (str, int, float):   # a bool, null, array or object
-                    return None
-                p, q = _ratio(repr(value) if type(value) is float else value, None)
-                if p < 0:
-                    return None
-                if d % q:
-                    grew.append((len(weights), d))
-                    d = math.lcm(d, q)
-                    known.clear()
-                w = p * (d // q)
-                if type(value) is str and len(known) < _KNOWN_TEXTS:
-                    known[value] = w
-            weights.append(w)
-    except InvalidDistributionError:
-        return None
-    if domain.size - absent != len(masses):
-        return None
-    start = 0
-    for end, was in grew:
-        weights[start:end] = map((d // was).__mul__, weights[start:end])
-        start = end
-    if sum(weights) != d:
-        return None
-    return Distribution._checked(domain, weights, d)

@@ -388,15 +388,22 @@ def block_count(x: Partition) -> int:
 # readers take lists or tuples.
 
 def atom_from_json(value) -> Atom:
+    """The atom a JSON value stands for, each array as a tuple."""
     if isinstance(value, list):
-        return tuple(atom_from_json(v) for v in value)
+        try:
+            return tuple(atom_from_json(v) for v in value)
+        except RecursionError:   # nested as deep as the interpreter's recursion limit
+            raise InvalidPartitionError("atom nested too deep") from None
     return value
 
 
 def atom_key(atom: Atom) -> str:
     """Canonical string form of an atom, used as a JSON object key."""
     if isinstance(atom, tuple):
-        return "(" + ",".join(atom_key(a) for a in atom) + ")"
+        try:
+            return "(" + ",".join(atom_key(a) for a in atom) + ")"
+        except RecursionError:
+            raise InvalidPartitionError("atom nested too deep") from None
     return str(atom)
 
 

@@ -790,6 +790,14 @@ def test_zero_budget_exits_two(workspace, capsys):
 _WITNESS_DIST = {"domain": [0, 1, 2, 3], "mass": {"1": "1/2", "2": "1/2"}}
 
 
+def _nested(depth: int):
+    """The JSON atom 3 inside ``depth`` arrays."""
+    atom = 3
+    for _ in range(depth):
+        atom = [atom]
+    return atom
+
+
 @pytest.mark.parametrize("witness, message", [
     ({"distribution": _WITNESS_DIST, "n": "abc", "violated_block": [1, 2]}, '"n"'),
     ({"distribution": _WITNESS_DIST, "n": 1e400, "violated_block": [1, 2]}, '"n"'),
@@ -801,6 +809,10 @@ _WITNESS_DIST = {"domain": [0, 1, 2, 3], "mass": {"1": "1/2", "2": "1/2"}}
       "violated_block": [2]}, "unhashable"),
     ({"distribution": {"domain": [0, 1, 2, 3], "mass": {"1": "1e99999999"}}, "n": 1,
       "violated_block": [1, 2]}, "total mass is about 10^99999999"),
+    *[({"distribution": {"domain": [0, 1, 2, _nested(depth)], "mass": {"2": "1"}}, "n": 1,
+        "violated_block": [2]}, "atom nested too deep") for depth in (400, 600, 900)],
+    ({"distribution": _WITNESS_DIST, "n": 1, "violated_block": [1, _nested(600)]},
+     "atom nested too deep"),
 ])
 def test_bad_witness_exits_two(workspace, capsys, witness, message):
     m1 = workspace("m1.wh", M1_SRC)
@@ -812,6 +824,22 @@ def test_bad_witness_exits_two(workspace, capsys, witness, message):
                            "--witness", w)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("depth, message", [
+    (300, "does not match"),            # read, and over another domain
+    (600, "atom nested too deep"),      # parsed, but too deep to read as an atom
+    (990, "JSON nested too deep"),      # too deep to parse
+])
+def test_deeply_nested_dist_atom_exits_two(workspace, capsys, depth, message):
+    m1 = workspace("m1.wh", M1_SRC)
+    cfg = workspace("cfg.json", CFG_2BIT)
+    # Written as text: json.dumps itself stops short of 990 levels here.
+    mu = workspace("mu.json", '{"domain": [0, 1, 2, %s3%s], "mass": {"0": "1"}}'
+                   % ("[" * depth, "]" * depth))
+    code, out, err = run_cli(capsys, "analyze", m1, "--config", cfg, "--dist", mu)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 # A JSON integer of more than 4300 digits and a 100 000-deep array, in each

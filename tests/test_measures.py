@@ -22,6 +22,7 @@ from loiqif import (
     DomainMismatchError,
     InvalidDistributionError,
     Partition,
+    QifError,
     bottom,
     capacity_achieving_distribution,
     channel_capacity,
@@ -42,14 +43,14 @@ from loiqif import (
     shannon_distance,
     top,
 )
-from loiqif import cli
+from loiqif import cli, measures
 from loiqif.lang import config_from_json, enumerate_domain
 from loiqif.measures import (
     _exact,
     _lists_atoms,
+    _mass_keys,
     _ratio,
     _read_distribution,
-    _read_listed,
     distribution_from_json,
     distribution_to_json,
     format_real,
@@ -281,6 +282,18 @@ def test_distribution_json_rejects_two_atoms_with_one_mass_key():
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("depth", [600, 900, 5000])
+def test_atoms_nested_too_deep_are_input_errors(depth):
+    value, atom = 3, 3
+    for _ in range(depth):
+        value, atom = [value], (atom,)
+    for convert, arg in [(atom_from_json, value), (atom_key, atom), (_mass_keys, Domain([0, atom])),
+                         (distribution_to_json, Distribution.uniform(Domain([0, atom]))),
+                         (distribution_from_json, {"domain": [0, value], "mass": {"0": "1"}})]:
+        with pytest.raises(QifError, match="^atom nested too deep$"):
+            convert(arg)
+
+
 def test_distribution_json_reports_exact_deficit():
     obj = {"domain": [0, 1], "mass": {"0": "1/3", "1": "1/3"}}
     with pytest.raises(InvalidDistributionError, match="1/3"):
@@ -389,8 +402,13 @@ def _check_dist_reader(mode, obj, path):
     if isinstance(got[0], list):   # a distribution, not an error
         mu = _read_distribution(obj, domain)
         assert (mu.domain is domain) == (mu.domain == domain)
-        if _lists_atoms(obj["domain"], domain.atoms):   # read straight off the file's dict
-            assert _read_listed(domain, obj["mass"]) == mu
+        if _lists_atoms(obj["domain"], domain.atoms):
+            # Read straight off the file's dict: no second Domain, no key map.
+            with mock.patch.object(measures, "domain_from_json", side_effect=AssertionError), \
+                    mock.patch.object(measures, "_mass_keys", side_effect=AssertionError):
+                listed = _read_distribution(obj, domain)
+            assert listed.domain is domain
+            assert listed == read_distribution_reference(obj, domain)
     with mock.patch.object(cli, "_read_distribution", read_distribution_reference):
         want = _cli_outcome(mode, obj, path)
     assert _cli_outcome(mode, obj, path) == want
@@ -423,6 +441,31 @@ def _check_dist_reader(mode, obj, path):
     ("passive", {"domain": [[l, h] for l in range(2) for h in range(4)],
                  "mass": {"(1,3)": "1/4", "(0,0)": "1/2", "(0,2)": "1/3"}},
      "total mass is 13/12"),
+    # A fault named only once the whole file is scanned: a bad text earlier
+    # in domain order than a null that comes first in file order; a negative
+    # mass with an unknown key; an off total with numbers among the masses.
+    ("active", {"domain": [0, 1, 2, 3], "mass": {"3": None, "0": "abc"}},
+     "bad mass None for atom '3'"),
+    ("passive", {"domain": [[l, h] for l in range(2) for h in range(4)],
+                 "mass": {"(1,3)": None, "(0,1)": "x"}},
+     "bad mass None for atom '(1,3)'"),
+    ("active", {"domain": [0, 1, 2, 3], "mass": {"0": "-1/2", "1": "3/2", "9": "0"}},
+     "mass entry for unknown atom '9'"),
+    ("active", {"domain": [0, 1, 2, 3], "mass": {"9": "0", "2": -1, "1": 2}},
+     "mass entry for unknown atom '9'"),
+    ("active", {"domain": [0, 1, 2, 3], "mass": {"0": 0.1, "1": "1/2", "3": 0}},
+     "total mass is 3/5, off from 1 by 2/5"),
+    ("passive", {"domain": [[l, h] for l in range(2) for h in range(4)],
+                 "mass": {"(0,3)": 1, "(1,0)": 0.25}},
+     "total mass is 5/4, off from 1 by -1/4"),
+    # A negative mass in a total of 1, and an unknown key with a null mass.
+    ("active", {"domain": [0, 1, 2, 3], "mass": {"1": "3/2", "0": "-1/2"}},
+     "negative mass -1/2 on atom 0"),
+    ("passive", {"domain": [[l, h] for l in range(2) for h in range(4)],
+                 "mass": {"(1,2)": -1, "(0,1)": 2}},
+     "negative mass -1 on atom (1, 2)"),
+    ("active", {"domain": [0, 1, 2, 3], "mass": {"0": "1", "9": None}},
+     "mass entry for unknown atom '9'"),
 ])
 def test_dist_reader_keeps_every_rule(tmp_path, mode, obj, message):
     _check_dist_reader(mode, obj, tmp_path / "mu.json")
