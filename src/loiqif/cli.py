@@ -35,9 +35,9 @@ from .lang import (
 )
 from .measures import (
     Distribution,
-    _read_distribution,
     channel_capacity,
     conditional_entropy,
+    distribution_from_json,
     format_real,
     measure_report,
     measure_report_to_json,
@@ -95,12 +95,20 @@ def _load_config(args) -> AttackerConfig:
     return cfg
 
 
+def _load_pair(args) -> tuple[Partition, Partition]:
+    """The partitions of ``program1`` and ``program2`` under one configuration."""
+    p1 = _load_program(args.program1)
+    p2 = _load_program(args.program2)
+    cfg = _load_config(args)
+    return loi(p1, cfg)[1], loi(p2, cfg)[1]
+
+
 def _resolve_distribution(args, domain: Domain) -> tuple[Distribution, str]:
     if args.uniform:
         return Distribution.uniform(domain), "uniform"
     # Over the program's own domain object, every later domain check is
     # one identity test, not a walk over the atoms.
-    mu = _read_distribution(_read_json(args.dist), domain)
+    mu = distribution_from_json(_read_json(args.dist), domain)
     if mu.domain is not domain:
         raise QifError(f"{args.dist}: distribution domain does not match the "
                        f"program's {domain.size} enumerated atoms")
@@ -229,11 +237,7 @@ def _print_witness(label: str, w: OrderWitness) -> None:
 def cmd_compare(args) -> int:
     if args.trials < 1:
         raise QifError(f"--trials must be >= 1, got {args.trials}")
-    p1 = _load_program(args.program1)
-    p2 = _load_program(args.program2)
-    cfg = _load_config(args)
-    _, x = loi(p1, cfg)
-    _, y = loi(p2, cfg)
+    x, y = _load_pair(args)
     audit = equivalence_audit(x, y, trials=args.trials, seed=args.seed)
     result = audit.result
     if args.json:
@@ -414,12 +418,8 @@ def cmd_capacity(args) -> int:
 # witness-check
 
 def cmd_witness_check(args) -> int:
-    p1 = _load_program(args.program1)
-    p2 = _load_program(args.program2)
-    cfg = _load_config(args)
-    _, x = loi(p1, cfg)
-    _, y = loi(p2, cfg)
-    w = witness_from_json(_read_json(args.witness))
+    x, y = _load_pair(args)
+    w = witness_from_json(_read_json(args.witness), x.domain)
     if args.direction == "xy":
         verified = verify_witness(w, x, y)
         claim = "P1 <= P2"

@@ -8,14 +8,13 @@ an exact integer pair in one conversion, ``_ratio``: a plain ``"a/b"`` or
 decimal exponent before it builds anything; every constructor's integer
 weights then pass one check, ``Distribution._set``.
 
-The JSON form has one reader, ``_read_distribution(obj, domain)``, which
-makes one pass over one domain: ``domain`` itself when the file lists its
-atoms in order (an int as the same int, a tuple as a list of the same),
+The JSON form has one reader, ``distribution_from_json(obj, domain=None)``,
+which makes one pass over one domain: ``domain`` itself when the file lists
+its atoms in order (an int as the same int, a tuple as a list of the same),
 with no second ``Domain`` and no map of keys, and otherwise the domain the
 file lists.  Each atom's mass is looked up by its key in the file's own
 dict, in domain order, and the weights are checked once.  Only a file with
 a fault is scanned again, in file order, to name the fault.
-``distribution_from_json(obj)`` is the reader with no domain.
 
 Every measure is a function of one statistic, ``_Ranked``: the positive
 integer weights inside each block (blocks come from the partition's
@@ -200,7 +199,7 @@ class Distribution:
         (degenerate corners matter), otherwise a uniform random integer
         from 1 to 1000.  At least one atom stays positive.
         """
-        weights = [0 if rng.random() < 0.25 else rng.randint(1, 1000) for _ in domain.atoms]
+        weights = [0 if rng.random() < 0.25 else rng.randint(1, 1000) for _ in range(domain.size)]
         if not any(weights):
             weights[rng.randrange(domain.size)] = rng.randint(1, 1000)
         return cls._of(domain, weights, None)
@@ -535,26 +534,21 @@ def distribution_to_json(d: Distribution) -> dict:
     }
 
 
-def distribution_from_json(obj) -> Distribution:
-    """Distribution from its JSON form.  Masses are strings (``"3/8"``,
-    ``"0.25"``, ``"1e-3"``) or JSON numbers, read by ``_ratio``; atoms
-    without an entry get mass 0."""
-    return _read_distribution(obj, None)
-
-
 # A key the file does not hold, and how many distinct mass texts
-# _read_distribution keeps the weight of (a file's masses repeat: zeros,
+# distribution_from_json keeps the weight of (a file's masses repeat: zeros,
 # small weights over one total).
 _ABSENT = object()
 _KNOWN_TEXTS = 4096
 
 
-def _read_distribution(obj, domain: Domain | None) -> Distribution:
+def distribution_from_json(obj, domain: Domain | None = None) -> Distribution:
     """The one reader of the JSON form.  It reads the file over ``domain``
     itself when the file lists its atoms in order, and otherwise over the
     domain the file lists; the result is over ``domain`` whenever the two
     are equal, so one over another domain means a mismatch.  Each atom's
-    mass is its key's entry in the file's dict, in domain order.
+    mass is its key's entry in the file's dict, in domain order: a string
+    (``"3/8"``, ``"0.25"``, ``"1e-3"``) or a JSON number, read by
+    ``_ratio``; an atom without an entry gets mass 0.
 
     Errors come in one order: a malformed file or domain; then, in file
     order, an unknown key or a mass that is no number or string; then the

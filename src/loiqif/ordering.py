@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .measures import Distribution, _Ranked, distribution_from_json, distribution_to_json
-from .partition import Atom, Partition, QifError, atom_from_json, leq
+from .partition import Atom, Domain, Partition, QifError, atom_from_json, leq
 
 ENTROPY_TOLERANCE = 1e-9
 
@@ -231,7 +231,9 @@ def witness_to_json(w: OrderWitness) -> dict:
     }
 
 
-def witness_from_json(obj) -> OrderWitness:
+def witness_from_json(obj, domain: Domain | None = None) -> OrderWitness:
+    """Witness from its JSON form; its distribution is read by
+    ``distribution_from_json(obj["distribution"], domain)``."""
     if not isinstance(obj, dict) or not {"distribution", "n", "violated_block"} <= set(obj):
         raise QifError('expected {"distribution": ..., "n": ..., "violated_block": [...]}')
     n, block = obj["n"], obj["violated_block"]
@@ -240,7 +242,7 @@ def witness_from_json(obj) -> OrderWitness:
     if not isinstance(block, (list, tuple)):
         raise QifError(f'witness "violated_block" must be an array, got {block!r}')
     return OrderWitness(
-        distribution=distribution_from_json(obj["distribution"]),
+        distribution=distribution_from_json(obj["distribution"], domain),
         n=n,
         violated_block=tuple(atom_from_json(a) for a in block),
     )

@@ -4,14 +4,16 @@ import json
 import random
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from loiqif import Distribution, Domain, loi, parse
+from loiqif import Distribution, Domain, loi, measures, parse
 from loiqif.cli import _distribution_text, _emit_json, main
-from loiqif.lang import MAX_DEPTH, AttackerConfig
+from loiqif.lang import MAX_DEPTH, AttackerConfig, config_from_json
 from loiqif.measures import distribution_to_json
+from loiqif.ordering import witness_from_json
 
 from helpers import mass_strings
 
@@ -254,6 +256,31 @@ def test_compare_json_and_witness_check(workspace, capsys):
                            "--witness", witness, "--direction", "xy")
     assert code == 0
     assert "NOT verified" in out
+
+
+@pytest.mark.parametrize("cfg_obj", [
+    CFG_2BIT,
+    {"high": [{"name": "h", "bits": 2}], "low": [{"name": "l", "bits": 1}],
+     "observe": ["o"], "mode": "passive"},
+])
+def test_witness_check_reads_over_the_programs_domain(workspace, capsys, cfg_obj):
+    """A witness from ``compare --json`` lists the program's atoms, so it is
+    read over the program's own domain: no second Domain, no key map."""
+    m1 = workspace("m1.wh", M1_SRC)
+    half = workspace("half.wh", "o = h & 2;\n")
+    cfg = workspace("cfg.json", cfg_obj)
+    _, out, _ = run_cli(capsys, "compare", m1, half, "--config", cfg, "--trials", "1", "--json")
+    obj = json.loads(out)["witness_xy"]
+    witness = workspace("w.json", obj)
+    with mock.patch.object(measures, "domain_from_json", side_effect=AssertionError), \
+            mock.patch.object(measures, "_mass_keys", side_effect=AssertionError):
+        result = run_cli(capsys, "witness-check", m1, half, "--config", cfg, "--witness", witness)
+    assert result == (0, "witness against P1 <= P2: verified\n", "")
+
+    d, _ = loi(parse(M1_SRC), config_from_json(cfg_obj))
+    w = witness_from_json(obj, d)
+    assert w.distribution.domain is d
+    assert w == witness_from_json(obj)
 
 
 def _distribution_text_reference(mu):

@@ -50,7 +50,6 @@ from loiqif.measures import (
     _lists_atoms,
     _mass_keys,
     _ratio,
-    _read_distribution,
     distribution_from_json,
     distribution_to_json,
     format_real,
@@ -246,6 +245,24 @@ def test_random_distribution_is_seeded_and_exact():
     assert sum(a.mass.values()) == 1
 
 
+@pytest.mark.parametrize("cfg", [
+    {"high": [{"name": "h", "bits": 2}, {"name": "k", "bits": 3}], "observe": ["o"]},
+    {"high": [{"name": "h", "bits": 3}], "low": [{"name": "l", "bits": 2}],
+     "observe": ["o"], "mode": "passive"},
+])
+def test_random_distribution_draws_as_one_draw_per_atom(cfg):
+    """Drawing over the domain's size makes the same RNG calls, and gives
+    the same weights, as drawing once per atom of a product domain."""
+    d = enumerate_domain(config_from_json(cfg))
+    for seed in range(4):
+        rng, old = random.Random(seed), random.Random(seed)
+        weights = [0 if old.random() < 0.25 else old.randint(1, 1000) for _ in d.atoms]
+        if not any(weights):
+            weights[old.randrange(d.size)] = old.randint(1, 1000)
+        assert Distribution.random(d, rng) == Distribution.from_weights(d, weights)
+        assert rng.getstate() == old.getstate()
+
+
 @given(st.lists(st.integers(0, 10**30), min_size=1, max_size=6).filter(any),
        st.integers(0, 5))
 def test_distribution_json_writes_each_mass_as_its_fraction(weights, zeros):
@@ -397,19 +414,19 @@ def _check_dist_reader(mode, obj, path):
     domain = _DIST_DOMAINS[mode]
     assert (_outcome(distribution_from_json, obj)
             == _outcome(distribution_from_json_reference, obj))
-    got = _outcome(_read_distribution, obj, domain)
+    got = _outcome(distribution_from_json, obj, domain)
     assert got == _outcome(read_distribution_reference, obj, domain)
     if isinstance(got[0], list):   # a distribution, not an error
-        mu = _read_distribution(obj, domain)
+        mu = distribution_from_json(obj, domain)
         assert (mu.domain is domain) == (mu.domain == domain)
         if _lists_atoms(obj["domain"], domain.atoms):
             # Read straight off the file's dict: no second Domain, no key map.
             with mock.patch.object(measures, "domain_from_json", side_effect=AssertionError), \
                     mock.patch.object(measures, "_mass_keys", side_effect=AssertionError):
-                listed = _read_distribution(obj, domain)
+                listed = distribution_from_json(obj, domain)
             assert listed.domain is domain
             assert listed == read_distribution_reference(obj, domain)
-    with mock.patch.object(cli, "_read_distribution", read_distribution_reference):
+    with mock.patch.object(cli, "distribution_from_json", read_distribution_reference):
         want = _cli_outcome(mode, obj, path)
     assert _cli_outcome(mode, obj, path) == want
 
