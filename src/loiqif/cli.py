@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .analysis import (
     LoopAnalysis,
@@ -147,24 +148,139 @@ def _distribution_text(mu: Distribution) -> str:
     return "{" + ", ".join(f"{atoms[i]}: {Fraction(weights[i], mu.total)}" for i in support) + "}"
 
 
-def _emit_json(obj: dict) -> None:
-    """Write ``obj`` as ``json.dump(obj, indent=2)`` would, plus a newline.
+# Items of a flat array (exact ints, or short rows of them) joined into one
+# piece, and characters held before a write.  Holding more saves no time:
+# the held pieces and their joined copy are the writer's peak memory.
+_SLICE = 256
+_FLUSH = 1 << 14
+# The longest row written by one format template: a longer row would be
+# one piece holding its whole text.
+_MAX_ROW = 16
 
-    A value may be a builder, a function of no arguments: it is written as
-    the tree it returns.  ``iterencode`` always runs json's Python encoder,
-    which calls ``default`` on a builder only when it reaches that value,
-    so a list of builders is built, written and dropped one item at a
-    time.  Text is written a few thousand encoder pieces at a time: the
-    whole text is never held at once, and one write per piece would cost
-    more than encoding.  Trees may share a partition's cached tuples, but
-    no container printed can hold itself.
+
+def _item_texts(items, inner: str):
+    """A function from a slice of ``items`` to their texts, when every item
+    is an exact int or every item is a row of one length, 1 to ``_MAX_ROW``,
+    of exact ints (``inner`` is the line break and indent before an item);
+    else None.  A bool is not an exact int."""
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return lambda part: map(int.__repr__, part)
+    if not kinds <= {list, tuple}:
+        return None
+    lengths = set(map(len, items))
+    if len(lengths) != 1 or not 1 <= (k := lengths.pop()) <= _MAX_ROW:
+        return None
+    if set(map(type, itertools.chain.from_iterable(items))) != {int}:
+        return None
+    row_inner = inner + "  "
+    template = "[" + row_inner + ("," + row_inner).join(["{}"] * k) + inner + "]"
+    return lambda part: itertools.starmap(template.format, part)
+
+
+def _text(value, inner: str) -> str | None:
+    """The whole text of a string, int, bool, null, empty container or flat
+    array of at most ``_SLICE`` items, whose own items would start with
+    ``inner``; None for anything else."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if len(value) <= _SLICE:
+            texts = _item_texts(value, inner)
+            if texts is not None:
+                return "[" + inner + ("," + inner).join(texts(value)) + inner[:-2] + "]"
+        return None
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict) and not value:
+        return "{}"
+    return None
+
+
+def _json_pieces(value, inner: str):
+    """Yield the text of ``value`` as ``json.dumps(value, indent=2)`` writes
+    it where ``inner``, a line break and indent, starts each of its own
+    items."""
+    text = _text(value, inner)
+    if text is not None:
+        yield text
+        return
+    deeper = inner + "  "
+    if isinstance(value, (list, tuple)):
+        sep = "," + inner
+        # a flat array of at most _SLICE items was written whole by _text
+        texts = _item_texts(value, inner) if len(value) > _SLICE else None
+        if texts is not None:
+            yield "[" + inner + sep.join(texts(value[:_SLICE]))
+            for start in range(_SLICE, len(value), _SLICE):
+                yield sep + sep.join(texts(value[start:start + _SLICE]))
+        else:
+            head = "[" + inner
+            for item in value:
+                text = _text(item, deeper)
+                if text is not None:
+                    yield head + text
+                else:
+                    yield head
+                    yield from _json_pieces(item, deeper)
+                head = sep
+        yield inner[:-2] + "]"
+    elif isinstance(value, dict):
+        sep = "," + inner
+        head = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head += encode_basestring_ascii(key) + ": "
+            text = _text(item, deeper)
+            if text is not None:
+                yield head + text
+            else:
+                yield head
+                yield from _json_pieces(item, deeper)
+            head = sep
+        yield inner[:-2] + "}"
+    elif callable(value):
+        yield from _json_pieces(value(), inner)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit_json(obj: dict) -> None:
+    """Write ``obj`` exactly as ``json.dumps(obj, indent=2)`` prints it,
+    plus a newline.
+
+    The tree holds dicts with string keys, lists, tuples, strings, ints,
+    bools and None; anything else raises ``TypeError``.  A value may also
+    be a builder, a function of no arguments: it is written as the tree it
+    returns, built only when the writer reaches it, so a list of builders
+    is built, written and dropped one item at a time.  An array of exact
+    ints, or of short rows of exact ints, is written a slice of
+    ``_SLICE`` items per ``join``; everything else one token or so per
+    piece.  Pieces are written once about ``_FLUSH`` characters are held,
+    so the whole text is never held at once.  Trees may share a
+    partition's cached tuples, but no container printed can hold itself.
     """
-    encoder = json.JSONEncoder(indent=2, check_circular=False,
-                               default=lambda build: build())
-    pieces = encoder.iterencode(obj)
-    for text in iter(lambda: "".join(itertools.islice(pieces, 4096)), ""):
-        sys.stdout.write(text)
-    sys.stdout.write("\n")
+    write = sys.stdout.write
+    held: list[str] = []
+    size = 0
+    for piece in _json_pieces(obj, "\n  "):
+        held.append(piece)
+        size += len(piece)
+        if size >= _FLUSH:
+            write("".join(held))
+            held.clear()
+            size = 0
+    held.append("\n")
+    write("".join(held))
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,8 @@ class Distribution:
         weights = [0 if rng.random() < 0.25 else rng.randint(1, 1000) for _ in range(domain.size)]
         if not any(weights):
             weights[rng.randrange(domain.size)] = rng.randint(1, 1000)
-        return cls._of(domain, weights, None)
+        # non-negative ints, one per atom, with a positive sum: nothing for _set to check
+        return cls._checked(domain, weights, sum(weights))
 
     @property
     def mass(self) -> dict[Atom, Fraction]:

@@ -401,26 +401,102 @@ def test_loop_command_json(workspace, capsys):
     assert obj["collision"]["blocks"] == [[0], [1], [2, 3]]
 
 
-@pytest.mark.parametrize("command", ["analyze", "compare", "loop", "passive loop"])
+@pytest.mark.parametrize("command", ["analyze", "compare", "loop", "passive loop",
+                                     "multirun", "capacity", "witness-check"])
 def test_json_output_is_the_standard_indented_text(workspace, capsys, command):
-    # The printer skips json's check for containers that hold themselves;
-    # the text stays exactly what the default encoder prints.
+    # Every command that prints --json prints exactly the default encoder's
+    # indented text.
     cfg = workspace("cfg.json", CFG_2BIT)
     passive = workspace("passive.json", {
         "high": [{"name": "h", "bits": 2}], "low": [{"name": "l", "bits": 2}],
         "observe": ["o"], "mode": "passive"})
+    m1, m2 = workspace("m1.wh", M1_SRC), workspace("m2.wh", M2_SRC)
+    _, out, _ = run_cli(capsys, "compare", m1, m2, "--config", cfg, "--trials", "1", "--json")
+    witness = workspace("w.json", json.loads(out)["witness_yx"])
     argv = {
         "analyze": ["analyze", workspace("pw.wh", PASSWORD_SRC), "--config", passive,
                     "--uniform"],
-        "compare": ["compare", workspace("m1.wh", M1_SRC), workspace("m2.wh", M2_SRC),
-                    "--config", cfg, "--trials", "3"],
+        "compare": ["compare", m1, m2, "--config", cfg, "--trials", "3"],
         "loop": ["loop", workspace("count.wh", "o = 0; while (h > o) o = o + 1;\n"),
                  "--config", cfg],
         "passive loop": ["loop", workspace("ploop.wh", PASSIVE_LOOP_SRC), "--config", passive],
+        "multirun": ["multirun", workspace("pw.wh", PASSWORD_SRC), "--uniform",
+                     "--run", "l=1", "--run", "l=2", "--config", workspace("active.json", {
+                         "high": [{"name": "h", "bits": 2}],
+                         "low": [{"name": "l", "bits": 2, "value": 0}], "observe": ["o"]})],
+        "capacity": ["capacity", m1, "--config", cfg],
+        "witness-check": ["witness-check", m1, m2, "--config", cfg, "--witness", witness,
+                          "--direction", "yx"],
     }[command]
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# Trees of what the --json forms hold: string-keyed objects, lists, tuples,
+# strings, ints, bools and null, with builders (functions returning a tree)
+# at any depth.  Rows of 1, 16 and 17 ints sit on each side of the row
+# template's length bound.
+_json_ints = st.one_of(st.integers(-5, 5), st.integers(), st.integers(2**64, 2**80),
+                       st.integers(-2**80, -2**64))
+
+
+def _json_rows(items):
+    """Lists of rows of one length, some lists and some tuples."""
+    return st.integers(0, 17).flatmap(
+        lambda k: st.lists(st.lists(items, min_size=k, max_size=k)
+                           .map(lambda r: tuple(r) if len(r) % 2 else r),
+                           max_size=6))
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), _json_ints,
+    st.text(st.sampled_from('a"\\\n\x00\x1f\x7fé€𝄞 ')),
+    st.lists(st.one_of(_json_ints, st.booleans()), max_size=6),
+    _json_rows(_json_ints), _json_rows(st.one_of(_json_ints, st.booleans())),
+    st.lists(st.one_of(st.lists(_json_ints, max_size=3), st.tuples(_json_ints)), max_size=5))
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=4),
+                            inner.map(lambda tree: lambda: tree)),
+    max_leaves=12)
+
+
+def _built(tree):
+    """``tree`` with every builder replaced by what it returns."""
+    if callable(tree):
+        return _built(tree())
+    if isinstance(tree, dict):
+        return {k: _built(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_built(v) for v in tree]
+    return tree
+
+
+@given(_json_trees)
+def test_json_output_matches_json_dumps_on_random_trees(tree):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(tree)
+    assert out.getvalue() == json.dumps(_built(tree), indent=2) + "\n"
+
+
+def test_json_output_of_long_int_arrays_and_rows_matches_json_dumps(capsys):
+    # Arrays longer than one slice, and rows of the row template's longest
+    # length, of every exact int; a bool or a longer row leaves the fast path.
+    tree = {"ints": list(range(-600, 600)), "rows": [(i, -i, 2**70) for i in range(700)],
+            "widest": [list(range(i, i + 16)) for i in range(300)],
+            "wider": [list(range(i, i + 17)) for i in range(300)],
+            "bools": [1] * 300 + [True], "mixed": [[1, 2]] * 300 + [(3, 4), [5, False]]}
+    _emit_json(tree)
+    assert capsys.readouterr().out == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {1: 2}, b"x", {"s": {1, 2}}])
+def test_json_output_raises_type_error_outside_its_tree_forms(value):
+    with pytest.raises(TypeError):
+        _emit_json({"v": value})
 
 
 class _Sink:
@@ -465,6 +541,22 @@ def test_json_builder_items_are_built_and_written_one_at_a_time():
     try:
         with contextlib.redirect_stdout(sink):
             _emit_json({"chain": [lambda i=i: list(range(i, i + 4096)) for i in range(64)]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sink.size // 4
+
+
+def test_json_rows_are_written_a_slice_at_a_time():
+    # A passive partition of 2^13 (low, high) atoms prints its domain as
+    # 2^13 two-int rows and its blocks as rows again.
+    rows = [(i >> 10, i & 1023) for i in range(1 << 13)]
+    obj = {"partition": {"domain": rows, "blocks": [rows[i::64] for i in range(64)]}}
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            _emit_json(obj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
