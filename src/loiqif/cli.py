@@ -148,9 +148,10 @@ def _distribution_text(mu: Distribution) -> str:
     return "{" + ", ".join(f"{atoms[i]}: {Fraction(weights[i], mu.total)}" for i in support) + "}"
 
 
-# Items of a flat array (exact ints, or short rows of them) joined into one
-# piece, and characters held before a write.  Holding more saves no time:
-# the held pieces and their joined copy are the writer's peak memory.
+# A flat array (exact ints, or short rows of them) goes out in slices of
+# _SLICE items, one join each, and _emit_json writes once _FLUSH characters
+# are held.  Holding more saves no time: the held pieces and their joined
+# copy are the writer's peak memory.
 _SLICE = 256
 _FLUSH = 1 << 14
 # The longest row written by one format template: a longer row would be
@@ -178,78 +179,39 @@ def _item_texts(items, inner: str):
     return lambda part: itertools.starmap(template.format, part)
 
 
-def _text(value, inner: str) -> str | None:
-    """The whole text of a string, int, bool, null, empty container or flat
-    array of at most ``_SLICE`` items, whose own items would start with
-    ``inner``; None for anything else."""
+def _write(value, inner: str, put) -> None:
+    """Pass the text of ``value`` to ``put``, a piece at a time, as
+    ``json.dumps(value, indent=2)`` writes it where ``inner``, a line break
+    and indent, starts each of its own items."""
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if len(value) <= _SLICE:
-            texts = _item_texts(value, inner)
-            if texts is not None:
-                return "[" + inner + ("," + inner).join(texts(value)) + inner[:-2] + "]"
-        return None
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, dict) and not value:
-        return "{}"
-    return None
-
-
-def _json_pieces(value, inner: str):
-    """Yield the text of ``value`` as ``json.dumps(value, indent=2)`` writes
-    it where ``inner``, a line break and indent, starts each of its own
-    items."""
-    text = _text(value, inner)
-    if text is not None:
-        yield text
-        return
-    deeper = inner + "  "
-    if isinstance(value, (list, tuple)):
-        sep = "," + inner
-        # a flat array of at most _SLICE items was written whole by _text
-        texts = _item_texts(value, inner) if len(value) > _SLICE else None
+        head, sep = "[" + inner, "," + inner
+        texts = _item_texts(value, inner)
         if texts is not None:
-            yield "[" + inner + sep.join(texts(value[:_SLICE]))
-            for start in range(_SLICE, len(value), _SLICE):
-                yield sep + sep.join(texts(value[start:start + _SLICE]))
-        else:
-            head = "[" + inner
-            for item in value:
-                text = _text(item, deeper)
-                if text is not None:
-                    yield head + text
-                else:
-                    yield head
-                    yield from _json_pieces(item, deeper)
+            for start in range(0, len(value), _SLICE):
+                put(head + sep.join(texts(value[start:start + _SLICE])))
                 head = sep
-        yield inner[:-2] + "]"
+        else:
+            deeper = inner + "  "
+            for item in value:
+                put(head)
+                _write(item, deeper, put)
+                head = sep
+        put(inner[:-2] + "]" if value else "[]")
     elif isinstance(value, dict):
-        sep = "," + inner
-        head = "{" + inner
+        head, sep, deeper = "{" + inner, "," + inner, inner + "  "
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            head += encode_basestring_ascii(key) + ": "
-            text = _text(item, deeper)
-            if text is not None:
-                yield head + text
-            else:
-                yield head
-                yield from _json_pieces(item, deeper)
+            put(head + encode_basestring_ascii(key) + ": ")
+            _write(item, deeper, put)
             head = sep
-        yield inner[:-2] + "}"
+        put(inner[:-2] + "}" if value else "{}")
+    elif isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, int):   # null, true, false or an int
+        put(json.dumps(value))
     elif callable(value):
-        yield from _json_pieces(value(), inner)
+        _write(value(), inner, put)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -261,24 +223,29 @@ def _emit_json(obj: dict) -> None:
     The tree holds dicts with string keys, lists, tuples, strings, ints,
     bools and None; anything else raises ``TypeError``.  A value may also
     be a builder, a function of no arguments: it is written as the tree it
-    returns, built only when the writer reaches it, so a list of builders
-    is built, written and dropped one item at a time.  An array of exact
-    ints, or of short rows of exact ints, is written a slice of
-    ``_SLICE`` items per ``join``; everything else one token or so per
-    piece.  Pieces are written once about ``_FLUSH`` characters are held,
-    so the whole text is never held at once.  Trees may share a
-    partition's cached tuples, but no container printed can hold itself.
+    returns, built only when ``_write`` reaches it, so a list of builders
+    is built, written and dropped one item at a time.  ``_write`` passes
+    each piece of text to ``put``: a flat array of exact ints, or of short
+    rows of exact ints, ``_SLICE`` items per piece, everything else a token
+    or so.  ``put`` holds the pieces and writes them once ``_FLUSH``
+    characters are held, so the whole text is never held at once.  Trees
+    may share a partition's cached tuples, but no container printed can
+    hold itself.
     """
     write = sys.stdout.write
     held: list[str] = []
     size = 0
-    for piece in _json_pieces(obj, "\n  "):
+
+    def put(piece: str) -> None:
+        nonlocal size
         held.append(piece)
         size += len(piece)
         if size >= _FLUSH:
             write("".join(held))
             held.clear()
             size = 0
+
+    _write(obj, "\n  ", put)
     held.append("\n")
     write("".join(held))
 
@@ -396,6 +363,7 @@ def _parse_run_assignment(text: str) -> dict[str, int]:
             raise QifError(f"--run {text!r} assigns {name!r} twice")
         try:
             values[name] = int(value, 0)
+            int.__repr__(values[name])   # raises past the int-string digit limit
         except ValueError:
             raise QifError(f"bad --run value in {text!r}") from None
     return values

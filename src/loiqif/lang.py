@@ -416,7 +416,10 @@ def parse(source: str) -> Program:
 
 def expr_to_source(e: Expr, parent: int = 0, right_operand: bool = False) -> str:
     if isinstance(e, IntLit):
-        return str(e.value)
+        try:
+            return str(e.value)
+        except ValueError:   # past the int-string digit limit; hex has none
+            return hex(e.value)
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
     if isinstance(e, Var):

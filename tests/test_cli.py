@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loiqif import Distribution, Domain, loi, measures, parse
-from loiqif.cli import _distribution_text, _emit_json, main
+from loiqif.cli import _SLICE, _distribution_text, _emit_json, main
 from loiqif.lang import MAX_DEPTH, AttackerConfig, config_from_json
 from loiqif.measures import distribution_to_json
 from loiqif.ordering import witness_from_json
@@ -372,6 +372,20 @@ def test_multirun_rejects_a_variable_assigned_twice_in_one_run(workspace, capsys
     assert "--run 'l=1, l =2' assigns 'l' twice" in err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_multirun_rejects_a_run_value_past_the_digit_limit(workspace, capsys, json_flag):
+    # 0x followed by 5000 f's parses, but its decimal text has 6021 digits.
+    pw = workspace("pw.wh", PASSWORD_SRC)
+    cfg = workspace("cfg.json", {
+        "high": [{"name": "h", "bits": 3}],
+        "low": [{"name": "l", "bits": 100000, "value": 0}],
+        "observe": ["o"], "mode": "active"})
+    code, out, err = run_cli(capsys, "multirun", pw, "--config", cfg, "--uniform",
+                             "--run", "l=0x" + "f" * 5000, *json_flag)
+    assert (code, out) == (2, "")
+    assert "bad --run value" in err
+
+
 # ---------------------------------------------------------------------------
 # loop / capacity
 
@@ -489,6 +503,10 @@ def test_json_output_of_long_int_arrays_and_rows_matches_json_dumps(capsys):
             "widest": [list(range(i, i + 16)) for i in range(300)],
             "wider": [list(range(i, i + 17)) for i in range(300)],
             "bools": [1] * 300 + [True], "mixed": [[1, 2]] * 300 + [(3, 4), [5, False]]}
+    for n in (_SLICE, _SLICE + 1):   # one slice exactly, and one item past it
+        tree[f"ints{n}"] = list(range(n))
+        tree[f"rows{n}"] = [(i, -i) for i in range(n)]
+        tree[f"blocks{n}"] = [[i] for i in range(n)]
     _emit_json(tree)
     assert capsys.readouterr().out == json.dumps(tree, indent=2) + "\n"
 

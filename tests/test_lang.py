@@ -364,6 +364,16 @@ def test_program_printing_round_trips():
     assert parse(program_to_source(p)) == p
 
 
+def test_literals_past_the_digit_limit_print_as_hex_and_round_trip():
+    # Neither literal has decimal text under the int-string digit limit.
+    p = parse("o = 0x" + "f" * 5000 + ";")
+    assert parse(program_to_source(p)) == p
+    composed, _ = self_compose(parse("h = h + 1; o = h;"), parse("h = h + 1; o = h;"),
+                               cfg_high(20000))
+    assert IntLit((1 << 20000) - 1) in [n for n, _ in _walk(composed)]
+    assert parse(program_to_source(composed)) == composed
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
