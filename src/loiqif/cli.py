@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import reprlib
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -358,14 +359,14 @@ def _parse_run_assignment(text: str) -> dict[str, int]:
         name, sep, value = piece.partition("=")
         name = name.strip()
         if not sep or not name:
-            raise QifError(f"bad --run assignment {text!r}: expected name=value")
+            raise QifError(f"bad --run assignment {reprlib.repr(text)}: expected name=value")
         if name in values:
-            raise QifError(f"--run {text!r} assigns {name!r} twice")
+            raise QifError(f"--run {reprlib.repr(text)} assigns {reprlib.repr(name)} twice")
         try:
             values[name] = int(value, 0)
             int.__repr__(values[name])   # raises past the int-string digit limit
         except ValueError:
-            raise QifError(f"bad --run value in {text!r}") from None
+            raise QifError(f"bad --run value in {reprlib.repr(text)}") from None
     return values
 
 

@@ -17,8 +17,8 @@ Grammar (C-like expression syntax, ``//`` comments)::
 Values are integers (booleans are 1/0).  A variable declared in the
 attacker configuration has a bit width; assignments to it wrap modulo
 2^width (unsigned).  Undeclared variables are unbounded.  Every operator
-is one entry of ``_BINARY_OPS`` or ``_UNARY_OPS``, a function of whole
-operand columns with Python integer semantics.  Division or modulo by
+has Python integer semantics, written once as an expression template
+(``_BINARY_TEMPLATES``, ``_UNARY_TEMPLATES``).  Division or modulo by
 zero, a negative shift count, a left shift by more than 2^20 and an
 assignment whose wrapped value would need more than 2^20 bits are runtime
 faults; a right shift by more than 2^20 shifts by 2^20.  Only those
@@ -40,7 +40,13 @@ entry and one after each run of its body.
 
 Programs run in batches of atoms: each variable is a column with one
 value per atom, and each statement runs once for all the atoms that
-reach it (``_Chunk``).  An operator is mapped over its operand columns,
+reach it (``_Chunk``).  An operator tree that cannot fault (``/ % << >>``
+only with a literal right operand that passes their check) and nests at
+most ``_KERNEL_DEPTH`` operators deep runs as one kernel, compiled once
+per ``runs`` call into ``[<expr> for i in ids]`` over the columns.  Any
+other expression, and one that reads a column that is missing or may
+hold None, maps one whole-column operator (``_BINARY_OPS``,
+``_UNARY_OPS``) per node; its children may still run as kernels.
 ``if`` splits the atoms by the condition and ``while`` repeats on those
 still in the loop.  The result for every atom is the one a run on that
 atom alone gives; ``eval_program`` and ``run_counting_loop`` are batches
@@ -70,7 +76,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .partition import Domain, Partition, QifError, _Product, relabel
 
@@ -731,43 +737,104 @@ def _shift_counts(column: list, per_atom) -> list:
     return column
 
 
-def _mapped(op, *columns: list) -> list:
-    return list(map(op, *columns))
-
-
-# Every operator over whole operand columns: a C operator mapped, or one
-# comprehension giving the truth values as ints.  ``/ % << >>`` first check
-# their right column; a failed check raises ``_Fault`` with the per-atom
-# form before any value is made.
-_BINARY_OPS = {
-    "||": lambda left, right: [1 if a or b else 0 for a, b in zip(left, right)],
-    "&&": lambda left, right: [1 if a and b else 0 for a, b in zip(left, right)],
-    "|": partial(_mapped, operator.or_),
-    "^": partial(_mapped, operator.xor),
-    "&": partial(_mapped, operator.and_),
-    "==": lambda left, right: [1 if a == b else 0 for a, b in zip(left, right)],
-    "!=": lambda left, right: [1 if a != b else 0 for a, b in zip(left, right)],
-    "<": lambda left, right: [1 if a < b else 0 for a, b in zip(left, right)],
-    "<=": lambda left, right: [1 if a <= b else 0 for a, b in zip(left, right)],
-    ">": lambda left, right: [1 if a > b else 0 for a, b in zip(left, right)],
-    ">=": lambda left, right: [1 if a >= b else 0 for a, b in zip(left, right)],
-    "<<": lambda left, right: list(map(operator.lshift, left, _shift_counts(right, _shl))),
-    ">>": lambda left, right: list(map(operator.rshift, left, _shift_counts(right, _shr))),
-    "+": partial(_mapped, operator.add),
-    "-": partial(_mapped, operator.sub),
-    "*": partial(_mapped, operator.mul),
-    "/": lambda left, right: list(map(operator.floordiv, left, _nonzero(right, _div))),
-    "%": lambda left, right: list(map(operator.mod, left, _nonzero(right, _mod))),
+# Each operator's integer semantics, stated once: a Python expression over
+# its operands {0} and {1}, the truth values of comparisons and logical
+# operators as ints.  The whole-column operators and ``_Chunk``'s
+# expression kernels are both built from these templates.
+_BINARY_TEMPLATES = {
+    "||": "(1 if {0} or {1} else 0)", "&&": "(1 if {0} and {1} else 0)",
+    "|": "({0} | {1})", "^": "({0} ^ {1})", "&": "({0} & {1})",
+    "==": "(1 if {0} == {1} else 0)", "!=": "(1 if {0} != {1} else 0)",
+    "<": "(1 if {0} < {1} else 0)", "<=": "(1 if {0} <= {1} else 0)",
+    ">": "(1 if {0} > {1} else 0)", ">=": "(1 if {0} >= {1} else 0)",
+    "<<": "({0} << {1})", ">>": "({0} >> {1})",
+    "+": "({0} + {1})", "-": "({0} - {1})", "*": "({0} * {1})",
+    "/": "({0} // {1})", "%": "({0} % {1})",
 }
+_UNARY_TEMPLATES = {"!": "(0 if {0} else 1)", "-": "(-{0})", "~": "(~{0})"}
+# The operators that can fault: the check of their right column, and their
+# per-atom form, which a failed check raises ``_Fault`` with.
+_CHECKED = {"/": (_nonzero, _div), "%": (_nonzero, _mod),
+            "<<": (_shift_counts, _shl), ">>": (_shift_counts, _shr)}
 
-_UNARY_OPS = {
-    "!": lambda column: [0 if v else 1 for v in column],
-    "-": partial(_mapped, operator.neg),
-    "~": partial(_mapped, operator.invert),
-}
 
-# Atoms one batch evaluation runs together.  A statement costs a few ``map``
-# calls per batch whatever its size, and a chunk's columns live until its
+def _column_op(op: str) -> Callable[[list, list], list]:
+    """Binary ``op`` over whole operand columns, one comprehension; an
+    operator that can fault checks its right column before any value is made."""
+    check, per_atom = _CHECKED.get(op, (None, None))
+    right = "check(b, per_atom)" if check else "b"
+    return eval(f"lambda a, b: [{_BINARY_TEMPLATES[op].format('x', 'y')} "
+                f"for x, y in zip(a, {right})]", {"check": check, "per_atom": per_atom})
+
+
+_BINARY_OPS = {op: _column_op(op) for op in _BINARY_TEMPLATES}
+_UNARY_OPS = {op: eval(f"lambda a: [{template.format('x')} for x in a]")
+              for op, template in _UNARY_TEMPLATES.items()}
+
+# Deepest operator tree compiled into one kernel.  Each operator opens one
+# parenthesis of the kernel's source, which stays far below CPython's limit
+# of 200 nested ones; a deeper tree runs node by node down to its subtrees
+# no deeper than this.
+_KERNEL_DEPTH = 32
+
+
+class _Kernel:
+    """An operator tree compiled into ``[<expr> for i in ids]`` (``value``)
+    and ``for i in ids: out[i] = <expr>`` (``assign``), which take the
+    columns of ``names`` and then ``consts``, its literals in order."""
+
+    __slots__ = ("names", "consts", "value", "assign")
+
+    def __init__(self, names: tuple[str, ...], consts: tuple[int, ...],
+                 value: Callable[..., list], assign: Callable[..., None]):
+        self.names, self.consts, self.value, self.assign = names, consts, value, assign
+
+
+def _kernel(e: Unary | Binary) -> _Kernel | None:
+    """``e`` compiled, or None when it may fault or nests too deep.  Each
+    variable reads as ``v<k>[i]`` and each literal is a parameter ``c<k>``:
+    ``repr`` of a literal fails past the int-string digit limit."""
+    names: dict[str, int] = {}
+    consts: list[int] = []
+
+    def source(e: Expr, depth: int) -> str | None:
+        if isinstance(e, Var):
+            return f"v{names.setdefault(e.name, len(names))}[i]"
+        if isinstance(e, (IntLit, BoolLit)):
+            consts.append(int(e.value))
+            return f"c{len(consts) - 1}"
+        if isinstance(e, Unary):
+            template, operands = _UNARY_TEMPLATES.get(e.op), (e.operand,)
+        elif isinstance(e, Binary):
+            template, operands = _BINARY_TEMPLATES.get(e.op), (e.left, e.right)
+            if e.op in _CHECKED:
+                if not isinstance(e.right, (IntLit, BoolLit)):
+                    return None
+                try:    # a zero divisor or a shift count out of range
+                    _CHECKED[e.op][0]([int(e.right.value)], None)
+                except _Fault:
+                    return None
+        else:
+            return None
+        if template is None or depth > _KERNEL_DEPTH:
+            return None
+        parts = [source(operand, depth + 1) for operand in operands]
+        return None if None in parts else template.format(*parts)
+
+    body = source(e, 1)
+    if body is None:
+        return None
+    params = ", ".join(["ids", *(f"v{k}" for k in range(len(names))),
+                        *(f"c{k}" for k in range(len(consts)))])
+    functions: dict = {}
+    exec(f"def value({params}):\n    return [{body} for i in ids]\n"
+         f"def assign(out, {params}):\n    for i in ids:\n        out[i] = {body}\n",
+         functions)
+    return _Kernel(tuple(names), tuple(consts), functions["value"], functions["assign"])
+
+
+# Atoms one batch evaluation runs together.  A statement costs a few calls
+# per batch whatever its size, and a chunk's columns live until its
 # last run ends: larger chunks spread the first cost over more atoms,
 # smaller ones bound the second.
 CHUNK_SIZE = 1024
@@ -791,19 +858,21 @@ class _Chunk:
 
     Each variable is a column of the chunk's values, None where an atom has
     not assigned it.  A statement runs once on the batch of atoms that
-    reached it: an operator is mapped over its operand columns, ``if``
-    splits the batch by the condition and ``while`` repeats on the part
-    still in the loop.  Steps are counted per batch until the cached
-    ``room`` says some atom may be out of them.  An atom stops where it
-    faults, runs out of steps or reads a variable it never assigned: the
-    stop is recorded there and the atom leaves the batch, so nothing to
-    the right of that point is evaluated for it.  Only an operator or a
-    wrap to a declared width whose column check fails is applied atom by
-    atom.
+    reached it: an expression runs as its kernel when it has one and every
+    column the kernel reads is set, else its operators are mapped over
+    their operand columns; ``if`` splits the batch by the condition and
+    ``while`` repeats on the part still in the loop.  Steps are counted per
+    batch until the cached ``room`` says some atom may be out of them.  An
+    atom stops where it faults, runs out of steps or reads a variable it
+    never assigned: the stop is recorded there and the atom leaves the
+    batch, so nothing to the right of that point is evaluated for it.  Only
+    an operator or a wrap to a declared width whose column check fails is
+    applied atom by atom.
     """
 
     def __init__(self, columns: dict[str, list], size: int, widths: dict[str, int],
-                 budget: int, loop: While | None):
+                 budget: int, loop: While | None, kernels: dict[int, _Kernel | None]):
+        self.kernels = kernels              # id of an operator node -> its kernel
         self.store = columns
         self.unset: set[str] = set()        # names whose column may hold None
         self.size = size
@@ -821,6 +890,9 @@ class _Chunk:
         each.  Operands are evaluated left to right, a right operand only on
         the atoms its left one kept; an atom that faults or reads a variable
         before assigning it stops there."""
+        if fused := self._fused(e):
+            kernel, args = fused
+            return ids, kernel.value(ids, *args)
         if isinstance(e, Binary):
             left_ids, left = self.values(e.left, ids)
             ids, right = self.values(e.right, left_ids)
@@ -845,6 +917,23 @@ class _Chunk:
             ids, operand = self.values(e.operand, ids)
             return self._map(_UNARY_OPS[e.op], ids, operand)
         return ids, [int(e.value)] * len(ids)
+
+    def _fused(self, e: Expr) -> tuple[_Kernel, list] | None:
+        """``e``'s kernel, compiled the first time, and its arguments; None
+        when ``e`` is no operator, has no kernel, or reads a column that is
+        missing or may hold None."""
+        if not isinstance(e, (Binary, Unary)):
+            return None
+        kernel = self.kernels.get(id(e), False)
+        if kernel is False:
+            kernel = self.kernels[id(e)] = _kernel(e)
+        if kernel is None or not self.unset.isdisjoint(kernel.names):
+            return None
+        args = [self.store.get(name) for name in kernel.names]
+        if None in args:
+            return None
+        args += kernel.consts
+        return kernel, args
 
     def _map(self, op, ids: list[int], *columns: list) -> tuple[list[int], list]:
         """``op`` over the operand columns of the atoms ``ids``, as
@@ -935,12 +1024,17 @@ class _Chunk:
 
     def _assign(self, s: Assign, batch: _Batch) -> None:
         self.spend(batch)
+        column = self.store.get(s.name)
+        if (column is not None and len(batch.ids) < self.size and s.name not in self.widths
+                and (fused := self._fused(s.expr))):
+            kernel, args = fused
+            kernel.assign(column, batch.ids, *args)     # no atom stops, none wraps
+            return
         values = self.live_values(s.expr, batch, self.widths.get(s.name))
         if len(batch.ids) == self.size:
             self.store[s.name] = values
             self.unset.discard(s.name)
             return
-        column = self.store.get(s.name)
         if column is None:
             column = self.store[s.name] = [None] * self.size
             self.unset.add(s.name)
@@ -1005,11 +1099,13 @@ class _Chunk:
 
 
 def _evaluate(p: Program, columns: dict[str, list], size: int, cfg: AttackerConfig,
-              loop: While | None = None) -> tuple[list, list]:
+              loop: While | None = None, kernels: dict | None = None) -> tuple[list, list]:
     """Run ``p`` on ``size`` atoms at once, the initial value of each
     variable given as a column, and return each atom's key and ``loop``
-    count as ``_Chunk.results`` gives them."""
-    chunk = _Chunk(columns, size, cfg.widths(), cfg.step_budget, loop)
+    count as ``_Chunk.results`` gives them.  ``kernels`` holds the kernels
+    compiled so far for ``p``'s nodes, for calls on further chunks."""
+    chunk = _Chunk(columns, size, cfg.widths(), cfg.step_budget, loop,
+                   {} if kernels is None else kernels)
     chunk.run(p.body, _Batch(list(range(size)), 0, chunk.budget))
     return chunk.results(cfg.observed_vars)
 
@@ -1097,6 +1193,7 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
     highs = math.prod(map(len, ranges[n_lows:]))
 
     def chunks():
+        kernels: dict = {}
         columns = _Product(ranges).columns()
         low_index, _ = _Product((range(domain.size // highs), range(highs))).columns()
         for start in range(0, domain.size, CHUNK_SIZE):
@@ -1104,7 +1201,7 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
             inputs = {name: list(itertools.islice(column, size))
                       for name, column in zip(names, columns)}
             inputs.update((name, [value] * size) for name, value in pinned.items())
-            keys, counts = _evaluate(p, inputs, size, cfg, loop)
+            keys, counts = _evaluate(p, inputs, size, cfg, loop, kernels)
             if n_lows:
                 keys = list(zip(itertools.islice(low_index, size), keys))
             yield keys, counts

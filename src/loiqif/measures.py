@@ -343,8 +343,10 @@ class _Ranked:
         g = math.gcd(*positive)
         counts = [w // g for w in positive]
         d = sum(counts)
-        clogc = math.fsum(c * math.log2(c) for c in counts)
-        return math.log2(d) - clogc / d
+        try:
+            return math.log2(d) - math.fsum(c * math.log2(c) for c in counts) / d
+        except OverflowError:   # d, or a count, past the float range
+            return math.log2(d) - math.fsum(c / d * math.log2(c) for c in counts)
 
     def guess_prob(self, n: int) -> Fraction:
         if n < 1:

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -384,6 +386,7 @@ def test_multirun_rejects_a_run_value_past_the_digit_limit(workspace, capsys, js
                              "--run", "l=0x" + "f" * 5000, *json_flag)
     assert (code, out) == (2, "")
     assert "bad --run value" in err
+    assert len(err) < 200
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +783,28 @@ def test_huge_distribution_mass_exits_two_with_short_message(workspace, capsys,
     assert code == 2
     assert message in err
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_entropy_of_block_counts_past_the_float_range(workspace, capsys, json_flag):
+    # Over the least common denominator 2AB the block counts have about 320
+    # digits, past the largest float.
+    a, b = 10 ** 160 + 1, 10 ** 160 + 3
+    masses = [Fraction(1, 2 * a), Fraction(a - 1, 2 * a), Fraction(1, 2 * b),
+              Fraction(b - 1, 2 * b)]
+    program = workspace("id.wh", "o = h;\n")
+    cfg = workspace("cfg.json", CFG_2BIT)
+    dist = workspace("mu.json", {"domain": [0, 1, 2, 3],
+                                 "mass": {str(i): str(p) for i, p in enumerate(masses)}})
+    code, out, err = run_cli(capsys, "analyze", program, "--config", cfg, "--dist", dist,
+                             *json_flag)
+    assert code == 0 and err == ""
+    if json_flag:
+        got = json.loads(out)["measures"]["entropy_bits"]
+    else:
+        got = next(line for line in out.splitlines()
+                   if line.startswith("entropy H (bits): ")).split(": ")[1]
+    assert float(got) == pytest.approx(-math.fsum(p * math.log2(p) for p in masses), rel=1e-12)
 
 
 @pytest.mark.parametrize("mass", ["9" * 10_000, "1/" + "9" * 5000])

@@ -57,8 +57,10 @@ from loiqif.lang import (
     Var,
     While,
     _evaluate,
+    _KERNEL_DEPTH,
     _SHIFT_LIMIT,
     _Fault,
+    _Kernel,
     _walk,
     assigned_vars,
     config_from_json,
@@ -75,6 +77,7 @@ from helpers import (
     entropy_oracle,
     eval_expr_reference,
     loop_analysis_reference,
+    run_counting_loop_reference,
     runs_reference,
     store_of,
 )
@@ -951,10 +954,14 @@ _column_values = st.sampled_from([-3, -1, 0, 1, 2, 5, _SHIFT_LIMIT, _SHIFT_LIMIT
 
 @pytest.mark.parametrize("op, arity", [(op, 2) for op in sorted(_BINARY_OPS)]
                          + [(op, 1) for op in sorted(_UNARY_OPS)])
-@given(pairs=st.lists(st.tuples(_column_values, _column_values), min_size=1, max_size=6))
-def test_each_operator_matches_the_reference_on_a_mixed_batch(op, arity, pairs):
-    # One batch holds atoms that pass the column check beside ones that fail it.
-    e = Binary(op, Var("h"), Var("l")) if arity == 2 else Unary(op, Var("h"))
+@given(pairs=st.lists(st.tuples(_column_values, _column_values), min_size=1, max_size=6),
+       literal=st.sampled_from([None, 0, -1, 1, _SHIFT_LIMIT, _SHIFT_LIMIT + 1, 1 << 70]))
+def test_each_operator_matches_the_reference_on_a_mixed_batch(op, arity, pairs, literal):
+    # One batch holds atoms that pass the column check beside ones that fail
+    # it.  A literal right operand compiles the operator into a kernel, unless
+    # it is a zero divisor or a shift count out of range.
+    right = Var("l") if literal is None else IntLit(literal)
+    e = Binary(op, Var("h"), right) if arity == 2 else Unary(op, Var("h"))
     columns = {"h": [h for h, _ in pairs], "l": [l for _, l in pairs]}
     got = _as_reference(*_evaluate(Program(Seq((Assign("o", e),))), columns, len(pairs),
                                    cfg_high()))
@@ -1161,3 +1168,71 @@ def test_low_projection_groups_atoms_by_their_low_part(cfg, by_low):
     d = enumerate_domain(cfg)
     want = kernel(d, lambda a: a[0]) if by_low else bottom(d)
     assert low_projection(d, cfg) == want
+
+
+# ---------------------------------------------------------------------------
+# Expression kernels
+
+
+def _kernels_after(p: Program, cfg: AttackerConfig, columns: dict[str, list]) -> dict:
+    """The kernels one ``_evaluate`` of ``p`` compiled, by node id, after
+    checking its keys against the reference run of each atom."""
+    kernels: dict = {}
+    size = len(next(iter(columns.values())))
+    keys, counts = _evaluate(p, columns, size, cfg, None, kernels)
+    for atom, (obs, _) in enumerate(_as_reference(keys, counts)):
+        store = {name: column[atom] for name, column in columns.items()}
+        assert obs == run_counting_loop_reference(p, store, cfg, None)[0]
+    return kernels
+
+
+@pytest.mark.parametrize("depth", [_KERNEL_DEPTH - 1, _KERNEL_DEPTH, _KERNEL_DEPTH + 1])
+@pytest.mark.parametrize("op", ["-", "!"])
+def test_trees_deeper_than_the_kernel_depth_run_node_by_node(depth, op):
+    e = Var("h")
+    for level in range(depth):
+        e = Unary(op, e) if level % 3 == 1 else Binary("+" if level % 2 else "^", e, IntLit(level))
+    kernels = _kernels_after(Program(Seq((Assign("o", e),))), cfg_high(bits=3),
+                             {"h": list(range(8))})
+    assert isinstance(kernels[id(e)], _Kernel) == (depth <= _KERNEL_DEPTH)
+    if depth > _KERNEL_DEPTH:
+        assert all(isinstance(kernels[id(child)], _Kernel)
+                   for child in lang._children(e) if isinstance(child, (Unary, Binary)))
+
+
+def test_a_kernel_takes_a_literal_past_the_digit_limit():
+    mask = (1 << 20000) - 1     # self_compose's mask of a 20000-bit variable
+    p = parse(f"o = (h + {hex(mask)}) & {hex(mask)};")
+    kernels = _kernels_after(p, cfg_high(bits=3), {"h": list(range(8))})
+    assert [k.consts for k in kernels.values()] == [(mask, mask)]
+
+
+def test_columns_that_may_hold_none_take_the_general_path():
+    # y is unset on atom 1: the atoms that read it all set it first, then not.
+    cfg = cfg_high(bits=2)
+    p = parse("if (h != 1) y = h; if (h != 1) o = (y + 1) * 2; else o = 0;")
+    got = _assert_runs_match_reference(p, cfg, None)
+    assert [obs.values for obs, _ in got] == [(2,), (0,), (6,), (8,)]
+    p = parse("if (h != 1) y = h; o = (y + 1) * 2;")
+    assert _assert_runs_match_reference(p, cfg, None) == \
+        "ConfigError: variable 'y' read before assignment"
+
+
+def test_runs_compiles_each_kernel_once_per_call():
+    p = parse("x = h; o = 0; while (x > 0) { x = x - 1; o = (o + 3) & 7; }"
+              " o = o + 100 / (h - 9);")
+    loop, last = p.body.stmts[2], p.body.stmts[3]
+    operators = [loop.cond, loop.body.stmts[0].expr, loop.body.stmts[1].expr,
+                 last.expr, last.expr.right, last.expr.right.right]
+    compiled = []
+
+    def counted(e):
+        compiled.append(id(e))
+        return compile_kernel(e)
+
+    compile_kernel = lang._kernel
+    cfg = cfg_high(bits=3)
+    with mock.patch.object(lang, "CHUNK_SIZE", 3), mock.patch.object(lang, "_kernel", counted):
+        for calls in (1, 2):
+            _assert_runs_match_reference(p, cfg, loop)   # three chunks of 3, 3 and 2 atoms
+            assert sorted(compiled) == sorted(map(id, operators * calls))
