@@ -42,7 +42,7 @@ from .lang import (
     runs,
     validate_program,
 )
-from .measures import Distribution, channel_capacity, conditional_entropy
+from .measures import Distribution, channel_capacity, entropy
 from .partition import Domain, DomainMismatchError, Partition, QifError, join, leq, meet, relabel
 
 
@@ -143,24 +143,26 @@ def self_compose(p1: Program, p2: Program, cfg: AttackerConfig
 class StepPartitions(Sequence):
     """One partition per step of a loop's chain, kept as its splits.
 
-    Step j sets the keys of the atoms that finish after exactly j
-    iterations (``positions[j]``) to ``keys[j]``; every other atom keeps its
-    base key.  Item i of a joined sequence applies steps 0 .. i, of a plain
-    one step i alone; either way the ``Partition`` is one ``relabel`` of the
+    Step j keys each atom that finishes after exactly j iterations
+    (``positions[j]``) by ``j * n_views + views[position]``, computed on
+    access from the atom's view number; every other atom keeps its base
+    key.  Item i of a joined sequence applies steps 0 .. i, of a plain one
+    step i alone; either way the ``Partition`` is one ``relabel`` of the
     whole domain, built on access and not kept, so access costs O(atoms).
     ``shape(i)`` is item i's block count and block-size histogram, stored
     when the sequence was made, so reading it builds no partition.
     """
 
-    __slots__ = ("domain", "_base", "_positions", "_keys", "_joined", "_shapes")
+    __slots__ = ("domain", "_base", "_positions", "_views", "_n_views", "_joined", "_shapes")
 
     def __init__(self, domain: Domain, base: list, positions: Sequence[list[int]],
-                 keys: Sequence[list[int]], joined: bool,
+                 views: Sequence[int], n_views: int, joined: bool,
                  shapes: Sequence[tuple[int, tuple[tuple[int, int], ...]]]):
         self.domain = domain
         self._base = base
         self._positions = positions
-        self._keys = keys
+        self._views = views
+        self._n_views = n_views
         self._joined = joined
         self._shapes = shapes
 
@@ -171,10 +173,11 @@ class StepPartitions(Sequence):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
         i = range(len(self))[i]
-        keys = self._base[:]
+        keys, views = self._base[:], self._views
         for j in range(i + 1) if self._joined else (i,):
-            for position, key in zip(self._positions[j], self._keys[j]):
-                keys[position] = key
+            step = j * self._n_views
+            for position in self._positions[j]:
+                keys[position] = step + views[position]
         return relabel(self.domain, keys)
 
     def shape(self, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -281,12 +284,11 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
     left = dict(low_size)
     lows_shape = Counter(low_size.values())
     chain_sizes = lows_shape.copy()
-    keys, w_shapes, chain_shapes = [], [], []
+    w_shapes, chain_shapes = [], []
     stabilized = False
     for n in range(max_iterations + 1):
         bucket = buckets[n]
-        step_keys = [n * n_views + views[position] for position in bucket]
-        groups = Counter(step_keys).values()
+        groups = Counter(map(views.__getitem__, bucket)).values()
         taken = Counter(lows[position] for position in bucket)
         w_sizes = lows_shape + Counter(groups)
         chain_sizes.update(groups)
@@ -294,7 +296,6 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
             _move(w_sizes, low_size[low], low_size[low] - k)
             _move(chain_sizes, left[low], left[low] - k)
             left[low] -= k
-        keys.append(step_keys)
         w_shapes.append(_shape(w_sizes))
         chain_shapes.append(_shape(chain_sizes))
         # Each join refines the one before, so the chain has stopped
@@ -303,8 +304,8 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
             stabilized = True
             break
 
-    w_parts = StepPartitions(domain, elsewhere, buckets, keys, False, w_shapes)
-    chain = StepPartitions(domain, elsewhere, buckets, keys, True, chain_shapes)
+    w_parts = StepPartitions(domain, elsewhere, buckets, views, n_views, False, w_shapes)
+    chain = StepPartitions(domain, elsewhere, buckets, views, n_views, True, chain_shapes)
     collision = _collision_partition(domain, views, counts, elsewhere)
     result = meet(chain[-1], collision)
     return LoopAnalysis(
@@ -340,12 +341,12 @@ def program_capacity(p: Program, cfg: AttackerConfig) -> float:
 
 
 def leakage(p: Program, cfg: AttackerConfig, mu: Distribution) -> float:
-    """Leakage in bits under the given input distribution: H(X | L) =
-    H(X ⊔ L) − H(L), the entropy of the program's partition X left to an
-    attacker who already sees L = ``low_projection``.  For an active
-    attacker L is the one-block partition ⊥, so the same formula gives
-    H(X) − 0 = H(X)."""
+    """Leakage in bits under the given input distribution: H(X | L), the
+    entropy of the program's partition X left to an attacker who already
+    sees L = ``low_projection``.  X refines L (a passive key carries its
+    low index; an active attacker's L is the one-block ⊥), so X ⊔ L = X
+    and H(X | L) is H(X) − H(L), with no join built."""
     domain, part = loi(p, cfg)
     if mu.domain != domain:
         raise DomainMismatchError("distribution is not over the program's input atoms")
-    return conditional_entropy(part, low_projection(domain, cfg), mu)
+    return entropy(part, mu) - entropy(low_projection(domain, cfg), mu)

@@ -38,8 +38,8 @@ from .lang import (
 from .measures import (
     Distribution,
     channel_capacity,
-    conditional_entropy,
     distribution_from_json,
+    entropy,
     format_real,
     measure_report,
     measure_report_to_json,
@@ -268,7 +268,8 @@ def cmd_analyze(args) -> int:
     domain, part = loi(program, cfg)
     mu, dist_id = _resolve_distribution(args, domain)
     m = measure_report(part, mu, max_tries=args.guesses)
-    leak = conditional_entropy(part, low_projection(domain, cfg), mu)
+    # part refines the lows' partition, so H(part | lows) = H(part) - H(lows)
+    leak = m.entropy_bits - entropy(low_projection(domain, cfg), mu)
     warnings = [PASSIVE_LEAKAGE_NOTE] if cfg.mode == PASSIVE and cfg.low_vars else []
     if args.json:
         _emit_json({
@@ -384,15 +385,13 @@ def cmd_multirun(args) -> int:
         values = _parse_run_assignment(text)
         missing = low_names - set(values)
         if missing:
-            raise QifError(f"--run {text!r} leaves low variable(s) "
+            raise QifError(f"--run {reprlib.repr(text)} leaves low variable(s) "
                            f"{sorted(missing)} unassigned")
         runs.append(values)
 
-    domain = None
     parts = []
     for values in runs:
-        d, part = loi(program, cfg.with_low_values(values))
-        domain = d
+        domain, part = loi(program, cfg.with_low_values(values))
         parts.append(part)
     joined = multi_run(parts)
     same_info, pair = (True, None) if len(parts) == 1 else leaks_same_information(parts)

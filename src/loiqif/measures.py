@@ -5,16 +5,16 @@ position over a common positive total.  A mass (a ``Fraction``, an
 ``int``, a ``Decimal`` or a string such as ``"3/8"`` or ``"1e-3"``) becomes
 an exact integer pair in one conversion, ``_ratio``: a plain ``"a/b"`` or
 ``"a"`` by ``int`` alone, anything else through ``_exact``, which bounds a
-decimal exponent before it builds anything; every constructor's integer
-weights then pass one check, ``Distribution._set``.
+decimal exponent before it builds anything.  Weights from outside pass one
+check, ``_check_weights``; the trusted ``Distribution._checked`` stores all.
 
 The JSON form has one reader, ``distribution_from_json(obj, domain=None)``,
-which makes one pass over one domain: ``domain`` itself when the file lists
-its atoms in order (an int as the same int, a tuple as a list of the same),
-with no second ``Domain`` and no map of keys, and otherwise the domain the
-file lists.  Each atom's mass is looked up by its key in the file's own
-dict, in domain order, and the weights are checked once.  Only a file with
-a fault is scanned again, in file order, to name the fault.
+which makes one pass over one domain: an enumerated ``domain`` itself when
+the file lists its atoms in order (an int as the same int, a tuple as a
+list of the same), with no second ``Domain`` and no map of keys, and
+otherwise the domain the file lists.  Each atom's mass is looked up by its
+key in the file's own dict, in domain order, and the weights are checked
+once.  Only a file with a fault is scanned again, in file order, to name it.
 
 Every measure is a function of one statistic, ``_Ranked``: the positive
 integer weights inside each block (blocks come from the partition's
@@ -74,6 +74,7 @@ from .partition import (
     InvalidPartitionError,
     Partition,
     QifError,
+    _Product,
     atom_keys,
     block_count,
     domain_from_json,
@@ -101,9 +102,9 @@ class Distribution:
 
     A mass becomes exact in one place, ``_ratio``, as an integer pair
     (no ``Fraction`` per atom for a plain ``"a/b"``); every constructor
-    reduces its input to integer weights over a total, and one check,
-    ``_set``, rejects a wrong count, a non-integer or negative weight and
-    a sum other than the total.
+    reduces its input to integer weights over a total.  Weights given from
+    outside pass one check, ``_check_weights``; those built valid
+    (``uniform``, ``uniform_on``, ``random``) go straight to ``_checked``.
     """
 
     __slots__ = ("domain", "weights", "total")
@@ -116,33 +117,8 @@ class Distribution:
                 raise InvalidDistributionError(f"no mass entry for atom {a!r}")
             ratios.append(_ratio(mass[a], a))
         d = math.lcm(*(q for _, q in ratios))
-        self._set(domain, [p * (d // q) for p, q in ratios], d)
-
-    def _set(self, domain: Domain, weights: Sequence[int], total: int | None) -> None:
-        """Store one non-negative integer weight per atom over ``total``
-        (their sum when None), which they must add up to, divided by their
-        gcd."""
-        if len(weights) != domain.size:
-            raise InvalidDistributionError(
-                f"{len(weights)} weights for a domain of {domain.size} atoms")
-        for i, w in enumerate(weights):
-            if not isinstance(w, int):
-                raise InvalidDistributionError(
-                    f"weight {reprlib.repr(w)} on atom {domain.atoms[i]!r} is not an integer")
-        weight_sum = sum(weights)
-        if total is None:
-            total = weight_sum
-        if total <= 0:
-            raise InvalidDistributionError("weights must have a positive total")
-        for i, w in enumerate(weights):
-            if w < 0:
-                raise InvalidDistributionError(
-                    f"negative mass {_rational_text(Fraction(w, total))} on atom {domain.atoms[i]!r}")
-        if weight_sum != total:
-            q = Fraction(weight_sum, total)
-            raise InvalidDistributionError(
-                f"total mass is {_rational_text(q)}, off from 1 by {_rational_text(1 - q)}")
-        self._store(domain, weights, total)
+        weights = [p * (d // q) for p, q in ratios]
+        self._store(domain, weights, _check_weights(domain, weights, d))
 
     def _store(self, domain: Domain, weights: Sequence[int], total: int) -> None:
         weights = tuple(weights)   # gcd(*tuple) copies nothing; gcd(total, *list) copies twice
@@ -152,21 +128,15 @@ class Distribution:
         self.total: int = total // g
 
     @classmethod
-    def _of(cls, domain: Domain, weights: Sequence[int], total: int | None) -> Distribution:
-        mu = object.__new__(cls)
-        mu._set(domain, weights, total)
-        return mu
-
-    @classmethod
     def _checked(cls, domain: Domain, weights: Sequence[int], total: int) -> Distribution:
-        """Trusted constructor: the caller has made the checks of ``_set``."""
+        """Trusted constructor: ``weights`` pass ``_check_weights`` over ``total``."""
         mu = object.__new__(cls)
         mu._store(domain, weights, total)
         return mu
 
     @classmethod
     def uniform(cls, domain: Domain) -> Distribution:
-        return cls._of(domain, [1] * domain.size, domain.size)
+        return cls._checked(domain, [1] * domain.size, domain.size)
 
     @classmethod
     def uniform_on(cls, domain: Domain, atoms: Iterable[Atom]) -> Distribution:
@@ -179,7 +149,7 @@ class Distribution:
         weights = [0] * domain.size
         for a in support:
             weights[domain.position(a)] = 1
-        return cls._of(domain, weights, len(support))
+        return cls._checked(domain, weights, len(support))
 
     @classmethod
     def from_weights(cls, domain: Domain, weights: Mapping[Atom, int] | Sequence[int]) -> Distribution:
@@ -189,7 +159,8 @@ class Distribution:
         if isinstance(weights, Mapping):
             _require_known(domain, weights)
             weights = [weights.get(a, 0) for a in domain.atoms]
-        return cls._of(domain, list(weights), None)
+        weights = list(weights)
+        return cls._checked(domain, weights, _check_weights(domain, weights))
 
     @classmethod
     def random(cls, domain: Domain, rng: random.Random) -> Distribution:
@@ -202,7 +173,6 @@ class Distribution:
         weights = [0 if rng.random() < 0.25 else rng.randint(1, 1000) for _ in range(domain.size)]
         if not any(weights):
             weights[rng.randrange(domain.size)] = rng.randint(1, 1000)
-        # non-negative ints, one per atom, with a positive sum: nothing for _set to check
         return cls._checked(domain, weights, sum(weights))
 
     @property
@@ -236,6 +206,33 @@ class Distribution:
     def __repr__(self) -> str:
         inner = ", ".join(f"{a!r}: {m}" for a, m in self.mass.items())
         return f"Distribution({{{inner}}})"
+
+
+def _check_weights(domain: Domain, weights: Sequence[int], total: int | None = None) -> int:
+    """``total`` (their sum when None) if ``weights`` are one non-negative int
+    per atom adding up to it; else the first fault of a wrong count, a non-int,
+    a total not positive, a negative weight and a sum off the total."""
+    if len(weights) != domain.size:
+        raise InvalidDistributionError(
+            f"{len(weights)} weights for a domain of {domain.size} atoms")
+    for i, w in enumerate(weights):
+        if not isinstance(w, int):
+            raise InvalidDistributionError(
+                f"weight {reprlib.repr(w)} on atom {domain.atoms[i]!r} is not an integer")
+    weight_sum = sum(weights)
+    if total is None:
+        total = weight_sum
+    if total <= 0:
+        raise InvalidDistributionError("weights must have a positive total")
+    for i, w in enumerate(weights):
+        if w < 0:
+            raise InvalidDistributionError(
+                f"negative mass {_rational_text(Fraction(w, total))} on atom {domain.atoms[i]!r}")
+    if weight_sum != total:
+        q = Fraction(weight_sum, total)
+        raise InvalidDistributionError(
+            f"total mass is {_rational_text(q)}, off from 1 by {_rational_text(1 - q)}")
+    return total
 
 
 def _require_known(domain: Domain, atoms: Iterable[Atom]) -> None:
@@ -545,8 +542,8 @@ _KNOWN_TEXTS = 4096
 
 
 def distribution_from_json(obj, domain: Domain | None = None) -> Distribution:
-    """The one reader of the JSON form.  It reads the file over ``domain``
-    itself when the file lists its atoms in order, and otherwise over the
+    """The one reader of the JSON form.  It reads the file over an enumerated
+    ``domain`` itself when the file lists its atoms in order, else over the
     domain the file lists; the result is over ``domain`` whenever the two
     are equal, so one over another domain means a mismatch.  Each atom's
     mass is its key's entry in the file's dict, in domain order: a string
@@ -609,7 +606,7 @@ def distribution_from_json(obj, domain: Domain | None = None) -> Distribution:
         weights[start:end] = map((d // was).__mul__, weights[start:end])
         start = end
     if negative or sum(weights) != d:
-        Distribution._of(listed, weights, d)   # _set names the fault
+        _check_weights(listed, weights, d)     # names the fault
     return Distribution._checked(domain if listed == domain else listed, weights, d)
 
 
@@ -626,17 +623,23 @@ def _name_file_fault(masses: dict, listed: Domain) -> None:
 
 
 def _lists_atoms(values, atoms: Sequence) -> bool:
-    """True when the JSON array ``values`` holds ``atoms`` in order, an int
-    as the same int and a tuple as a list of the same: a float or a bool
-    never matches."""
-    if type(values) is not list or len(values) != len(atoms):
-        return False
-    if isinstance(atoms, range):
-        return set(map(type, values)) == {int} and all(map(operator.eq, values, atoms))
-    return all(map(_same_atom, values, atoms))
+    """True when the JSON array ``values`` holds ``atoms``, a range or a
+    ``_Product``, in order, an int as the same int and a tuple as a list of
+    the same (a float or a bool never matches): each value's nesting, then
+    each int column against that column of the product of innermost ranges."""
+    ranges: list[range] = []
+    columns: list[list] = []
 
+    def split(values: list, atoms: Sequence) -> bool:
+        if isinstance(atoms, range):
+            ranges.append(atoms)
+            columns.append(values)
+            return True
+        return (isinstance(atoms, _Product) and set(map(type, values)) <= {list}
+                and set(map(len, values)) <= {len(atoms.parts)}
+                and all(split(list(map(operator.itemgetter(c), values)), part)
+                        for c, part in enumerate(atoms.parts)))
 
-def _same_atom(value, atom: Atom) -> bool:
-    if type(atom) is tuple:
-        return type(value) is list and len(value) == len(atom) and all(map(_same_atom, value, atom))
-    return type(value) is int and type(atom) is int and value == atom
+    return (type(values) is list and len(values) == len(atoms) and split(values, atoms)
+            and all(set(map(type, column)) == {int} and all(map(operator.eq, column, want))
+                    for column, want in zip(columns, _Product(ranges).columns())))

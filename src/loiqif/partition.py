@@ -311,10 +311,7 @@ def kernel(domain: Domain, f: Callable[[Atom], Hashable] | Mapping[Atom, Hashabl
     ``f`` may be a callable or a mapping; it must be defined on every
     atom of the domain.
     """
-    if callable(f):
-        get = f
-    else:
-        get = f.__getitem__
+    get = f if callable(f) else f.__getitem__
 
     def value(a: Atom) -> Hashable:
         try:

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from loiqif import Distribution, Domain, Partition, kernel
+from loiqif import Distribution, Domain, Partition, conditional_entropy, kernel, leakage, leq, loi
 from loiqif.lang import (
     _SHIFT_LIMIT,
     NON_TERMINATION,
@@ -31,6 +32,7 @@ from loiqif.lang import (
     While,
     _Fault,
     enumerate_domain,
+    low_projection,
     validate_program,
 )
 from loiqif.measures import MAX_DECIMAL_EXPONENT, InvalidDistributionError
@@ -469,6 +471,18 @@ def distribution_from_json_reference(obj) -> Distribution:
     return Distribution(domain, mass)
 
 
+def lists_atoms_reference(values, atoms) -> bool:
+    """Whether the JSON array lists ``atoms`` in order, compared atom by
+    atom: an int as the same int (not a bool or a float), a tuple as a list
+    of the same length whose items match."""
+    def same(value, atom) -> bool:
+        if type(atom) is tuple:
+            return type(value) is list and len(value) == len(atom) and all(map(same, value, atom))
+        return type(value) is int and type(atom) is int and value == atom
+
+    return type(values) is list and len(values) == len(atoms) and all(map(same, values, atoms))
+
+
 def read_distribution_reference(obj, domain: Domain) -> Distribution:
     """The file read over its own domain, then moved onto ``domain`` when
     the two are equal, as ``analyze --dist`` did; a result over another
@@ -496,3 +510,21 @@ def mass_strings():
         .map("".join))
     space = st.sampled_from(["", " ", "\t", "\n "])
     return st.tuples(space, st.one_of(loose, shaped), exponent, space).map("".join)
+
+
+# ---------------------------------------------------------------------------
+# The lattice fact ``leakage`` and ``analyze`` rest on
+
+def check_partition_refines_lows(p, cfg, seed: int) -> None:
+    """The program's partition X refines the low projection L, so the
+    leakage H(X) − H(L) is H(X | L) = H(X ⊔ L) − H(L) to the last bit,
+    under the uniform prior and a seeded random one.  A program that reads
+    a variable before assigning it has no partition and checks nothing."""
+    try:
+        d, x = loi(p, cfg)
+    except ConfigError:
+        return
+    low = low_projection(d, cfg)
+    assert leq(low, x)
+    for mu in (Distribution.uniform(d), Distribution.random(d, random.Random(seed))):
+        assert leakage(p, cfg, mu) == conditional_entropy(x, low, mu)

@@ -40,7 +40,7 @@ from loiqif.lang import (
     map_nodes,
 )
 
-from helpers import loop_analysis_reference, store_of
+from helpers import check_partition_refines_lows, loop_analysis_reference, store_of
 
 PASSWORD = parse("if (h == l) o = 1; else o = 2;")
 
@@ -455,6 +455,12 @@ def test_loop_steps_store_the_shape_of_the_partitions_they_build(p, budget, max_
                     steps[i]
         assert built[-1] == multi_run(list(analysis.w_partitions))
         assert analysis.result == meet(built[-1], analysis.collision)
+
+
+@given(_loop_programs, st.sampled_from(sorted(_LOOP_CONFIGS)), st.integers(6, 120),
+       st.integers(0, 99))
+def test_loop_partitions_refine_the_lows_so_leakage_needs_no_join(p, config, budget, seed):
+    check_partition_refines_lows(p, replace(_LOOP_CONFIGS[config], step_budget=budget), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,8 @@ def test_commands_build_one_statistic_per_partition_and_distribution(
                                  "mass": {f"({lo},{hi})": "1/16" for lo, hi in atoms}})
     code, _, _ = run_cli(capsys, "analyze", pw, "--config", cfg, "--dist", dist,
                          "--guesses", "8", "--json")
-    # one for the report, two for the leakage H(X ⊔ L) − H(L)
-    assert code == 0 and len(built) == 3
+    # one for the report, one for H(L)
+    assert code == 0 and len(built) == 2
 
     built.clear()
     m1 = workspace("m1.wh", M1_SRC)
@@ -386,6 +386,20 @@ def test_multirun_rejects_a_run_value_past_the_digit_limit(workspace, capsys, js
                              "--run", "l=0x" + "f" * 5000, *json_flag)
     assert (code, out) == (2, "")
     assert "bad --run value" in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_multirun_shortens_a_long_run_that_leaves_a_low_unassigned(workspace, capsys, json_flag):
+    pw = workspace("pw.wh", PASSWORD_SRC)
+    cfg = workspace("cfg.json", {
+        "high": [{"name": "h", "bits": 3}],
+        "low": [{"name": "l", "bits": 3, "value": 0}],
+        "observe": ["o"], "mode": "active"})
+    code, out, err = run_cli(capsys, "multirun", pw, "--config", cfg, "--uniform",
+                             "--run", "x=0x" + "f" * 3000, *json_flag)
+    assert (code, out) == (2, "")
+    assert "leaves low variable(s) ['l'] unassigned" in err
     assert len(err) < 200
 
 

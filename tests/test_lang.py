@@ -73,6 +73,7 @@ from loiqif.lang import (
 from loiqif.partition import relabel
 
 from helpers import (
+    check_partition_refines_lows,
     conditional_entropy_oracle,
     entropy_oracle,
     eval_expr_reference,
@@ -1033,6 +1034,13 @@ def test_batch_runs_match_the_reference(p, cfg, budget, chunk_size):
                 p, cfg, {a: store_of(cfg, a) for a in d.atoms})
             assert (tuple(analysis.w_partitions), tuple(analysis.w_chain)) == (w, chain)
             assert (analysis.collision, analysis.result) == (collision, result)
+
+
+@settings(deadline=None)
+@given(_batch_programs, st.sampled_from(_BATCH_CONFIGS), st.integers(5, 300), st.integers(0, 99))
+def test_batch_partitions_refine_the_lows_so_leakage_needs_no_join(p, cfg, budget, seed):
+    # Faults and runs out of budget included, in both modes.
+    check_partition_refines_lows(p, replace(cfg, step_budget=budget), seed)
 
 
 @pytest.mark.parametrize("source", [

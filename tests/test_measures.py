@@ -68,6 +68,7 @@ from helpers import (
     ge_leakage_direct,
     ge_prime_oracle,
     guess_prob_oracle,
+    lists_atoms_reference,
     mass_strings,
     me_leakage_direct,
     me_prime_reference,
@@ -236,6 +237,19 @@ def test_from_weights_normalizes_exactly():
 def test_uniform_on_support():
     mu = Distribution.uniform_on(D4, [1, 3])
     assert mu[1] == mu[3] == Fraction(1, 2) and mu[0] == mu[2] == 0
+
+
+@pytest.mark.parametrize("domain", [D4, Domain([(0, "a"), (1, "b")]),
+                                    Domain.product((range(2), range(4)))],
+                         ids=["ints", "listed tuples", "enumerated"])
+def test_uniform_distributions_equal_their_checked_weights(domain):
+    # uniform and uniform_on skip the weight check; their weights must pass it.
+    n = domain.size
+    assert Distribution.uniform(domain) == Distribution.from_weights(domain, [1] * n)
+    for support in ([0], range(n), range(0, n, 2), [n - 1, 0, n - 1]):
+        atoms = [domain.atoms[i] for i in support]
+        weights = [int(i in support) for i in range(n)]
+        assert Distribution.uniform_on(domain, atoms) == Distribution.from_weights(domain, weights)
 
 
 def test_random_distribution_is_seeded_and_exact():
@@ -497,6 +511,63 @@ def test_dist_reader_keeps_every_rule(tmp_path, mode, obj, message):
 def test_dist_reader_agrees_with_the_reference_on_fuzzed_files(tmp_path_factory, case):
     mode, obj = case
     _check_dist_reader(mode, obj, tmp_path_factory.mktemp("dist") / "mu.json")
+
+
+# Enumerated domains a listed file is checked against a column at a time:
+# bare ints, tuples of highs, (low, high) pairs, and a pair of a tuple of two
+# lows with a tuple of two highs.
+_LISTED_DOMAINS = {name: enumerate_domain(config_from_json(cfg)) for name, cfg in {
+    "int": {"high": [{"name": "h", "bits": 2}], "observe": ["o"]},
+    "highs": {"high": [{"name": "h", "bits": 1}, {"name": "g", "bits": 2}], "observe": ["o"]},
+    "pair": _DIST_CONFIGS["passive"],
+    "two lows, two highs": {"high": [{"name": "h", "bits": 1}, {"name": "g", "bits": 2}],
+                            "low": [{"name": "l", "bits": 1}, {"name": "m", "bits": 1}],
+                            "observe": ["o"], "mode": "passive"},
+}.items()}
+
+
+def _flat(value):
+    return [leaf for v in value for leaf in _flat(v)] if isinstance(value, list) else [value]
+
+
+# Each change makes one listed atom (the second, or the last) unlike the
+# domain's, except where the atom already has that form.
+_ATOM_CHANGES = {
+    "none": lambda a: a,
+    "bool": lambda a: _loosened(a, True),
+    "float": lambda a: _loosened(a, False),
+    "string": lambda a: str(a),
+    "number": lambda a: 0,
+    "object": lambda a: {str(i): v for i, v in enumerate(a)} if isinstance(a, list) else {},
+    "wrapped": lambda a: [a],
+    "shorter": lambda a: a[:-1] if isinstance(a, list) else [],
+    "longer": lambda a: a + [0] if isinstance(a, list) else [a, 0],
+    "flattened": _flat,
+    "inner wrapped": lambda a: [[v] for v in a] if isinstance(a, list) else a,
+}
+
+
+@pytest.mark.parametrize("change", sorted(_ATOM_CHANGES) + ["swapped", "dropped"])
+@pytest.mark.parametrize("index", [1, -1])
+@pytest.mark.parametrize("name", sorted(_LISTED_DOMAINS))
+def test_listed_domain_is_checked_by_column_as_atom_by_atom(name, index, change):
+    domain = _LISTED_DOMAINS[name]
+    listed = [_listed(a) for a in domain.atoms]
+    values = json.loads(json.dumps(listed))
+    if change == "swapped":
+        values[index], values[index - 1] = values[index - 1], values[index]
+    elif change == "dropped":
+        del values[index]
+    else:
+        values[index] = _ATOM_CHANGES[change](values[index])
+    # JSON text tells 1, 1.0 and true apart, where == does not.
+    same = json.dumps(values) == json.dumps(listed)
+    assert _lists_atoms(values, domain.atoms) == lists_atoms_reference(values, domain.atoms) == same
+    # The reader then gives the same distribution or error as one that
+    # reads every listed file over a domain of its own.
+    obj = {"domain": values, "mass": {atom_key(domain.atoms[i]): "1/2" for i in (0, -1)}}
+    assert (_outcome(distribution_from_json, obj, domain)
+            == _outcome(read_distribution_reference, obj, domain))
 
 
 # ---------------------------------------------------------------------------
