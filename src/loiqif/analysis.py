@@ -13,7 +13,7 @@
   the same output at different iteration counts.
 * ``program_capacity`` — channel capacity of a program's partition.
 * ``leakage`` — the entropy of a program's partition left to an attacker
-  who already sees the low inputs.
+  who already sees the low inputs, whose own entropy is ``lows_entropy``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from functools import partial, reduce
 
 from .lang import (
     _SHIFT_LIMIT,
+    PASSIVE,
     Assign,
     AttackerConfig,
     Binary,
@@ -349,4 +350,12 @@ def leakage(p: Program, cfg: AttackerConfig, mu: Distribution) -> float:
     domain, part = loi(p, cfg)
     if mu.domain != domain:
         raise DomainMismatchError("distribution is not over the program's input atoms")
-    return entropy(part, mu) - entropy(low_projection(domain, cfg), mu)
+    return entropy(part, mu) - lows_entropy(domain, cfg, mu)
+
+
+def lows_entropy(domain: Domain, cfg: AttackerConfig, mu: Distribution) -> float:
+    """H(L) of L = ``low_projection``: 0.0, with no partition built, when
+    ``cfg`` enumerates no low and L is the one-block ⊥."""
+    if cfg.mode != PASSIVE or not cfg.low_vars:
+        return 0.0
+    return entropy(low_projection(domain, cfg), mu)

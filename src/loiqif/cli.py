@@ -22,6 +22,7 @@ from .analysis import (
     StepPartitions,
     leaks_same_information,
     loop_analyze,
+    lows_entropy,
     multi_run,
 )
 from .lang import (
@@ -32,14 +33,12 @@ from .lang import (
     Program,
     config_from_json,
     loi,
-    low_projection,
     parse,
 )
 from .measures import (
     Distribution,
     channel_capacity,
     distribution_from_json,
-    entropy,
     format_real,
     measure_report,
     measure_report_to_json,
@@ -269,7 +268,7 @@ def cmd_analyze(args) -> int:
     mu, dist_id = _resolve_distribution(args, domain)
     m = measure_report(part, mu, max_tries=args.guesses)
     # part refines the lows' partition, so H(part | lows) = H(part) - H(lows)
-    leak = m.entropy_bits - entropy(low_projection(domain, cfg), mu)
+    leak = m.entropy_bits - lows_entropy(domain, cfg, mu)
     warnings = [PASSIVE_LEAKAGE_NOTE] if cfg.mode == PASSIVE and cfg.low_vars else []
     if args.json:
         _emit_json({

@@ -48,9 +48,17 @@ other expression, and one that reads a column that is missing or may
 hold None, maps one whole-column operator (``_BINARY_OPS``,
 ``_UNARY_OPS``) per node; its children may still run as kernels.
 ``if`` splits the atoms by the condition and ``while`` repeats on those
-still in the loop.  The result for every atom is the one a run on that
-atom alone gives; ``eval_program`` and ``run_counting_loop`` are batches
-of one.  A read of a variable not yet assigned is a ``ConfigError`` that
+still in the loop.  A straight-line ``while`` runs atom by atom as one
+loop kernel instead (``_loop_kernel``): its condition is a literal, a
+variable or an operator tree that would run as a kernel, and its body
+holds only ``skip`` and assignments of such expressions to undeclared
+variables.  Compiled once per ``runs`` call, it takes each atom through
+all of its iterations in locals, charging the steps to that atom alone.
+A loop whose body holds an ``if`` or a ``while``, assigns a declared
+variable or holds an operator that may fault, and one that reads a
+column that is missing or may hold None, repeats on the batch.  The
+result for every atom is the one a run on that atom alone gives;
+``eval_program`` and ``run_counting_loop`` are batches of one.  A read of a variable not yet assigned is a ``ConfigError`` that
 names the variable the lowest such atom read first.  Every run is bounded
 by the configuration's ``step_budget``, the one place a budget is set.
 
@@ -790,47 +798,145 @@ class _Kernel:
         self.names, self.consts, self.value, self.assign = names, consts, value, assign
 
 
+def _source(e: Expr, var: Callable[[str], str], consts: list[int],
+            depth: int = 1) -> str | None:
+    """``e`` as Python source over the operator templates, or None when it
+    may fault or nests too deep.  Each variable reads as ``var(name)`` and
+    each literal is a parameter ``c<k>``, its value appended to ``consts``:
+    ``repr`` of a literal fails past the int-string digit limit."""
+    if isinstance(e, Var):
+        return var(e.name)
+    if isinstance(e, (IntLit, BoolLit)):
+        consts.append(int(e.value))
+        return f"c{len(consts) - 1}"
+    if isinstance(e, Unary):
+        template, operands = _UNARY_TEMPLATES.get(e.op), (e.operand,)
+    elif isinstance(e, Binary):
+        template, operands = _BINARY_TEMPLATES.get(e.op), (e.left, e.right)
+        if e.op in _CHECKED:
+            if not isinstance(e.right, (IntLit, BoolLit)):
+                return None
+            try:    # a zero divisor or a shift count out of range
+                _CHECKED[e.op][0]([int(e.right.value)], None)
+            except _Fault:
+                return None
+    else:
+        return None
+    if template is None or depth > _KERNEL_DEPTH:
+        return None
+    parts = [_source(operand, var, consts, depth + 1) for operand in operands]
+    return None if None in parts else template.format(*parts)
+
+
+def _params(*groups: tuple[str, int]) -> str:
+    """Parameters ``<prefix>0`` to ``<prefix><n - 1>`` of each (prefix, n)."""
+    return ", ".join(f"{prefix}{k}" for prefix, n in groups for k in range(n))
+
+
 def _kernel(e: Unary | Binary) -> _Kernel | None:
     """``e`` compiled, or None when it may fault or nests too deep.  Each
-    variable reads as ``v<k>[i]`` and each literal is a parameter ``c<k>``:
-    ``repr`` of a literal fails past the int-string digit limit."""
+    variable reads as ``v<k>[i]``."""
+    names: dict[str, int] = {}
+    consts: list[int] = []
+    body = _source(e, lambda name: f"v{names.setdefault(name, len(names))}[i]", consts)
+    if body is None:
+        return None
+    params = _params(("v", len(names)), ("c", len(consts)))
+    functions: dict = {}
+    exec(f"def value(ids, {params}):\n    return [{body} for i in ids]\n"
+         f"def assign(out, ids, {params}):\n    for i in ids:\n        out[i] = {body}\n",
+         functions)
+    return _Kernel(tuple(names), tuple(consts), functions["value"], functions["assign"])
+
+
+class _LoopKernel:
+    """A straight-line ``while`` compiled into one loop over its atoms
+    (``run``), which runs each atom's loop to its end or its budget.  It
+    takes the atoms, ``spent``, the most steps an atom may have spent
+    before an iteration that stays within the budget, ``kinds``, the kind
+    that marks a run out of steps, the ``iterations`` column of a counted
+    loop or None, the columns of ``names`` and then ``consts``; it returns
+    the atoms that left the loop, in the order given.  ``reads`` are the
+    names the loop reads and ``steps`` the steps one iteration takes."""
+
+    __slots__ = ("names", "reads", "consts", "steps", "run")
+
+    def __init__(self, names: tuple[str, ...], reads: frozenset[str],
+                 consts: tuple[int, ...], steps: int, run: Callable[..., list]):
+        self.names, self.reads, self.consts, self.steps, self.run = (
+            names, reads, consts, steps, run)
+
+
+def _straight_line(s: Stmt) -> list[Skip | Assign] | None:
+    """The ``skip`` and assignment statements ``s`` runs, in order; None
+    when it holds an ``if`` or a ``while``."""
+    if isinstance(s, Seq):
+        out: list[Skip | Assign] = []
+        for sub in s.stmts:
+            part = _straight_line(sub)
+            if part is None:
+                return None
+            out += part
+        return out
+    return [s] if isinstance(s, (Skip, Assign)) else None
+
+
+def _loop_kernel(s: While, widths: Mapping[str, int]) -> _LoopKernel | None:
+    """``s`` compiled into ``for i in ids: <load locals>; while <cond>:
+    <charge steps>; <body>; <write back>``, or None when its body holds an
+    ``if`` or a ``while``, assigns a declared variable, or its condition or
+    an assigned expression may fault or nests too deep.  Each variable
+    reads as the local ``x<k>``, loaded from the column ``v<k>``.  An atom
+    whose next iteration would pass the budget stops before it: no
+    statement of the body can fault or read an unset variable, so where
+    in the iteration its steps run out is unseen."""
+    body = _straight_line(s.body)
+    if body is None:
+        return None
     names: dict[str, int] = {}
     consts: list[int] = []
 
-    def source(e: Expr, depth: int) -> str | None:
-        if isinstance(e, Var):
-            return f"v{names.setdefault(e.name, len(names))}[i]"
-        if isinstance(e, (IntLit, BoolLit)):
-            consts.append(int(e.value))
-            return f"c{len(consts) - 1}"
-        if isinstance(e, Unary):
-            template, operands = _UNARY_TEMPLATES.get(e.op), (e.operand,)
-        elif isinstance(e, Binary):
-            template, operands = _BINARY_TEMPLATES.get(e.op), (e.left, e.right)
-            if e.op in _CHECKED:
-                if not isinstance(e.right, (IntLit, BoolLit)):
-                    return None
-                try:    # a zero divisor or a shift count out of range
-                    _CHECKED[e.op][0]([int(e.right.value)], None)
-                except _Fault:
-                    return None
-        else:
-            return None
-        if template is None or depth > _KERNEL_DEPTH:
-            return None
-        parts = [source(operand, depth + 1) for operand in operands]
-        return None if None in parts else template.format(*parts)
+    def local(name: str) -> str:
+        return f"x{names.setdefault(name, len(names))}"
 
-    body = source(e, 1)
-    if body is None:
+    cond = _source(s.cond, local, consts)
+    if cond is None:
         return None
-    params = ", ".join(["ids", *(f"v{k}" for k in range(len(names))),
-                        *(f"c{k}" for k in range(len(consts)))])
+    assignments = []
+    for stmt in body:
+        if isinstance(stmt, Assign):
+            if stmt.name in widths:
+                return None
+            value = _source(stmt.expr, local, consts)
+            if value is None:
+                return None
+            assignments.append(f"{local(stmt.name)} = {value}")
+    steps = len(body) + 1       # a step per statement, and one after the body
+    written = [names[name] for name in
+               dict.fromkeys(stmt.name for stmt in body if isinstance(stmt, Assign))]
+    code = [f"def run(ids, spent, limit, kinds, stop, counts, "
+            f"{_params(('v', len(names)), ('c', len(consts)))}):",
+            "    left = []",
+            "    for i in ids:",
+            *(f"        x{k} = v{k}[i]" for k in range(len(names))),
+            "        start = s = spent[i]",
+            f"        while {cond}:",
+            "            if s > limit:",
+            "                kinds[i] = stop",
+            "                break",
+            f"            s += {steps}",
+            *(f"            {line}" for line in assignments),
+            "        else:",
+            *(f"            v{k}[i] = x{k}" for k in written),
+            "            spent[i] = s",
+            "            if counts is not None:",
+            f"                counts[i] += (s - start) // {steps}",
+            "            left.append(i)",
+            "    return left"]
     functions: dict = {}
-    exec(f"def value({params}):\n    return [{body} for i in ids]\n"
-         f"def assign(out, {params}):\n    for i in ids:\n        out[i] = {body}\n",
-         functions)
-    return _Kernel(tuple(names), tuple(consts), functions["value"], functions["assign"])
+    exec("\n".join(code), functions)
+    return _LoopKernel(tuple(names), frozenset(read_vars(s)), tuple(consts), steps,
+                       functions["run"])
 
 
 # Atoms one batch evaluation runs together.  A statement costs a few calls
@@ -861,18 +967,24 @@ class _Chunk:
     reached it: an expression runs as its kernel when it has one and every
     column the kernel reads is set, else its operators are mapped over
     their operand columns; ``if`` splits the batch by the condition and
-    ``while`` repeats on the part still in the loop.  Steps are counted per
-    batch until the cached ``room`` says some atom may be out of them.  An
-    atom stops where it faults, runs out of steps or reads a variable it
-    never assigned: the stop is recorded there and the atom leaves the
-    batch, so nothing to the right of that point is evaluated for it.  Only
+    ``while`` repeats on the part still in the loop.  A ``while`` with a
+    loop kernel that reads only set columns runs it instead, each atom to
+    the end of its loop.  It falls back to the batch path when its body
+    holds an ``if`` or a ``while``, assigns a declared (wrapped) variable
+    or holds an operator that may fault, or when it reads a column that is
+    missing or may hold None.  Steps are counted per batch until the cached
+    ``room`` says some atom may be out of them.  An atom stops where it
+    faults, runs out of steps or reads a variable it never assigned: the
+    stop is recorded there and the atom leaves the batch, so nothing to the
+    right of that point is evaluated for it.  Apart from loop kernels, only
     an operator or a wrap to a declared width whose column check fails is
     applied atom by atom.
     """
 
     def __init__(self, columns: dict[str, list], size: int, widths: dict[str, int],
-                 budget: int, loop: While | None, kernels: dict[int, _Kernel | None]):
-        self.kernels = kernels              # id of an operator node -> its kernel
+                 budget: int, loop: While | None,
+                 kernels: dict[int, _Kernel | _LoopKernel | None]):
+        self.kernels = kernels              # id of an operator or while node -> its kernel
         self.store = columns
         self.unset: set[str] = set()        # names whose column may hold None
         self.size = size
@@ -1052,7 +1164,36 @@ class _Chunk:
         self.run(s.else_branch, other)
         self._merge(batch, [batch, other])
 
+    def _fused_loop(self, s: While) -> tuple[_LoopKernel, list] | None:
+        """``s``'s loop kernel, compiled the first time, and its columns and
+        literals; None when ``s`` has no loop kernel or reads a column that is
+        missing or may hold None.  A column the loop only writes is made
+        first where missing, None on every atom, as ``_assign`` makes it."""
+        loop = self.kernels.get(id(s), False)
+        if loop is False:
+            loop = self.kernels[id(s)] = _loop_kernel(s, self.widths)
+        if (loop is None or not self.unset.isdisjoint(loop.reads)
+                or any(self.store.get(name) is None for name in loop.reads)):
+            return None
+        columns = []
+        for name in loop.names:
+            column = self.store.get(name)
+            if column is None:
+                column = self.store[name] = [None] * self.size
+                self.unset.add(name)
+            columns.append(column)
+        return loop, columns + list(loop.consts)
+
     def _while(self, s: While, batch: _Batch) -> None:
+        if fused := self._fused_loop(s):
+            loop, args = fused
+            batch.pending += 1      # the step on entry
+            self._settle(batch)
+            batch.ids = loop.run(batch.ids, self.spent, self.budget - loop.steps, self.kinds,
+                                 NON_TERMINATION, self.iterations if s is self.loop else None,
+                                 *args)
+            batch.room = self.budget - max(map(self.spent.__getitem__, batch.ids), default=0)
+            return
         self.spend(batch)
         counted = s is self.loop
         exited = []         # the atoms that left the loop, one part per iteration

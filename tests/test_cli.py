@@ -186,6 +186,12 @@ def test_commands_build_one_statistic_per_partition_and_distribution(
     m1 = workspace("m1.wh", M1_SRC)
     half = workspace("half.wh", "o = h & 2;\n")
     cfg = workspace("cfg.json", CFG_2BIT)
+    code, _, _ = run_cli(capsys, "analyze", m1, "--config", cfg, "--uniform", "--json")
+    # one for the report: an active attacker's L is the one-block bottom,
+    # whose H(L) = 0.0 needs no statistic
+    assert code == 0 and len(built) == 1
+
+    built.clear()
     code, out, _ = run_cli(capsys, "compare", m1, half, "--config", cfg,
                            "--trials", "20", "--json")
     assert code == 0 and json.loads(out)["relation"] == "incomparable"

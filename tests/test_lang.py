@@ -1227,20 +1227,127 @@ def test_columns_that_may_hold_none_take_the_general_path():
 
 
 def test_runs_compiles_each_kernel_once_per_call():
+    # The first loop runs as a loop kernel; the second assigns the declared
+    # h, so its condition and body run as expression kernels.
     p = parse("x = h; o = 0; while (x > 0) { x = x - 1; o = (o + 3) & 7; }"
-              " o = o + 100 / (h - 9);")
-    loop, last = p.body.stmts[2], p.body.stmts[3]
-    operators = [loop.cond, loop.body.stmts[0].expr, loop.body.stmts[1].expr,
+              " while (h > 5) h = h - 1; o = o + 100 / (h - 9);")
+    loop, fallback, last = p.body.stmts[2:]
+    operators = [fallback.cond, fallback.body.expr,
                  last.expr, last.expr.right, last.expr.right.right]
-    compiled = []
+    compiled, compiled_loops = [], []
 
     def counted(e):
         compiled.append(id(e))
         return compile_kernel(e)
 
-    compile_kernel = lang._kernel
+    def counted_loop(s, widths):
+        compiled_loops.append(id(s))
+        return compile_loop(s, widths)
+
+    compile_kernel, compile_loop = lang._kernel, lang._loop_kernel
     cfg = cfg_high(bits=3)
-    with mock.patch.object(lang, "CHUNK_SIZE", 3), mock.patch.object(lang, "_kernel", counted):
+    with mock.patch.object(lang, "CHUNK_SIZE", 3), mock.patch.object(lang, "_kernel", counted), \
+            mock.patch.object(lang, "_loop_kernel", counted_loop):
         for calls in (1, 2):
             _assert_runs_match_reference(p, cfg, loop)   # three chunks of 3, 3 and 2 atoms
             assert sorted(compiled) == sorted(map(id, operators * calls))
+            assert sorted(compiled_loops) == sorted(map(id, [loop, fallback] * calls))
+
+
+# ---------------------------------------------------------------------------
+# Loop kernels
+
+_LOOP_KERNEL_CONFIGS = [
+    AttackerConfig(high_vars=(("h", 3),), low_vars=(("l", 2, 2),), observed_vars=("o",)),
+    AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 2, None),), observed_vars=("o",),
+                   mode=PASSIVE),
+]
+
+
+def _loops_run_as_kernels(p: Program, cfg: AttackerConfig, loop: While | None) -> dict:
+    """Check ``runs`` of ``p`` against the reference, three atoms a chunk,
+    and return the atoms of each batch that each loop kernel ran, by the id
+    of its while node."""
+    ran: dict[int, list[int]] = {}
+    compile_loop = lang._loop_kernel
+
+    def spied(s, widths):
+        kernel = compile_loop(s, widths)
+        if kernel is not None:
+            run = kernel.run
+            kernel.run = lambda ids, *args: ran.setdefault(id(s), []).append(len(ids)) or \
+                run(ids, *args)
+        return kernel
+
+    with mock.patch.object(lang, "CHUNK_SIZE", 3), mock.patch.object(lang, "_loop_kernel", spied):
+        _assert_runs_match_reference(p, cfg, loop)
+    return ran
+
+
+@pytest.mark.parametrize("source", [
+    # the counted loop, the steps of its body stopping atoms mid-iteration
+    "o = 0; x = h + l; while (x > 0) { x = x - 1; skip; o = (o + 3) & 7; }",
+    "o = h; while (o == 0) skip;",
+    "o = h; if (h == 2) while (1) skip;",
+    # loops in branches run on part of a batch
+    "o = 0; x = h; if (h & 1) while (x > l) { x = x - 1; o = o + 2; }"
+    " else { while (x < 6) x = x + 1; o = x; }",
+    # t is first assigned in the loop, on the atoms that enter it
+    "x = h; while (x > 1) { t = x & 1; x = x >> 1; } if (h > 1) o = t; else o = 9;",
+    "x = h + 1; while (x > 0) { t = x; x = x - 1; } o = t + l;",
+    "x = h; while (x > 0) { t = x; x = x - 1; } o = t;",
+])
+@pytest.mark.parametrize("cfg", _LOOP_KERNEL_CONFIGS, ids=[ACTIVE, PASSIVE])
+def test_loop_kernels_match_the_reference_at_every_budget(source, cfg):
+    p = parse(source)
+    loop = next(n for n, _ in _walk(p) if isinstance(n, While))
+    top_level = loop in p.body.stmts
+    ran: dict[int, list[int]] = {}
+    for budget in range(1, 40):
+        bounded = replace(cfg, step_budget=budget)
+        for node, batches in _loops_run_as_kernels(p, bounded, loop).items():
+            ran.setdefault(node, []).extend(batches)
+        if not top_level:
+            continue
+        want = _or_config_error(lambda: loop_analysis_reference(
+            p, bounded, {a: store_of(bounded, a) for a in enumerate_domain(bounded).atoms}))
+        if not isinstance(want, str):
+            analysis = loop_analyze(p, bounded)
+            assert (tuple(analysis.w_partitions), tuple(analysis.w_chain),
+                    analysis.collision, analysis.result) == want
+    assert set(ran) == {id(n) for n, _ in _walk(p) if isinstance(n, While)}
+    if not top_level:
+        assert min(min(batches) for batches in ran.values()) < 3
+
+
+def test_a_loop_kernel_runs_an_atom_until_its_budget():
+    # h = 0 spins for the whole budget, taking two steps an iteration.
+    p = parse("o = 0; while (h == 0) skip;")
+    for budget in (10 ** 6, 10 ** 6 + 1):
+        got = _loops_run_as_kernels(p, cfg_high(step_budget=budget), None)
+        assert list(got.values()) == [[3, 1]]
+        obs = [eval_program(p, {"h": h}, cfg_high(step_budget=budget)) for h in range(4)]
+        assert obs == [Observable(NON_TERMINATION)] + [Observable(TERMINATED, (0,))] * 3
+
+
+@pytest.mark.parametrize("source, compiles", [
+    # l is declared: its assignment wraps
+    ("o = 0; while (l < 3) { l = l + 1; o = o + h; }", False),
+    # x / y may fault: atom h = 1 divides by zero, h = 2 spins
+    ("o = 0; y = h - 1; x = h + 4; while (x > 1) { x = x / y; o = o + 1; }", False),
+    # t is unset on the even atoms of every chunk that reaches the loop
+    ("o = 0; if (h & 1) t = h; if (h == 1) while (o < t) o = o + 2;", True),
+    # the body holds an if or a while: only the inner while runs as a kernel
+    ("o = 0; x = h; while (x > 0) { x = x - 1; if (x & 1) o = o + 1; }", False),
+    ("o = 0; x = h; while (x > 0) { x = x - 1; y = x; while (y > 0) { y = y - 1; o = o + 1; } }",
+     False),
+])
+@pytest.mark.parametrize("cfg", _LOOP_KERNEL_CONFIGS, ids=[ACTIVE, PASSIVE])
+def test_loops_a_kernel_cannot_run_take_the_batch_path(source, compiles, cfg):
+    p = parse(source)
+    fallback, *inner = [n for n, _ in _walk(p) if isinstance(n, While)]
+    assert (lang._loop_kernel(fallback, cfg.widths()) is not None) == compiles
+    ran: set[int] = set()
+    for budget in (5, 12, 40, 100):
+        ran |= set(_loops_run_as_kernels(p, replace(cfg, step_budget=budget), fallback))
+    assert ran == set(map(id, inner))
