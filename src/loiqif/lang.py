@@ -22,14 +22,15 @@ has Python integer semantics, written once as an expression template
 zero, a negative shift count, a left shift by more than 2^20 and an
 assignment whose wrapped value would need more than 2^20 bits are runtime
 faults; a right shift by more than 2^20 shifts by 2^20.  Only those
-operators and the wrap have a per-atom form (``_div``, ``_mod``, ``_shl``,
-``_shr``, ``_wrap``), run only after a check of the whole column fails.
-Operands are evaluated left to right, and a run stops at its first fault
-or read before assignment: nothing to the right of it is evaluated.  Both
-operands of ``&&``/``||`` are otherwise always evaluated (expressions
-have no side effects, so short-circuiting would be unobservable).  ``parse``
-rejects syntax trees deeper than ``MAX_DEPTH`` levels and constructs nested
-deeper than ``_MAX_NESTING`` allows.
+operators and the wrap have a checked form (``_div``, ``_mod``, ``_shl``,
+``_shr``, ``_wrap``); an operator uses its template instead when its right
+operand is a literal that passes the check.  Operands are evaluated left
+to right, and a run stops at its first fault or read before assignment:
+nothing to the right of it is evaluated.  Both operands of ``&&``/``||``
+are otherwise always evaluated, so a fault on the right stops a run
+whatever the value on the left.  ``parse`` rejects syntax trees deeper
+than ``MAX_DEPTH`` levels and constructs nested deeper than
+``_MAX_NESTING`` allows.
 
 Running a program on an initial store yields an ``Observable``: the
 observed variables' final values on normal termination, a single
@@ -40,27 +41,27 @@ entry and one after each run of its body.
 
 Programs run in batches of atoms: each variable is a column with one
 value per atom, and each statement runs once for all the atoms that
-reach it (``_Chunk``).  An operator tree that cannot fault (``/ % << >>``
-only with a literal right operand that passes their check) and nests at
-most ``_KERNEL_DEPTH`` operators deep runs as one kernel, compiled once
-per ``runs`` call into ``[<expr> for i in ids]`` over the columns.  Any
-other expression, and one that reads a column that is missing or may
-hold None, maps one whole-column operator (``_BINARY_OPS``,
-``_UNARY_OPS``) per node; its children may still run as kernels.
-``if`` splits the atoms by the condition and ``while`` repeats on those
-still in the loop.  A straight-line ``while`` runs atom by atom as one
-loop kernel instead (``_loop_kernel``): its condition is a literal, a
-variable or an operator tree that would run as a kernel, and its body
-holds only ``skip`` and assignments of such expressions to undeclared
+reach it (``_Chunk``).  Every operator tree runs as one kernel
+(``_kernel``), compiled once per ``runs`` call into a loop over the atoms
+that evaluates the tree inside ``try``: an atom that faults, or reads a
+column where it holds None, stops there and leaves the batch.  A read is
+checked for None only in the variant compiled for a column that may hold
+None, and a subtree nested deeper than ``_KERNEL_DEPTH`` is a local
+function of the kernel.  ``if`` splits the atoms by the condition and
+``while`` repeats on those still in the loop.  A straight-line ``while``
+runs atom by atom as one loop kernel instead (``_loop_kernel``): its
+condition and the expressions its body assigns hold no operator that may
+fault, and its body holds only ``skip`` and assignments to undeclared
 variables.  Compiled once per ``runs`` call, it takes each atom through
 all of its iterations in locals, charging the steps to that atom alone.
 A loop whose body holds an ``if`` or a ``while``, assigns a declared
 variable or holds an operator that may fault, and one that reads a
-column that is missing or may hold None, repeats on the batch.  The
-result for every atom is the one a run on that atom alone gives;
-``eval_program`` and ``run_counting_loop`` are batches of one.  A read of a variable not yet assigned is a ``ConfigError`` that
-names the variable the lowest such atom read first.  Every run is bounded
-by the configuration's ``step_budget``, the one place a budget is set.
+column that may hold None, repeats on the batch.  The result for every
+atom is the one a run on that atom alone gives; ``eval_program`` and
+``run_counting_loop`` are batches of one.  A read of a variable not yet
+assigned is a ``ConfigError`` that names the variable the lowest such
+atom read first.  Every run is bounded by the configuration's
+``step_budget``, the one place a budget is set.
 
 ``runs`` is the one place that runs a program on every input: it
 enumerates the attacker-facing input atoms (values of the high variables
@@ -684,8 +685,8 @@ class Observable:
 
 
 class _Fault(Exception):
-    """A runtime fault.  A failed column check raises it with the operator's
-    per-atom form, which then finds the atoms that fault."""
+    """A run stopped: at a runtime fault, or, with the name of a variable as
+    its argument, at a read of that variable before assignment."""
 
 
 _SHIFT_LIMIT = 1 << 20
@@ -715,6 +716,10 @@ def _shr(left: int, right: int) -> int:
     return left >> (right if right <= _SHIFT_LIMIT else _SHIFT_LIMIT)
 
 
+def _unset(name: str):
+    raise _Fault(name)
+
+
 def _wrap(width: int, value: int) -> int:
     """``value`` modulo 2^width, a fault when that needs more than
     ``_SHIFT_LIMIT`` bits.  A value that fits is returned as it is, and
@@ -729,28 +734,13 @@ def _wrap(width: int, value: int) -> int:
     return value
 
 
-def _nonzero(column: list, per_atom) -> list:
-    """``column``, once it holds no zero divisor; else a ``_Fault`` that
-    carries ``per_atom``."""
-    if 0 in column:
-        raise _Fault(per_atom)
-    return column
-
-
-def _shift_counts(column: list, per_atom) -> list:
-    """``column``, once every shift count in it is from 0 to the limit; else
-    a ``_Fault`` that carries ``per_atom``."""
-    if min(column, default=0) < 0 or max(column, default=0) > _SHIFT_LIMIT:
-        raise _Fault(per_atom)
-    return column
-
-
 # Each operator's integer semantics, stated once: a Python expression over
 # its operands {0} and {1}, the truth values of comparisons and logical
-# operators as ints.  The whole-column operators and ``_Chunk``'s
-# expression kernels are both built from these templates.
+# operators as ints.  ``&&`` and ``||`` evaluate both operands, so that a
+# fault on the right stops a run whatever the left operand's value.
 _BINARY_TEMPLATES = {
-    "||": "(1 if {0} or {1} else 0)", "&&": "(1 if {0} and {1} else 0)",
+    "||": "(1 if ({0} != 0) | ({1} != 0) else 0)",
+    "&&": "(1 if ({0} != 0) & ({1} != 0) else 0)",
     "|": "({0} | {1})", "^": "({0} ^ {1})", "&": "({0} & {1})",
     "==": "(1 if {0} == {1} else 0)", "!=": "(1 if {0} != {1} else 0)",
     "<": "(1 if {0} < {1} else 0)", "<=": "(1 if {0} <= {1} else 0)",
@@ -760,111 +750,114 @@ _BINARY_TEMPLATES = {
     "/": "({0} // {1})", "%": "({0} % {1})",
 }
 _UNARY_TEMPLATES = {"!": "(0 if {0} else 1)", "-": "(-{0})", "~": "(~{0})"}
-# The operators that can fault: the check of their right column, and their
-# per-atom form, which a failed check raises ``_Fault`` with.
-_CHECKED = {"/": (_nonzero, _div), "%": (_nonzero, _mod),
-            "<<": (_shift_counts, _shl), ">>": (_shift_counts, _shr)}
+# The operators that can fault, as calls of their per-atom forms.
+_CHECKED = {"/": "_div({0}, {1})", "%": "_mod({0}, {1})",
+            "<<": "_shl({0}, {1})", ">>": "_shr({0}, {1})"}
 
-
-def _column_op(op: str) -> Callable[[list, list], list]:
-    """Binary ``op`` over whole operand columns, one comprehension; an
-    operator that can fault checks its right column before any value is made."""
-    check, per_atom = _CHECKED.get(op, (None, None))
-    right = "check(b, per_atom)" if check else "b"
-    return eval(f"lambda a, b: [{_BINARY_TEMPLATES[op].format('x', 'y')} "
-                f"for x, y in zip(a, {right})]", {"check": check, "per_atom": per_atom})
-
-
-_BINARY_OPS = {op: _column_op(op) for op in _BINARY_TEMPLATES}
-_UNARY_OPS = {op: eval(f"lambda a: [{template.format('x')} for x in a]")
-              for op, template in _UNARY_TEMPLATES.items()}
-
-# Deepest operator tree compiled into one kernel.  Each operator opens one
-# parenthesis of the kernel's source, which stays far below CPython's limit
-# of 200 nested ones; a deeper tree runs node by node down to its subtrees
-# no deeper than this.
+# Deepest operator nesting one function of a kernel holds.  Each operator
+# opens at most two parentheses of the kernel's source, which stays far
+# below CPython's limit of 200 nested ones; a deeper subtree is a local
+# function of the kernel.
 _KERNEL_DEPTH = 32
 
 
-class _Kernel:
-    """An operator tree compiled into ``[<expr> for i in ids]`` (``value``)
-    and ``for i in ids: out[i] = <expr>`` (``assign``), which take the
-    columns of ``names`` and then ``consts``, its literals in order."""
+def _plain(e: Expr) -> bool:
+    """Whether ``e`` is no operator that may fault: ``/ % << >>`` are plain
+    only with a literal right operand, a divisor other than 0 or a shift
+    count from 0 to the limit, for which their template gives their value."""
+    if not (isinstance(e, Binary) and e.op in _CHECKED):
+        return True
+    if not isinstance(e.right, (IntLit, BoolLit)):
+        return False
+    n = int(e.right.value)
+    return n != 0 if e.op in ("/", "%") else 0 <= n <= _SHIFT_LIMIT
 
-    __slots__ = ("names", "consts", "value", "assign")
 
-    def __init__(self, names: tuple[str, ...], consts: tuple[int, ...],
-                 value: Callable[..., list], assign: Callable[..., None]):
-        self.names, self.consts, self.value, self.assign = names, consts, value, assign
-
-
-def _source(e: Expr, var: Callable[[str], str], consts: list[int],
-            depth: int = 1) -> str | None:
-    """``e`` as Python source over the operator templates, or None when it
-    may fault or nests too deep.  Each variable reads as ``var(name)`` and
-    each literal is a parameter ``c<k>``, its value appended to ``consts``:
-    ``repr`` of a literal fails past the int-string digit limit."""
+def _source(e: Expr, var: Callable[[str], str], consts: list[int], helpers: list[str],
+            depth: int = 1) -> str:
+    """``e`` as Python source over the operator templates, an operator that
+    may fault calling its per-atom form.  Each variable reads as
+    ``var(name)`` and each literal is a parameter ``c<k>``, its value
+    appended to ``consts``: ``repr`` of a literal fails past the int-string
+    digit limit.  An operator nested deeper than ``_KERNEL_DEPTH`` reads as
+    a call ``f<k>(i)`` of a local function, whose definition is appended to
+    ``helpers``; the call evaluates it where the operator stands."""
     if isinstance(e, Var):
         return var(e.name)
     if isinstance(e, (IntLit, BoolLit)):
         consts.append(int(e.value))
         return f"c{len(consts) - 1}"
+    if depth > _KERNEL_DEPTH:
+        body = _source(e, var, consts, helpers)
+        helpers.append(f"def f{len(helpers)}(i):\n    return {body}")
+        return f"f{len(helpers) - 1}(i)"
     if isinstance(e, Unary):
-        template, operands = _UNARY_TEMPLATES.get(e.op), (e.operand,)
-    elif isinstance(e, Binary):
-        template, operands = _BINARY_TEMPLATES.get(e.op), (e.left, e.right)
-        if e.op in _CHECKED:
-            if not isinstance(e.right, (IntLit, BoolLit)):
-                return None
-            try:    # a zero divisor or a shift count out of range
-                _CHECKED[e.op][0]([int(e.right.value)], None)
-            except _Fault:
-                return None
+        template, operands = _UNARY_TEMPLATES[e.op], (e.operand,)
     else:
-        return None
-    if template is None or depth > _KERNEL_DEPTH:
-        return None
-    parts = [_source(operand, var, consts, depth + 1) for operand in operands]
-    return None if None in parts else template.format(*parts)
+        template = _BINARY_TEMPLATES[e.op] if _plain(e) else _CHECKED[e.op]
+        operands = (e.left, e.right)
+    return template.format(*(_source(operand, var, consts, helpers, depth + 1)
+                             for operand in operands))
 
 
-def _params(*groups: tuple[str, int]) -> str:
-    """Parameters ``<prefix>0`` to ``<prefix><n - 1>`` of each (prefix, n)."""
-    return ", ".join(f"{prefix}{k}" for prefix, n in groups for k in range(n))
+def _function(params: list[str], names: Mapping[str, int], helpers: list[str],
+              body: list[str]) -> Callable:
+    """``def run(<params>, store, ids):`` compiled: it sets the local
+    ``v<k>`` to the column ``store[name]`` of each (name, k) of ``names``,
+    defines the local functions ``helpers``, then runs the lines of
+    ``body``."""
+    lines = [f"def run({', '.join([*params, 'store', 'ids'])}):",
+             *(f"    v{k} = store[{name!r}]" for name, k in names.items()),
+             *(f"    {line}" for helper in helpers for line in helper.splitlines()), *body]
+    functions: dict = {}
+    exec("\n".join(lines), globals(), functions)
+    return functions["run"]
 
 
-def _kernel(e: Unary | Binary) -> _Kernel | None:
-    """``e`` compiled, or None when it may fault or nests too deep.  Each
-    variable reads as ``v<k>[i]``."""
+def _kernel(e: Unary | Binary, unset: frozenset[str]) -> partial:
+    """``e`` compiled into one loop over the atoms, ``kernel(store, ids)``.
+    It returns ``e``'s value on each atom of ``ids`` that it does not stop,
+    and (atom, arguments of its ``_Fault``) for each atom that faults or
+    reads a variable of ``unset`` where its column holds None: such a read
+    is checked where it stands, so evaluation stops at the first of them.
+    No stop keeps its exception, whose traceback would hold the loop's
+    frame."""
     names: dict[str, int] = {}
     consts: list[int] = []
-    body = _source(e, lambda name: f"v{names.setdefault(name, len(names))}[i]", consts)
-    if body is None:
-        return None
-    params = _params(("v", len(names)), ("c", len(consts)))
-    functions: dict = {}
-    exec(f"def value(ids, {params}):\n    return [{body} for i in ids]\n"
-         f"def assign(out, ids, {params}):\n    for i in ids:\n        out[i] = {body}\n",
-         functions)
-    return _Kernel(tuple(names), tuple(consts), functions["value"], functions["assign"])
+    helpers: list[str] = []
+
+    def read(name: str) -> str:
+        value = f"v{names.setdefault(name, len(names))}[i]"
+        if name in unset:
+            return f"({value} if {value} is not None else _unset({name!r}))"
+        return value
+
+    body = _source(e, read, consts, helpers)
+    run = _function([f"c{k}" for k in range(len(consts))], names, helpers,
+                    ["    values, stops = [], []",
+                     "    for i in ids:",
+                     "        try:",
+                     f"            values.append({body})",
+                     "        except _Fault as fault:",
+                     "            stops.append((i, fault.args))",
+                     "    return values, stops"])
+    return partial(run, *consts)
 
 
 class _LoopKernel:
     """A straight-line ``while`` compiled into one loop over its atoms
     (``run``), which runs each atom's loop to its end or its budget.  It
-    takes the atoms, ``spent``, the most steps an atom may have spent
-    before an iteration that stays within the budget, ``kinds``, the kind
-    that marks a run out of steps, the ``iterations`` column of a counted
-    loop or None, the columns of ``names`` and then ``consts``; it returns
-    the atoms that left the loop, in the order given.  ``reads`` are the
-    names the loop reads and ``steps`` the steps one iteration takes."""
+    takes ``spent``, the most steps an atom may have spent before an
+    iteration that stays within the budget, ``kinds``, the kind that marks
+    a run out of steps, the ``iterations`` column of a counted loop or
+    None, the store and the atoms; it returns the atoms that left the loop,
+    in the order given.  ``reads`` are the names the loop reads and
+    ``steps`` the steps one iteration takes."""
 
-    __slots__ = ("names", "reads", "consts", "steps", "run")
+    __slots__ = ("reads", "steps", "run")
 
-    def __init__(self, names: tuple[str, ...], reads: frozenset[str],
-                 consts: tuple[int, ...], steps: int, run: Callable[..., list]):
-        self.names, self.reads, self.consts, self.steps, self.run = (
-            names, reads, consts, steps, run)
+    def __init__(self, reads: frozenset[str], steps: int, run: Callable[..., list]):
+        self.reads, self.steps, self.run = reads, steps, run
 
 
 def _straight_line(s: Stmt) -> list[Skip | Assign] | None:
@@ -884,59 +877,49 @@ def _straight_line(s: Stmt) -> list[Skip | Assign] | None:
 def _loop_kernel(s: While, widths: Mapping[str, int]) -> _LoopKernel | None:
     """``s`` compiled into ``for i in ids: <load locals>; while <cond>:
     <charge steps>; <body>; <write back>``, or None when its body holds an
-    ``if`` or a ``while``, assigns a declared variable, or its condition or
-    an assigned expression may fault or nests too deep.  Each variable
-    reads as the local ``x<k>``, loaded from the column ``v<k>``.  An atom
-    whose next iteration would pass the budget stops before it: no
-    statement of the body can fault or read an unset variable, so where
-    in the iteration its steps run out is unseen."""
+    ``if`` or a ``while``, assigns a declared variable, or holds an operator
+    that may fault.  Each variable reads as the local ``x<k>``, loaded from
+    the column ``v<k>``.  An atom whose next iteration would pass the budget
+    stops before it: no statement of the body can fault or read an unset
+    variable, so where in the iteration its steps run out is unseen."""
     body = _straight_line(s.body)
-    if body is None:
+    if (body is None or any(stmt.name in widths for stmt in body if isinstance(stmt, Assign))
+            or not all(_plain(node) for node, _ in _walk(s))):
         return None
     names: dict[str, int] = {}
     consts: list[int] = []
+    helpers: list[str] = []
 
     def local(name: str) -> str:
         return f"x{names.setdefault(name, len(names))}"
 
-    cond = _source(s.cond, local, consts)
-    if cond is None:
-        return None
-    assignments = []
-    for stmt in body:
-        if isinstance(stmt, Assign):
-            if stmt.name in widths:
-                return None
-            value = _source(stmt.expr, local, consts)
-            if value is None:
-                return None
-            assignments.append(f"{local(stmt.name)} = {value}")
+    cond = _source(s.cond, local, consts, helpers)
+    assignments = [f"{local(stmt.name)} = {_source(stmt.expr, local, consts, helpers)}"
+                   for stmt in body if isinstance(stmt, Assign)]
     steps = len(body) + 1       # a step per statement, and one after the body
     written = [names[name] for name in
                dict.fromkeys(stmt.name for stmt in body if isinstance(stmt, Assign))]
-    code = [f"def run(ids, spent, limit, kinds, stop, counts, "
-            f"{_params(('v', len(names)), ('c', len(consts)))}):",
-            "    left = []",
-            "    for i in ids:",
-            *(f"        x{k} = v{k}[i]" for k in range(len(names))),
-            "        start = s = spent[i]",
-            f"        while {cond}:",
-            "            if s > limit:",
-            "                kinds[i] = stop",
-            "                break",
-            f"            s += {steps}",
-            *(f"            {line}" for line in assignments),
-            "        else:",
-            *(f"            v{k}[i] = x{k}" for k in written),
-            "            spent[i] = s",
-            "            if counts is not None:",
-            f"                counts[i] += (s - start) // {steps}",
-            "            left.append(i)",
-            "    return left"]
-    functions: dict = {}
-    exec("\n".join(code), functions)
-    return _LoopKernel(tuple(names), frozenset(read_vars(s)), tuple(consts), steps,
-                       functions["run"])
+    params = [*(f"c{k}" for k in range(len(consts))), "spent", "limit", "kinds", "stop", "counts"]
+    run = _function(
+        params, names, helpers,
+        ["    left = []",
+         "    for i in ids:",
+         *(f"        x{k} = v{k}[i]" for k in range(len(names))),
+         "        start = s = spent[i]",
+         f"        while {cond}:",
+         "            if s > limit:",
+         "                kinds[i] = stop",
+         "                break",
+         f"            s += {steps}",
+         *(f"            {line}" for line in assignments),
+         "        else:",
+         *(f"            v{k}[i] = x{k}" for k in written),
+         "            spent[i] = s",
+         "            if counts is not None:",
+         f"                counts[i] += (s - start) // {steps}",
+         "            left.append(i)",
+         "    return left"])
+    return _LoopKernel(frozenset(read_vars(s)), steps, partial(run, *consts))
 
 
 # Atoms one batch evaluation runs together.  A statement costs a few calls
@@ -962,31 +945,31 @@ class _Batch:
 class _Chunk:
     """A chunk of atoms run together, one statement at a time.
 
-    Each variable is a column of the chunk's values, None where an atom has
-    not assigned it.  A statement runs once on the batch of atoms that
-    reached it: an expression runs as its kernel when it has one and every
-    column the kernel reads is set, else its operators are mapped over
-    their operand columns; ``if`` splits the batch by the condition and
-    ``while`` repeats on the part still in the loop.  A ``while`` with a
-    loop kernel that reads only set columns runs it instead, each atom to
-    the end of its loop.  It falls back to the batch path when its body
-    holds an ``if`` or a ``while``, assigns a declared (wrapped) variable
-    or holds an operator that may fault, or when it reads a column that is
-    missing or may hold None.  Steps are counted per batch until the cached
-    ``room`` says some atom may be out of them.  An atom stops where it
-    faults, runs out of steps or reads a variable it never assigned: the
-    stop is recorded there and the atom leaves the batch, so nothing to the
-    right of that point is evaluated for it.  Apart from loop kernels, only
-    an operator or a wrap to a declared width whose column check fails is
-    applied atom by atom.
+    Each variable of the program is a column of the chunk's values, None
+    where an atom has not assigned it.  A statement runs once on the batch
+    of atoms that reached it: an operator tree runs as its kernel, compiled
+    once for each set of the columns it reads that may hold None; ``if``
+    splits the batch by the condition and ``while`` repeats on the part
+    still in the loop.  A ``while`` with a loop kernel that reads only set
+    columns runs it instead, each atom to the end of its loop.  It falls
+    back to the batch path when its body holds an ``if`` or a ``while``,
+    assigns a declared (wrapped) variable or holds an operator that may
+    fault, or when it reads a column that may hold None.  Steps are counted
+    per batch until the cached ``room`` says some atom may be out of them.
+    An atom stops where it faults, runs out of steps or reads a variable it
+    never assigned: the stop is recorded there and the atom leaves the
+    batch, so nothing to the right of that point is evaluated for it.
     """
 
     def __init__(self, columns: dict[str, list], size: int, widths: dict[str, int],
-                 budget: int, loop: While | None,
-                 kernels: dict[int, _Kernel | _LoopKernel | None]):
-        self.kernels = kernels              # id of an operator or while node -> its kernel
+                 budget: int, loop: While | None, kernels: dict, names: set[str]):
+        # (id of an operator node, a set of names whose columns may hold
+        # None) -> its kernel; id of a while node -> its loop kernel or None
+        self.kernels = kernels
         self.store = columns
-        self.unset: set[str] = set()        # names whose column may hold None
+        # Every name of ``names`` has a column, None where no input gives it.
+        self.unset = frozenset(names).difference(columns)   # names whose column may hold None
+        columns.update((name, [None] * size) for name in self.unset)
         self.size = size
         self.widths = widths
         self.budget = budget
@@ -999,75 +982,41 @@ class _Chunk:
 
     def values(self, e: Expr, ids: list[int]) -> tuple[list[int], list]:
         """The atoms of ``ids`` on which ``e`` evaluates, and its value on
-        each.  Operands are evaluated left to right, a right operand only on
-        the atoms its left one kept; an atom that faults or reads a variable
-        before assigning it stops there."""
-        if fused := self._fused(e):
-            kernel, args = fused
-            return ids, kernel.value(ids, *args)
-        if isinstance(e, Binary):
-            left_ids, left = self.values(e.left, ids)
-            ids, right = self.values(e.right, left_ids)
-            if len(ids) < len(left_ids):
-                kept = set(ids)
-                left = [v for i, v in zip(left_ids, left) if i in kept]
-            return self._map(_BINARY_OPS[e.op], ids, left, right)
+        each.  Operands are evaluated left to right, and an atom stops at
+        the first operator that faults or read of a variable it has not
+        assigned."""
         if isinstance(e, Var):
-            column = self.store.get(e.name)
-            if column is None:
-                self.unbound.update(dict.fromkeys(ids, e.name))
-                return [], []
+            column = self.store[e.name]
             # A copy even of a whole column: an assignment keeps the list it is given.
             values = column[:] if len(ids) == self.size else [column[i] for i in ids]
             if e.name in self.unset and None in values:
-                self.unbound.update((i, e.name) for i, v in zip(ids, values) if v is None)
-                assigned = [v is not None for v in values]
-                return (list(itertools.compress(ids, assigned)),
-                        list(itertools.compress(values, assigned)))
+                stops = [(i, (e.name,)) for i, v in zip(ids, values) if v is None]
+                return self._stop(ids, stops), [v for v in values if v is not None]
             return ids, values
-        if isinstance(e, Unary):
-            ids, operand = self.values(e.operand, ids)
-            return self._map(_UNARY_OPS[e.op], ids, operand)
-        return ids, [int(e.value)] * len(ids)
+        if isinstance(e, (IntLit, BoolLit)):
+            return ids, [int(e.value)] * len(ids)
+        kernel = self.kernels.get((id(e), self.unset))
+        if kernel is None:      # one compile for each set of the names it reads in ``unset``
+            unset = self.unset.intersection(read_vars(e))
+            kernel = self.kernels.get((id(e), unset)) or _kernel(e, unset)
+            self.kernels[id(e), self.unset] = self.kernels[id(e), unset] = kernel
+        values, stops = kernel(self.store, ids)
+        return self._stop(ids, stops), values
 
-    def _fused(self, e: Expr) -> tuple[_Kernel, list] | None:
-        """``e``'s kernel, compiled the first time, and its arguments; None
-        when ``e`` is no operator, has no kernel, or reads a column that is
-        missing or may hold None."""
-        if not isinstance(e, (Binary, Unary)):
-            return None
-        kernel = self.kernels.get(id(e), False)
-        if kernel is False:
-            kernel = self.kernels[id(e)] = _kernel(e)
-        if kernel is None or not self.unset.isdisjoint(kernel.names):
-            return None
-        args = [self.store.get(name) for name in kernel.names]
-        if None in args:
-            return None
-        args += kernel.consts
-        return kernel, args
-
-    def _map(self, op, ids: list[int], *columns: list) -> tuple[list[int], list]:
-        """``op`` over the operand columns of the atoms ``ids``, as
-        ``values`` returns it; after a failed column check, its per-atom
-        form."""
-        try:
-            return ids, op(*columns)
-        except _Fault as fault:
-            return self._each(fault.args[0], ids, *columns)
-
-    def _each(self, op, ids: list[int], *columns: list) -> tuple[list[int], list]:
-        """``op`` on each atom of ``ids``: the atoms on which it does not
-        fault, and its values there; the others stop with a runtime error."""
-        kept, values = [], []
-        for i, args in zip(ids, zip(*columns)):
-            try:
-                values.append(op(*args))
-                kept.append(i)
-            except _Fault:
+    def _stop(self, ids: list[int], stops: list[tuple[int, tuple]]) -> list[int]:
+        """``ids`` without the atoms of ``stops``, each stopped as the
+        arguments of its ``_Fault`` say: at a read of the variable they
+        name, else with a runtime error."""
+        if not stops:
+            return ids
+        for i, fault in stops:
+            if fault:
+                self.unbound[i] = fault[0]
+            else:
                 self.kinds[i] = RUNTIME_ERROR
                 self.iterations[i] += self.counting or 0
-        return kept, values
+        stopped = {i for i, _ in stops}
+        return [i for i in ids if i not in stopped]
 
     def live_values(self, e: Expr, batch: _Batch, width: int | None = None) -> list:
         """``e``'s value on each atom of the batch, wrapped to ``width``
@@ -1075,7 +1024,13 @@ class _Chunk:
         ids, values = self.values(e, batch.ids)
         if width is not None and values and (
                 min(values) < 0 or max(values).bit_length() > width):
-            ids, values = self._each(partial(_wrap, width), ids, values)
+            wrapped, stops = [], []
+            for i, value in zip(ids, values):
+                try:
+                    wrapped.append(_wrap(width, value))
+                except _Fault as fault:
+                    stops.append((i, fault.args))
+            ids, values = self._stop(ids, stops), wrapped
         batch.ids = ids
         return values
 
@@ -1136,20 +1091,13 @@ class _Chunk:
 
     def _assign(self, s: Assign, batch: _Batch) -> None:
         self.spend(batch)
-        column = self.store.get(s.name)
-        if (column is not None and len(batch.ids) < self.size and s.name not in self.widths
-                and (fused := self._fused(s.expr))):
-            kernel, args = fused
-            kernel.assign(column, batch.ids, *args)     # no atom stops, none wraps
-            return
         values = self.live_values(s.expr, batch, self.widths.get(s.name))
         if len(batch.ids) == self.size:
             self.store[s.name] = values
-            self.unset.discard(s.name)
+            if s.name in self.unset:
+                self.unset = self.unset.difference((s.name,))
             return
-        if column is None:
-            column = self.store[s.name] = [None] * self.size
-            self.unset.add(s.name)
+        column = self.store[s.name]
         for i, v in zip(batch.ids, values):
             column[i] = v
 
@@ -1164,34 +1112,21 @@ class _Chunk:
         self.run(s.else_branch, other)
         self._merge(batch, [batch, other])
 
-    def _fused_loop(self, s: While) -> tuple[_LoopKernel, list] | None:
-        """``s``'s loop kernel, compiled the first time, and its columns and
-        literals; None when ``s`` has no loop kernel or reads a column that is
-        missing or may hold None.  A column the loop only writes is made
-        first where missing, None on every atom, as ``_assign`` makes it."""
+    def _fused_loop(self, s: While) -> _LoopKernel | None:
+        """``s``'s loop kernel, compiled the first time; None when ``s`` has
+        no loop kernel or reads a column that may hold None."""
         loop = self.kernels.get(id(s), False)
         if loop is False:
             loop = self.kernels[id(s)] = _loop_kernel(s, self.widths)
-        if (loop is None or not self.unset.isdisjoint(loop.reads)
-                or any(self.store.get(name) is None for name in loop.reads)):
-            return None
-        columns = []
-        for name in loop.names:
-            column = self.store.get(name)
-            if column is None:
-                column = self.store[name] = [None] * self.size
-                self.unset.add(name)
-            columns.append(column)
-        return loop, columns + list(loop.consts)
+        return None if loop is None or not self.unset.isdisjoint(loop.reads) else loop
 
     def _while(self, s: While, batch: _Batch) -> None:
-        if fused := self._fused_loop(s):
-            loop, args = fused
+        if loop := self._fused_loop(s):
             batch.pending += 1      # the step on entry
             self._settle(batch)
-            batch.ids = loop.run(batch.ids, self.spent, self.budget - loop.steps, self.kinds,
+            batch.ids = loop.run(self.spent, self.budget - loop.steps, self.kinds,
                                  NON_TERMINATION, self.iterations if s is self.loop else None,
-                                 *args)
+                                 self.store, batch.ids)
             batch.room = self.budget - max(map(self.spent.__getitem__, batch.ids), default=0)
             return
         self.spend(batch)
@@ -1246,7 +1181,8 @@ def _evaluate(p: Program, columns: dict[str, list], size: int, cfg: AttackerConf
     count as ``_Chunk.results`` gives them.  ``kernels`` holds the kernels
     compiled so far for ``p``'s nodes, for calls on further chunks."""
     chunk = _Chunk(columns, size, cfg.widths(), cfg.step_budget, loop,
-                   {} if kernels is None else kernels)
+                   {} if kernels is None else kernels,
+                   {n.name for n, _ in _walk(p) if isinstance(n, (Var, Assign))})
     chunk.run(p.body, _Batch(list(range(size)), 0, chunk.budget))
     return chunk.results(cfg.observed_vars)
 

@@ -3,6 +3,7 @@ import random
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -34,8 +35,8 @@ from loiqif import lang
 from loiqif.analysis import _find_top_level_loop, loop_analyze
 from loiqif.lang import (
     _BINARY_LEVELS,
-    _BINARY_OPS,
-    _UNARY_OPS,
+    _BINARY_TEMPLATES,
+    _UNARY_TEMPLATES,
     ACTIVE,
     CHUNK_SIZE,
     MAX_DEPTH,
@@ -60,7 +61,6 @@ from loiqif.lang import (
     _KERNEL_DEPTH,
     _SHIFT_LIMIT,
     _Fault,
-    _Kernel,
     _walk,
     assigned_vars,
     config_from_json,
@@ -418,8 +418,8 @@ def test_shift_count_limits():
 
 
 def test_operator_table_covers_the_grammar():
-    assert set(_BINARY_OPS) == {op for level in _BINARY_LEVELS for op in level}
-    assert set(_UNARY_OPS) == {"!", "-", "~"}
+    assert set(_BINARY_TEMPLATES) == {op for level in _BINARY_LEVELS for op in level}
+    assert set(_UNARY_TEMPLATES) == {"!", "-", "~"}
 
 
 _stores = st.fixed_dictionaries({n: st.integers(-300, 300) for n in ("h", "l", "o")})
@@ -908,7 +908,7 @@ _BATCH_CONFIGS = [
 _batch_names = st.sampled_from(["h", "g", "l", "o", "x"])
 # Small literals and extra divisions, so that faults are common.  No "*":
 # squaring a variable on every pass of a loop doubles its length each time.
-_BATCH_OPS = sorted(set(_BINARY_OPS) - {"*"}) + ["/", "%"] * 2
+_BATCH_OPS = sorted(set(_BINARY_TEMPLATES) - {"*"}) + ["/", "%"] * 2
 _batch_exprs = st.recursive(
     st.one_of(st.integers(0, 4).map(IntLit), st.booleans().map(BoolLit),
               _batch_names.map(Var)),
@@ -953,8 +953,8 @@ _batch_programs = st.tuples(
 _column_values = st.sampled_from([-3, -1, 0, 1, 2, 5, _SHIFT_LIMIT, _SHIFT_LIMIT + 1, 1 << 70])
 
 
-@pytest.mark.parametrize("op, arity", [(op, 2) for op in sorted(_BINARY_OPS)]
-                         + [(op, 1) for op in sorted(_UNARY_OPS)])
+@pytest.mark.parametrize("op, arity", [(op, 2) for op in sorted(_BINARY_TEMPLATES)]
+                         + [(op, 1) for op in sorted(_UNARY_TEMPLATES)])
 @given(pairs=st.lists(st.tuples(_column_values, _column_values), min_size=1, max_size=6),
        literal=st.sampled_from([None, 0, -1, 1, _SHIFT_LIMIT, _SHIFT_LIMIT + 1, 1 << 70]))
 def test_each_operator_matches_the_reference_on_a_mixed_batch(op, arity, pairs, literal):
@@ -1099,6 +1099,21 @@ def test_the_left_operand_of_and_or_stops_a_run_first(op):
         loi(parse(f"if (h != 2) y = h; o = y {op} (1 / (h - 2));"), cfg)
 
 
+@pytest.mark.parametrize("source", [
+    "o = (h != 0) && (1 / h);",
+    "o = (h == 0) || (1 / h);",
+    "if (h != 0) y = h; o = (h != 0) && y;",
+])
+def test_and_or_evaluate_both_operands(source):
+    # At h = 0 the left operand decides the value, and the right one faults
+    # or reads the y that atom never assigned.
+    p, cfg = parse(source), cfg_high()
+    want = _or_config_error(lambda: run_counting_loop_reference(p, {"h": 0}, cfg, None)[0])
+    assert want in (Observable(RUNTIME_ERROR), "ConfigError: variable 'y' read before assignment")
+    assert _or_config_error(lambda: eval_program(p, {"h": 0}, cfg)) == want
+    _assert_runs_match_reference(p, cfg, None)
+
+
 def test_assignment_masks_declared_variables_in_a_batch():
     cfg = AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 3, 5),),
                          observed_vars=("l", "h", "x"))
@@ -1194,33 +1209,46 @@ def _kernels_after(p: Program, cfg: AttackerConfig, columns: dict[str, list]) ->
     return kernels
 
 
-@pytest.mark.parametrize("depth", [_KERNEL_DEPTH - 1, _KERNEL_DEPTH, _KERNEL_DEPTH + 1])
-@pytest.mark.parametrize("op", ["-", "!"])
-def test_trees_deeper_than_the_kernel_depth_run_node_by_node(depth, op):
-    e = Var("h")
-    for level in range(depth):
-        e = Unary(op, e) if level % 3 == 1 else Binary("+" if level % 2 else "^", e, IntLit(level))
-    kernels = _kernels_after(Program(Seq((Assign("o", e),))), cfg_high(bits=3),
-                             {"h": list(range(8))})
-    assert isinstance(kernels[id(e)], _Kernel) == (depth <= _KERNEL_DEPTH)
-    if depth > _KERNEL_DEPTH:
-        assert all(isinstance(kernels[id(child)], _Kernel)
-                   for child in lang._children(e) if isinstance(child, (Unary, Binary)))
+@pytest.mark.parametrize("source", [
+    "o = " + " + ".join(["h"] * 297) + ";",     # the longest sum parse accepts
+    "o = 1 / h" + " + h" * 295 + ";",
+    "o = " + "-" * 295 + "(1 / h);",
+    # a right operand in parentheses holds four parser frames: the most parse accepts
+    "o = " + "h + (" * 149 + "1 / h" + ")" * 149 + ";",
+], ids=["sum", "faulting sum", "unary chain", "right-nested sum"])
+def test_trees_of_any_depth_compile_to_one_kernel(source):
+    # Past the README's sum, atom h = 0 faults at the deepest operator, the division.
+    p = parse(source)
+    e = p.body.stmts[0].expr
+    assert max(d for _, d in _walk(e)) > 2 * _KERNEL_DEPTH
+    compiled = []
+    compile_kernel = lang._kernel
+
+    def counted(*args):
+        compiled.append(args[0])
+        return compile_kernel(*args)
+
+    with mock.patch.object(lang, "_kernel", counted):
+        kernels = _kernels_after(p, cfg_high(bits=3), {"h": list(range(8))})
+    assert compiled == [e]
+    assert isinstance(kernels[id(e), frozenset()], partial)
 
 
 def test_a_kernel_takes_a_literal_past_the_digit_limit():
     mask = (1 << 20000) - 1     # self_compose's mask of a 20000-bit variable
     p = parse(f"o = (h + {hex(mask)}) & {hex(mask)};")
     kernels = _kernels_after(p, cfg_high(bits=3), {"h": list(range(8))})
-    assert [k.consts for k in kernels.values()] == [(mask, mask)]
+    assert [k.args for k in set(kernels.values())] == [(mask, mask)]
 
 
-def test_columns_that_may_hold_none_take_the_general_path():
+def test_reads_of_columns_that_may_hold_none_are_checked_where_they_stand():
     # y is unset on atom 1: the atoms that read it all set it first, then not.
     cfg = cfg_high(bits=2)
     p = parse("if (h != 1) y = h; if (h != 1) o = (y + 1) * 2; else o = 0;")
     got = _assert_runs_match_reference(p, cfg, None)
     assert [obs.values for obs, _ in got] == [(2,), (0,), (6,), (8,)]
+    kernels = _kernels_after(p, cfg, {"h": list(range(4))})
+    assert isinstance(kernels[id(p.body.stmts[1].then_branch.expr), frozenset({"y"})], partial)
     p = parse("if (h != 1) y = h; o = (y + 1) * 2;")
     assert _assert_runs_match_reference(p, cfg, None) == \
         "ConfigError: variable 'y' read before assignment"
@@ -1232,13 +1260,12 @@ def test_runs_compiles_each_kernel_once_per_call():
     p = parse("x = h; o = 0; while (x > 0) { x = x - 1; o = (o + 3) & 7; }"
               " while (h > 5) h = h - 1; o = o + 100 / (h - 9);")
     loop, fallback, last = p.body.stmts[2:]
-    operators = [fallback.cond, fallback.body.expr,
-                 last.expr, last.expr.right, last.expr.right.right]
+    operators = [fallback.cond, fallback.body.expr, last.expr]
     compiled, compiled_loops = [], []
 
-    def counted(e):
+    def counted(e, unset):
         compiled.append(id(e))
-        return compile_kernel(e)
+        return compile_kernel(e, unset)
 
     def counted_loop(s, widths):
         compiled_loops.append(id(s))
@@ -1275,8 +1302,8 @@ def _loops_run_as_kernels(p: Program, cfg: AttackerConfig, loop: While | None) -
         kernel = compile_loop(s, widths)
         if kernel is not None:
             run = kernel.run
-            kernel.run = lambda ids, *args: ran.setdefault(id(s), []).append(len(ids)) or \
-                run(ids, *args)
+            kernel.run = lambda *args: ran.setdefault(id(s), []).append(len(args[-1])) or \
+                run(*args)
         return kernel
 
     with mock.patch.object(lang, "CHUNK_SIZE", 3), mock.patch.object(lang, "_loop_kernel", spied):
