@@ -41,22 +41,25 @@ entry and one after each run of its body.
 
 Programs run in batches of atoms: each variable is a column with one
 value per atom, and each statement runs once for all the atoms that
-reach it (``_Chunk``).  Every operator tree runs as one kernel
-(``_kernel``), compiled once per ``runs`` call into a loop over the atoms
-that evaluates the tree inside ``try``: an atom that faults, or reads a
-column where it holds None, stops there and leaves the batch.  A read is
-checked for None only in the variant compiled for a column that may hold
-None, and a subtree nested deeper than ``_KERNEL_DEPTH`` is a local
-function of the kernel.  ``if`` splits the atoms by the condition and
-``while`` repeats on those still in the loop.  A straight-line ``while``
-runs atom by atom as one loop kernel instead (``_loop_kernel``): its
-condition and the expressions its body assigns hold no operator that may
-fault, and its body holds only ``skip`` and assignments to undeclared
-variables.  Compiled once per ``runs`` call, it takes each atom through
-all of its iterations in locals, charging the steps to that atom alone.
-A loop whose body holds an ``if`` or a ``while``, assigns a declared
-variable or holds an operator that may fault, and one that reads a
-column that may hold None, repeats on the batch.  The result for every
+reach it (``_Chunk``).  Each assignment and each condition runs as one
+kernel (``_kernel``), compiled once per ``runs`` call into a loop over
+the atoms that evaluates its expression inside ``try``: an atom that
+faults, or reads a column where it holds None, stops there and leaves
+the batch.  An assignment's kernel writes the target's column in place,
+through ``_wrap`` when the target is declared; a condition's returns the
+atoms where it holds and those where it fails, so ``if`` runs each branch
+on its part and ``while`` repeats on the part still in the loop.  A read
+is checked for None only in the variant compiled for a column that may
+hold None, and a subtree nested deeper than ``_KERNEL_DEPTH`` is a local
+function of the kernel.  A straight-line ``while`` runs atom by atom as
+one loop kernel instead (``_loop_kernel``): its condition and the
+expressions its body assigns hold no operator that may fault, its body
+holds only ``skip`` and assignments to undeclared variables, and it reads
+no column that may hold None.  It takes each atom through all of its
+iterations in locals, charging the steps to that atom alone.  Every
+kernel's source holds no literal, and compiled sources are cached by
+their text (``_compile``), so a program evaluated again, or one that
+differs only in literals, compiles nothing new.  The result for every
 atom is the one a run on that atom alone gives; ``eval_program`` and
 ``run_counting_loop`` are batches of one.  A read of a variable not yet
 assigned is a ``ConfigError`` that names the variable the lowest such
@@ -84,7 +87,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Mapping
 
 from .partition import Domain, Partition, QifError, _Product, relabel
@@ -800,6 +803,19 @@ def _source(e: Expr, var: Callable[[str], str], consts: list[int], helpers: list
                              for operand in operands))
 
 
+# Distinct kernel sources whose compiled functions stay cached.  A kernel's
+# source holds its variables' names but none of its literals, so programs
+# that differ only in literals share their functions.
+_COMPILED = 1024
+
+
+@lru_cache(maxsize=_COMPILED)
+def _compile(source: str) -> Callable:
+    functions: dict = {}
+    exec(source, globals(), functions)
+    return functions["run"]
+
+
 def _function(params: list[str], names: Mapping[str, int], helpers: list[str],
               body: list[str]) -> Callable:
     """``def run(<params>, store, ids):`` compiled: it sets the local
@@ -808,16 +824,19 @@ def _function(params: list[str], names: Mapping[str, int], helpers: list[str],
     ``body``."""
     lines = [f"def run({', '.join([*params, 'store', 'ids'])}):",
              *(f"    v{k} = store[{name!r}]" for name, k in names.items()),
-             *(f"    {line}" for helper in helpers for line in helper.splitlines()), *body]
-    functions: dict = {}
-    exec("\n".join(lines), globals(), functions)
-    return functions["run"]
+             *(f"    {line}" for helper in helpers for line in helper.splitlines()),
+             *(f"    {line}" for line in body)]
+    return _compile("\n".join(lines))
 
 
-def _kernel(e: Unary | Binary, unset: frozenset[str]) -> partial:
-    """``e`` compiled into one loop over the atoms, ``kernel(store, ids)``.
-    It returns ``e``'s value on each atom of ``ids`` that it does not stop,
-    and (atom, arguments of its ``_Fault``) for each atom that faults or
+def _kernel(node: Assign | Expr, unset: frozenset[str], widths: Mapping[str, int]) -> partial:
+    """An assignment or a condition compiled into one loop over the atoms,
+    ``kernel(store, ids)``, that evaluates its expression on each atom of
+    ``ids`` inside ``try``.  An assignment kernel writes each value into
+    the target's column in place, wrapped first when ``widths`` declares
+    the target, and returns the stops; a condition kernel returns the atoms
+    where the condition holds, those where it fails, and the stops.  A stop
+    is (atom, arguments of its ``_Fault``) for each atom that faults or
     reads a variable of ``unset`` where its column holds None: such a read
     is checked where it stands, so evaluation stops at the first of them.
     No stop keeps its exception, whose traceback would hold the loop's
@@ -832,32 +851,26 @@ def _kernel(e: Unary | Binary, unset: frozenset[str]) -> partial:
             return f"({value} if {value} is not None else _unset({name!r}))"
         return value
 
-    body = _source(e, read, consts, helpers)
+    if isinstance(node, Assign):
+        value = _source(node.expr, read, consts, helpers)
+        if node.name in widths:
+            consts.append(widths[node.name])
+            value = f"_wrap(c{len(consts) - 1}, {value})"
+        lists = ["stops"]
+        each = [f"v{names.setdefault(node.name, len(names))}[i] = {value}"]
+    else:
+        lists = ["holds", "fails", "stops"]
+        each = [f"if {_source(node, read, consts, helpers)}:", "    holds.append(i)",
+                "else:", "    fails.append(i)"]
     run = _function([f"c{k}" for k in range(len(consts))], names, helpers,
-                    ["    values, stops = [], []",
-                     "    for i in ids:",
-                     "        try:",
-                     f"            values.append({body})",
-                     "        except _Fault as fault:",
-                     "            stops.append((i, fault.args))",
-                     "    return values, stops"])
+                    [*(f"{name} = []" for name in lists),
+                     "for i in ids:",
+                     "    try:",
+                     *(f"        {line}" for line in each),
+                     "    except _Fault as fault:",
+                     "        stops.append((i, fault.args))",
+                     f"return {', '.join(lists)}"])
     return partial(run, *consts)
-
-
-class _LoopKernel:
-    """A straight-line ``while`` compiled into one loop over its atoms
-    (``run``), which runs each atom's loop to its end or its budget.  It
-    takes ``spent``, the most steps an atom may have spent before an
-    iteration that stays within the budget, ``kinds``, the kind that marks
-    a run out of steps, the ``iterations`` column of a counted loop or
-    None, the store and the atoms; it returns the atoms that left the loop,
-    in the order given.  ``reads`` are the names the loop reads and
-    ``steps`` the steps one iteration takes."""
-
-    __slots__ = ("reads", "steps", "run")
-
-    def __init__(self, reads: frozenset[str], steps: int, run: Callable[..., list]):
-        self.reads, self.steps, self.run = reads, steps, run
 
 
 def _straight_line(s: Stmt) -> list[Skip | Assign] | None:
@@ -874,16 +887,22 @@ def _straight_line(s: Stmt) -> list[Skip | Assign] | None:
     return [s] if isinstance(s, (Skip, Assign)) else None
 
 
-def _loop_kernel(s: While, widths: Mapping[str, int]) -> _LoopKernel | None:
+def _loop_kernel(s: While, unset: frozenset[str], widths: Mapping[str, int]) -> partial | None:
     """``s`` compiled into ``for i in ids: <load locals>; while <cond>:
-    <charge steps>; <body>; <write back>``, or None when its body holds an
-    ``if`` or a ``while``, assigns a declared variable, or holds an operator
-    that may fault.  Each variable reads as the local ``x<k>``, loaded from
-    the column ``v<k>``.  An atom whose next iteration would pass the budget
-    stops before it: no statement of the body can fault or read an unset
-    variable, so where in the iteration its steps run out is unseen."""
+    <charge steps>; <body>; <write back>``, or None when it reads a
+    variable of ``unset``, its body holds an ``if`` or a ``while`` or
+    assigns a variable ``widths`` declares, or it holds an operator that
+    may fault.  Each variable reads as the local ``x<k>``, loaded from the
+    column ``v<k>``.  The kernel takes ``spent``, the steps each atom has
+    spent, the ``budget``, ``kinds``, the ``iterations`` column of a
+    counted loop or None, the store and the atoms; it returns the atoms
+    that left the loop, in the order given.  An atom whose next iteration
+    would pass the budget stops before it, marked ``NON_TERMINATION``: no
+    statement of the body can fault or read an unset variable, so where in
+    the iteration its steps run out is unseen."""
     body = _straight_line(s.body)
-    if (body is None or any(stmt.name in widths for stmt in body if isinstance(stmt, Assign))
+    if (unset or body is None
+            or any(stmt.name in widths for stmt in body if isinstance(stmt, Assign))
             or not all(_plain(node) for node, _ in _walk(s))):
         return None
     names: dict[str, int] = {}
@@ -899,27 +918,28 @@ def _loop_kernel(s: While, widths: Mapping[str, int]) -> _LoopKernel | None:
     steps = len(body) + 1       # a step per statement, and one after the body
     written = [names[name] for name in
                dict.fromkeys(stmt.name for stmt in body if isinstance(stmt, Assign))]
-    params = [*(f"c{k}" for k in range(len(consts))), "spent", "limit", "kinds", "stop", "counts"]
     run = _function(
-        params, names, helpers,
-        ["    left = []",
-         "    for i in ids:",
-         *(f"        x{k} = v{k}[i]" for k in range(len(names))),
-         "        start = s = spent[i]",
-         f"        while {cond}:",
-         "            if s > limit:",
-         "                kinds[i] = stop",
-         "                break",
-         f"            s += {steps}",
-         *(f"            {line}" for line in assignments),
-         "        else:",
-         *(f"            v{k}[i] = x{k}" for k in written),
-         "            spent[i] = s",
-         "            if counts is not None:",
-         f"                counts[i] += (s - start) // {steps}",
-         "            left.append(i)",
-         "    return left"])
-    return _LoopKernel(frozenset(read_vars(s)), steps, partial(run, *consts))
+        [*(f"c{k}" for k in range(len(consts))), "spent", "budget", "kinds", "counts"],
+        names, helpers,
+        ["left = []",
+         f"limit = budget - {steps}",
+         "for i in ids:",
+         *(f"    x{k} = v{k}[i]" for k in range(len(names))),
+         "    start = s = spent[i]",
+         f"    while {cond}:",
+         "        if s > limit:",
+         "            kinds[i] = NON_TERMINATION",
+         "            break",
+         f"        s += {steps}",
+         *(f"        {line}" for line in assignments),
+         "    else:",
+         *(f"        v{k}[i] = x{k}" for k in written),
+         "        spent[i] = s",
+         "        if counts is not None:",
+         f"            counts[i] += (s - start) // {steps}",
+         "        left.append(i)",
+         "return left"])
+    return partial(run, *consts)
 
 
 # Atoms one batch evaluation runs together.  A statement costs a few calls
@@ -947,28 +967,30 @@ class _Chunk:
 
     Each variable of the program is a column of the chunk's values, None
     where an atom has not assigned it.  A statement runs once on the batch
-    of atoms that reached it: an operator tree runs as its kernel, compiled
-    once for each set of the columns it reads that may hold None; ``if``
-    splits the batch by the condition and ``while`` repeats on the part
-    still in the loop.  A ``while`` with a loop kernel that reads only set
-    columns runs it instead, each atom to the end of its loop.  It falls
-    back to the batch path when its body holds an ``if`` or a ``while``,
-    assigns a declared (wrapped) variable or holds an operator that may
-    fault, or when it reads a column that may hold None.  Steps are counted
-    per batch until the cached ``room`` says some atom may be out of them.
-    An atom stops where it faults, runs out of steps or reads a variable it
-    never assigned: the stop is recorded there and the atom leaves the
-    batch, so nothing to the right of that point is evaluated for it.
+    of atoms that reached it, through a kernel compiled once for each set
+    of the names it reads whose columns may hold None: an assignment's
+    kernel writes the target's column in place, and a condition's splits
+    the batch, so ``if`` runs each branch on its part and ``while``
+    repeats on the part still in the loop.  A ``while`` with a loop kernel
+    runs it instead, each atom to the end of its loop; it has none when
+    its body holds an ``if`` or a ``while``, assigns a declared (wrapped)
+    variable or holds an operator that may fault, or when it reads a
+    column that may hold None.  Steps are counted per batch until the
+    cached ``room`` says some atom may be out of them.  An atom stops where
+    it faults, runs out of steps or reads a variable it never assigned: the
+    stop is recorded there and the atom leaves the batch, so nothing to the
+    right of that point is evaluated for it.
     """
 
     def __init__(self, columns: dict[str, list], size: int, widths: dict[str, int],
-                 budget: int, loop: While | None, kernels: dict, names: set[str]):
-        # (id of an operator node, a set of names whose columns may hold
-        # None) -> its kernel; id of a while node -> its loop kernel or None
+                 budget: int, loop: While | None, kernels: dict, names: frozenset[str]):
+        # (id of an assignment, condition or while node, a set of names
+        # whose columns may hold None) -> its kernel, None for a while
+        # node without a loop kernel
         self.kernels = kernels
         self.store = columns
         # Every name of ``names`` has a column, None where no input gives it.
-        self.unset = frozenset(names).difference(columns)   # names whose column may hold None
+        self.unset = names.difference(columns)   # names whose column may hold None
         columns.update((name, [None] * size) for name in self.unset)
         self.size = size
         self.widths = widths
@@ -980,59 +1002,38 @@ class _Chunk:
         self.kinds = [TERMINATED] * size
         self.unbound: dict[int, str] = {}   # atom -> variable it read before assignment
 
-    def values(self, e: Expr, ids: list[int]) -> tuple[list[int], list]:
-        """The atoms of ``ids`` on which ``e`` evaluates, and its value on
-        each.  Operands are evaluated left to right, and an atom stops at
-        the first operator that faults or read of a variable it has not
-        assigned."""
-        if isinstance(e, Var):
-            column = self.store[e.name]
-            # A copy even of a whole column: an assignment keeps the list it is given.
-            values = column[:] if len(ids) == self.size else [column[i] for i in ids]
-            if e.name in self.unset and None in values:
-                stops = [(i, (e.name,)) for i, v in zip(ids, values) if v is None]
-                return self._stop(ids, stops), [v for v in values if v is not None]
-            return ids, values
-        if isinstance(e, (IntLit, BoolLit)):
-            return ids, [int(e.value)] * len(ids)
-        kernel = self.kernels.get((id(e), self.unset))
-        if kernel is None:      # one compile for each set of the names it reads in ``unset``
-            unset = self.unset.intersection(read_vars(e))
-            kernel = self.kernels.get((id(e), unset)) or _kernel(e, unset)
-            self.kernels[id(e), self.unset] = self.kernels[id(e), unset] = kernel
-        values, stops = kernel(self.store, ids)
-        return self._stop(ids, stops), values
+    def _compiled(self, node: Assign | Expr | While, compile: Callable) -> Callable | None:
+        """``node``'s kernel for the columns that may hold None now,
+        ``compile(node, unset, widths)`` once for each set ``unset`` of
+        those the node reads."""
+        key = id(node), self.unset
+        try:
+            return self.kernels[key]
+        except KeyError:
+            narrow = id(node), self.unset and self.unset.intersection(read_vars(node))
+            if narrow not in self.kernels:
+                self.kernels[narrow] = compile(node, narrow[1], self.widths)
+            kernel = self.kernels[key] = self.kernels[narrow]
+            return kernel
 
-    def _stop(self, ids: list[int], stops: list[tuple[int, tuple]]) -> list[int]:
-        """``ids`` without the atoms of ``stops``, each stopped as the
-        arguments of its ``_Fault`` say: at a read of the variable they
-        name, else with a runtime error."""
-        if not stops:
-            return ids
+    def _stop(self, stops: list[tuple[int, tuple]]) -> set[int]:
+        """The atoms of ``stops``, each stopped as the arguments of its
+        ``_Fault`` say: at a read of the variable they name, else with a
+        runtime error."""
         for i, fault in stops:
             if fault:
                 self.unbound[i] = fault[0]
             else:
                 self.kinds[i] = RUNTIME_ERROR
                 self.iterations[i] += self.counting or 0
-        stopped = {i for i, _ in stops}
-        return [i for i in ids if i not in stopped]
+        return {i for i, _ in stops}
 
-    def live_values(self, e: Expr, batch: _Batch, width: int | None = None) -> list:
-        """``e``'s value on each atom of the batch, wrapped to ``width``
-        bits when one is given, once the atoms that stopped have left it."""
-        ids, values = self.values(e, batch.ids)
-        if width is not None and values and (
-                min(values) < 0 or max(values).bit_length() > width):
-            wrapped, stops = [], []
-            for i, value in zip(ids, values):
-                try:
-                    wrapped.append(_wrap(width, value))
-                except _Fault as fault:
-                    stops.append((i, fault.args))
-            ids, values = self._stop(ids, stops), wrapped
-        batch.ids = ids
-        return values
+    def _split(self, cond: Expr, batch: _Batch) -> tuple[list[int], list[int]]:
+        """The atoms of the batch where ``cond`` holds and those where it
+        fails, once the atoms it stopped have left both."""
+        holds, fails, stops = self._compiled(cond, _kernel)(self.store, batch.ids)
+        self._stop(stops)
+        return holds, fails
 
     def spend(self, batch: _Batch) -> None:
         batch.pending += 1
@@ -1091,62 +1092,43 @@ class _Chunk:
 
     def _assign(self, s: Assign, batch: _Batch) -> None:
         self.spend(batch)
-        values = self.live_values(s.expr, batch, self.widths.get(s.name))
-        if len(batch.ids) == self.size:
-            self.store[s.name] = values
-            if s.name in self.unset:
-                self.unset = self.unset.difference((s.name,))
-            return
-        column = self.store[s.name]
-        for i, v in zip(batch.ids, values):
-            column[i] = v
+        if stops := self._compiled(s, _kernel)(self.store, batch.ids):
+            stopped = self._stop(stops)
+            batch.ids = [i for i in batch.ids if i not in stopped]
+        if len(batch.ids) == self.size and s.name in self.unset:
+            self.unset = self.unset.difference((s.name,))
 
     def _if(self, s: If, batch: _Batch) -> None:
         self.spend(batch)
-        cond = self.live_values(s.cond, batch)
-        taken = list(itertools.compress(batch.ids, cond))
-        other = _Batch(list(itertools.compress(batch.ids, map(operator.not_, cond))),
-                       batch.pending, batch.room)
-        batch.ids = taken
+        batch.ids, fails = self._split(s.cond, batch)
+        other = _Batch(fails, batch.pending, batch.room)
         self.run(s.then_branch, batch)
         self.run(s.else_branch, other)
         self._merge(batch, [batch, other])
 
-    def _fused_loop(self, s: While) -> _LoopKernel | None:
-        """``s``'s loop kernel, compiled the first time; None when ``s`` has
-        no loop kernel or reads a column that may hold None."""
-        loop = self.kernels.get(id(s), False)
-        if loop is False:
-            loop = self.kernels[id(s)] = _loop_kernel(s, self.widths)
-        return None if loop is None or not self.unset.isdisjoint(loop.reads) else loop
-
     def _while(self, s: While, batch: _Batch) -> None:
-        if loop := self._fused_loop(s):
+        counted = s is self.loop
+        if loop := self._compiled(s, _loop_kernel):
             batch.pending += 1      # the step on entry
             self._settle(batch)
-            batch.ids = loop.run(self.spent, self.budget - loop.steps, self.kinds,
-                                 NON_TERMINATION, self.iterations if s is self.loop else None,
-                                 self.store, batch.ids)
+            batch.ids = loop(self.spent, self.budget, self.kinds,
+                             self.iterations if counted else None, self.store, batch.ids)
             batch.room = self.budget - max(map(self.spent.__getitem__, batch.ids), default=0)
             return
         self.spend(batch)
-        counted = s is self.loop
         exited = []         # the atoms that left the loop, one part per iteration
         bodies = 0
         while batch.ids:
             if counted:
                 self.counting = bodies
-            cond = self.live_values(s.cond, batch)
-            staying = list(itertools.compress(batch.ids, cond))
-            if len(staying) < len(batch.ids):
-                leaving = list(itertools.compress(batch.ids, map(operator.not_, cond)))
+            batch.ids, leaving = self._split(s.cond, batch)
+            if leaving:
                 if counted:
                     for i in leaving:
                         self.iterations[i] += bodies
                 exited.append(_Batch(leaving, batch.pending, batch.room))
-                batch.ids = staying
-                if not staying:
-                    break
+            if not batch.ids:
+                break
             self.run(s.body, batch)
             bodies += 1
             self.spend(batch)
@@ -1174,15 +1156,22 @@ class _Chunk:
         return keys, counts
 
 
+def _variables(p: Program) -> frozenset[str]:
+    """The names ``p`` reads or assigns."""
+    return frozenset(n.name for n, _ in _walk(p) if isinstance(n, (Var, Assign)))
+
+
 def _evaluate(p: Program, columns: dict[str, list], size: int, cfg: AttackerConfig,
-              loop: While | None = None, kernels: dict | None = None) -> tuple[list, list]:
+              loop: While | None = None, kernels: dict | None = None,
+              variables: frozenset[str] | None = None) -> tuple[list, list]:
     """Run ``p`` on ``size`` atoms at once, the initial value of each
     variable given as a column, and return each atom's key and ``loop``
     count as ``_Chunk.results`` gives them.  ``kernels`` holds the kernels
-    compiled so far for ``p``'s nodes, for calls on further chunks."""
+    compiled so far for ``p``'s nodes and ``variables`` its ``_variables``,
+    for calls on further chunks."""
     chunk = _Chunk(columns, size, cfg.widths(), cfg.step_budget, loop,
                    {} if kernels is None else kernels,
-                   {n.name for n, _ in _walk(p) if isinstance(n, (Var, Assign))})
+                   _variables(p) if variables is None else variables)
     chunk.run(p.body, _Batch(list(range(size)), 0, chunk.budget))
     return chunk.results(cfg.observed_vars)
 
@@ -1271,6 +1260,7 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
 
     def chunks():
         kernels: dict = {}
+        variables = _variables(p)
         columns = _Product(ranges).columns()
         low_index, _ = _Product((range(domain.size // highs), range(highs))).columns()
         for start in range(0, domain.size, CHUNK_SIZE):
@@ -1278,7 +1268,7 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
             inputs = {name: list(itertools.islice(column, size))
                       for name, column in zip(names, columns)}
             inputs.update((name, [value] * size) for name, value in pinned.items())
-            keys, counts = _evaluate(p, inputs, size, cfg, loop, kernels)
+            keys, counts = _evaluate(p, inputs, size, cfg, loop, kernels, variables)
             if n_lows:
                 keys = list(zip(itertools.islice(low_index, size), keys))
             yield keys, counts

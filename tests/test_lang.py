@@ -1194,7 +1194,7 @@ def test_low_projection_groups_atoms_by_their_low_part(cfg, by_low):
 
 
 # ---------------------------------------------------------------------------
-# Expression kernels
+# Statement kernels
 
 
 def _kernels_after(p: Program, cfg: AttackerConfig, columns: dict[str, list]) -> dict:
@@ -1209,6 +1209,27 @@ def _kernels_after(p: Program, cfg: AttackerConfig, columns: dict[str, list]) ->
     return kernels
 
 
+def _compiled_by_runs(p: Program, cfg: AttackerConfig, loop: While | None = None,
+                      calls: int = 1) -> list[tuple[int, frozenset[str]]]:
+    """Check ``calls`` calls of ``runs`` of ``p`` against the reference,
+    three atoms a chunk, and return (node id, names that may hold None)
+    for each assignment, condition and loop kernel they compiled."""
+    compiled = []
+
+    def counted(compile):
+        def spy(node, unset, widths):
+            compiled.append((id(node), unset))
+            return compile(node, unset, widths)
+        return spy
+
+    with mock.patch.object(lang, "CHUNK_SIZE", 3), \
+            mock.patch.object(lang, "_kernel", counted(lang._kernel)), \
+            mock.patch.object(lang, "_loop_kernel", counted(lang._loop_kernel)):
+        for _ in range(calls):
+            _assert_runs_match_reference(p, cfg, loop)
+    return compiled
+
+
 @pytest.mark.parametrize("source", [
     "o = " + " + ".join(["h"] * 297) + ";",     # the longest sum parse accepts
     "o = 1 / h" + " + h" * 295 + ";",
@@ -1219,19 +1240,11 @@ def _kernels_after(p: Program, cfg: AttackerConfig, columns: dict[str, list]) ->
 def test_trees_of_any_depth_compile_to_one_kernel(source):
     # Past the README's sum, atom h = 0 faults at the deepest operator, the division.
     p = parse(source)
-    e = p.body.stmts[0].expr
-    assert max(d for _, d in _walk(e)) > 2 * _KERNEL_DEPTH
-    compiled = []
-    compile_kernel = lang._kernel
-
-    def counted(*args):
-        compiled.append(args[0])
-        return compile_kernel(*args)
-
-    with mock.patch.object(lang, "_kernel", counted):
-        kernels = _kernels_after(p, cfg_high(bits=3), {"h": list(range(8))})
-    assert compiled == [e]
-    assert isinstance(kernels[id(e), frozenset()], partial)
+    s = p.body.stmts[0]
+    assert max(d for _, d in _walk(s.expr)) > 2 * _KERNEL_DEPTH
+    assert _compiled_by_runs(p, cfg_high(bits=3)) == [(id(s), frozenset())]
+    kernels = _kernels_after(p, cfg_high(bits=3), {"h": list(range(8))})
+    assert isinstance(kernels[id(s), frozenset()], partial)
 
 
 def test_a_kernel_takes_a_literal_past_the_digit_limit():
@@ -1248,7 +1261,11 @@ def test_reads_of_columns_that_may_hold_none_are_checked_where_they_stand():
     got = _assert_runs_match_reference(p, cfg, None)
     assert [obs.values for obs, _ in got] == [(2,), (0,), (6,), (8,)]
     kernels = _kernels_after(p, cfg, {"h": list(range(4))})
-    assert isinstance(kernels[id(p.body.stmts[1].then_branch.expr), frozenset({"y"})], partial)
+    read = p.body.stmts[1].then_branch
+    assert isinstance(kernels[id(read), frozenset({"y"})], partial)
+    # Three atoms a chunk: y may hold None in the first chunk, not in the second.
+    assert [unset for node, unset in _compiled_by_runs(p, cfg) if node == id(read)] == \
+        [frozenset({"y"}), frozenset()]
     p = parse("if (h != 1) y = h; o = (y + 1) * 2;")
     assert _assert_runs_match_reference(p, cfg, None) == \
         "ConfigError: variable 'y' read before assignment"
@@ -1256,29 +1273,27 @@ def test_reads_of_columns_that_may_hold_none_are_checked_where_they_stand():
 
 def test_runs_compiles_each_kernel_once_per_call():
     # The first loop runs as a loop kernel; the second assigns the declared
-    # h, so its condition and body run as expression kernels.
+    # h, so it has none and its condition and body run as statement kernels.
     p = parse("x = h; o = 0; while (x > 0) { x = x - 1; o = (o + 3) & 7; }"
               " while (h > 5) h = h - 1; o = o + 100 / (h - 9);")
-    loop, fallback, last = p.body.stmts[2:]
-    operators = [fallback.cond, fallback.body.expr, last.expr]
-    compiled, compiled_loops = [], []
+    first, second, loop, fallback, last = p.body.stmts
+    nodes = [first, second, loop, fallback, fallback.cond, fallback.body, last]
+    for calls in (1, 2):    # three chunks of 3, 3 and 2 atoms a call
+        compiled = _compiled_by_runs(p, cfg_high(bits=3), loop, calls)
+        assert sorted(node for node, _ in compiled) == sorted(map(id, nodes * calls))
+        assert {unset for _, unset in compiled} == {frozenset()}
 
-    def counted(e, unset):
-        compiled.append(id(e))
-        return compile_kernel(e, unset)
 
-    def counted_loop(s, widths):
-        compiled_loops.append(id(s))
-        return compile_loop(s, widths)
-
-    compile_kernel, compile_loop = lang._kernel, lang._loop_kernel
+def test_programs_that_differ_only_in_literals_share_one_function():
     cfg = cfg_high(bits=3)
-    with mock.patch.object(lang, "CHUNK_SIZE", 3), mock.patch.object(lang, "_kernel", counted), \
-            mock.patch.object(lang, "_loop_kernel", counted_loop):
-        for calls in (1, 2):
-            _assert_runs_match_reference(p, cfg, loop)   # three chunks of 3, 3 and 2 atoms
-            assert sorted(compiled) == sorted(map(id, operators * calls))
-            assert sorted(compiled_loops) == sorted(map(id, [loop, fallback] * calls))
+    lang._compile.cache_clear()
+    assert loi(parse("o = h & 255;"), cfg) != loi(parse("o = h & 1;"), cfg)
+    assert lang._compile.cache_info().misses == 1
+    p = parse("o = 0; x = h; while (x > 0) { x = x - 1; o = (o + 3) & 7; }")
+    assert eval_program(p, {"h": 5}, cfg) == Observable(TERMINATED, (7,))
+    misses = lang._compile.cache_info().misses
+    assert eval_program(p, {"h": 6}, cfg) == Observable(TERMINATED, (2,))
+    assert lang._compile.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------
@@ -1298,13 +1313,11 @@ def _loops_run_as_kernels(p: Program, cfg: AttackerConfig, loop: While | None) -
     ran: dict[int, list[int]] = {}
     compile_loop = lang._loop_kernel
 
-    def spied(s, widths):
-        kernel = compile_loop(s, widths)
-        if kernel is not None:
-            run = kernel.run
-            kernel.run = lambda *args: ran.setdefault(id(s), []).append(len(args[-1])) or \
-                run(*args)
-        return kernel
+    def spied(s, unset, widths):
+        kernel = compile_loop(s, unset, widths)
+        if kernel is None:
+            return None
+        return lambda *args: ran.setdefault(id(s), []).append(len(args[-1])) or kernel(*args)
 
     with mock.patch.object(lang, "CHUNK_SIZE", 3), mock.patch.object(lang, "_loop_kernel", spied):
         _assert_runs_match_reference(p, cfg, loop)
@@ -1368,12 +1381,14 @@ def test_a_loop_kernel_runs_an_atom_until_its_budget():
     ("o = 0; x = h; while (x > 0) { x = x - 1; if (x & 1) o = o + 1; }", False),
     ("o = 0; x = h; while (x > 0) { x = x - 1; y = x; while (y > 0) { y = y - 1; o = o + 1; } }",
      False),
+    # part of the batch writes the declared l in place, wrapped
+    ("x = h; while (x > 0) { x = x - 1; if (x & 1) l = l + x; } o = l;", False),
 ])
 @pytest.mark.parametrize("cfg", _LOOP_KERNEL_CONFIGS, ids=[ACTIVE, PASSIVE])
 def test_loops_a_kernel_cannot_run_take_the_batch_path(source, compiles, cfg):
     p = parse(source)
     fallback, *inner = [n for n, _ in _walk(p) if isinstance(n, While)]
-    assert (lang._loop_kernel(fallback, cfg.widths()) is not None) == compiles
+    assert (lang._loop_kernel(fallback, frozenset(), cfg.widths()) is not None) == compiles
     ran: set[int] = set()
     for budget in (5, 12, 40, 100):
         ran |= set(_loops_run_as_kernels(p, replace(cfg, step_budget=budget), fallback))
