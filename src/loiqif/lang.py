@@ -39,32 +39,26 @@ runtime-error class on a fault.  Each ``skip``, assignment and ``if``
 takes one step before it evaluates anything; a ``while`` takes one on
 entry and one after each run of its body.
 
-Programs run in batches of atoms: each variable is a column with one
-value per atom, and each statement runs once for all the atoms that
-reach it (``_Chunk``).  Each assignment and each condition runs as one
-kernel (``_kernel``), compiled once per ``runs`` call into a loop over
-the atoms that evaluates its expression inside ``try``: an atom that
-faults, or reads a column where it holds None, stops there and leaves
-the batch.  An assignment's kernel writes the target's column in place,
-through ``_wrap`` when the target is declared; a condition's returns the
-atoms where it holds and those where it fails, so ``if`` runs each branch
-on its part and ``while`` repeats on the part still in the loop.  A read
-is checked for None only in the variant compiled for a column that may
-hold None, and a subtree nested deeper than ``_KERNEL_DEPTH`` is a local
-function of the kernel.  A straight-line ``while`` runs atom by atom as
-one loop kernel instead (``_loop_kernel``): its condition and the
-expressions its body assigns hold no operator that may fault, its body
-holds only ``skip`` and assignments to undeclared variables, and it reads
-no column that may hold None.  It takes each atom through all of its
-iterations in locals, charging the steps to that atom alone.  Every
-kernel's source holds no literal, and compiled sources are cached by
-their text (``_compile``), so a program evaluated again, or one that
-differs only in literals, compiles nothing new.  The result for every
-atom is the one a run on that atom alone gives; ``eval_program`` and
-``run_counting_loop`` are batches of one.  A read of a variable not yet
-assigned is a ``ConfigError`` that names the variable the lowest such
-atom read first.  Every run is bounded by the configuration's
-``step_budget``, the one place a budget is set.
+Each program runs as one Python function (``_function``), written by
+``_Writer`` and compiled once per program, input names, configuration
+and counted loop, then kept on the ``Program``.  It takes each atom of a
+chunk through the whole program in locals, one local per variable, with
+``if`` and ``while`` as Python's own, inside one ``try``: a fault or a
+spent budget stops that atom alone.  Steps go into a local counter that
+is compared with the budget before anything that can stop a run, on
+entering a loop, after each pass of its body and at the end; where no
+branch has yet taken a different number of steps, the count is known when
+the source is written and so is the comparison.  A read that a
+definite-assignment pass cannot prove assigned is checked for None.  An
+operator nested deeper than ``_EXPRESSION_DEPTH`` and an ``if`` or
+``while`` nested deeper than ``_STATEMENT_DEPTH`` are local functions, so
+every tree ``parse`` accepts fits CPython's nesting limits.  The source
+holds no literal, and compiled sources are cached by their text
+(``_compile``), so programs that differ only in literals share one
+function.  ``eval_program`` and ``run_counting_loop`` are runs of one
+atom.  A read of a variable not yet assigned is a ``ConfigError`` that
+names the variable the lowest such atom read first.  Every run is bounded
+by the configuration's ``step_budget``, the one place a budget is set.
 
 ``runs`` is the one place that runs a program on every input: it
 enumerates the attacker-facing input atoms (values of the high variables
@@ -86,7 +80,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Callable, Iterator, Mapping
 
@@ -181,6 +175,8 @@ Stmt = Skip | Assign | Seq | If | While
 @dataclass(frozen=True)
 class Program:
     body: Stmt
+    # The program's compiled functions, made on first use (``_function``).
+    functions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +684,11 @@ class Observable:
 
 
 class _Fault(Exception):
-    """A run stopped: at a runtime fault, or, with the name of a variable as
-    its argument, at a read of that variable before assignment."""
+    """A run stopped at a runtime fault."""
+
+
+class _Spent(Exception):
+    """A run took more steps than its budget."""
 
 
 _SHIFT_LIMIT = 1 << 20
@@ -720,7 +719,7 @@ def _shr(left: int, right: int) -> int:
 
 
 def _unset(name: str):
-    raise _Fault(name)
+    raise ConfigError(f"variable {name!r} read before assignment")
 
 
 def _wrap(width: int, value: int) -> int:
@@ -753,15 +752,19 @@ _BINARY_TEMPLATES = {
     "/": "({0} // {1})", "%": "({0} % {1})",
 }
 _UNARY_TEMPLATES = {"!": "(0 if {0} else 1)", "-": "(-{0})", "~": "(~{0})"}
-# The operators that can fault, as calls of their per-atom forms.
+# The operators that can fault, as calls of their checked forms.
 _CHECKED = {"/": "_div({0}, {1})", "%": "_mod({0}, {1})",
             "<<": "_shl({0}, {1})", ">>": "_shr({0}, {1})"}
 
-# Deepest operator nesting one function of a kernel holds.  Each operator
-# opens at most two parentheses of the kernel's source, which stays far
-# below CPython's limit of 200 nested ones; a deeper subtree is a local
-# function of the kernel.
-_KERNEL_DEPTH = 32
+# Deepest operator nesting one generated function holds.  Each operator
+# opens at most two parentheses of the source, which stays far below
+# CPython's limit of 200 nested ones; a deeper subtree is a local function.
+_EXPRESSION_DEPTH = 32
+# Deepest ``if``/``while`` nesting one generated function holds.  CPython
+# allows 20 statically nested blocks, of which the atom loop and its ``try``
+# take two, and about 100 indentation levels; a deeper statement is a local
+# function.
+_STATEMENT_DEPTH = 16
 
 
 def _plain(e: Expr) -> bool:
@@ -777,35 +780,235 @@ def _plain(e: Expr) -> bool:
 
 
 def _source(e: Expr, var: Callable[[str], str], consts: list[int], helpers: list[str],
-            depth: int = 1) -> str:
+            params: str, depth: int = 1) -> str:
     """``e`` as Python source over the operator templates, an operator that
-    may fault calling its per-atom form.  Each variable reads as
+    may fault calling its checked form.  Each variable reads as
     ``var(name)`` and each literal is a parameter ``c<k>``, its value
     appended to ``consts``: ``repr`` of a literal fails past the int-string
-    digit limit.  An operator nested deeper than ``_KERNEL_DEPTH`` reads as
-    a call ``f<k>(i)`` of a local function, whose definition is appended to
-    ``helpers``; the call evaluates it where the operator stands."""
+    digit limit.  An operator nested deeper than ``_EXPRESSION_DEPTH`` reads
+    as a call ``f<k>(<params>)`` of a local function over the locals
+    ``params``, whose definition is appended to ``helpers``; the call
+    evaluates it where the operator stands."""
     if isinstance(e, Var):
         return var(e.name)
     if isinstance(e, (IntLit, BoolLit)):
         consts.append(int(e.value))
         return f"c{len(consts) - 1}"
-    if depth > _KERNEL_DEPTH:
-        body = _source(e, var, consts, helpers)
-        helpers.append(f"def f{len(helpers)}(i):\n    return {body}")
-        return f"f{len(helpers) - 1}(i)"
+    if depth > _EXPRESSION_DEPTH:
+        body = _source(e, var, consts, helpers, params)
+        helpers.append(f"def f{len(helpers)}({params}):\n    return {body}")
+        return f"f{len(helpers) - 1}({params})"
     if isinstance(e, Unary):
         template, operands = _UNARY_TEMPLATES[e.op], (e.operand,)
     else:
         template = _BINARY_TEMPLATES[e.op] if _plain(e) else _CHECKED[e.op]
         operands = (e.left, e.right)
-    return template.format(*(_source(operand, var, consts, helpers, depth + 1)
+    return template.format(*(_source(operand, var, consts, helpers, params, depth + 1)
                              for operand in operands))
 
 
-# Distinct kernel sources whose compiled functions stay cached.  A kernel's
-# source holds its variables' names but none of its literals, so programs
-# that differ only in literals share their functions.
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+class _Writer:
+    """The statements of one program as Python source that runs one atom in
+    locals, ``if`` and ``while`` as Python's own.
+
+    Each variable is a local of ``names``.  Steps are counted by the
+    language's rule, partly as the source is written: ``pending`` steps are
+    known here, and the local ``s`` holds the others.  ``check`` adds the
+    pending steps to ``s`` and stops the run past the budget; it runs before
+    anything that can stop a run (an operator that may fault, a read that
+    may be unset, an assignment whose wrap may fault), on entering a loop,
+    after each pass of its body and at the end.  Where two branches of an
+    ``if`` pend different counts, the longer one adds its excess to ``s``.
+    While no branch has done so (``dynamic`` is False), ``s`` holds 0, every
+    atom that gets here has taken ``pending`` steps, and the check is made
+    as the source is written.  ``assigned`` holds the variables that every
+    path to the current point assigns; a read of any other variable is
+    checked for None and its local is reset to None for each atom
+    (``reset``)."""
+
+    def __init__(self, names: dict[str, str], inputs: tuple[str, ...],
+                 cfg: AttackerConfig, loop: While | None, counted: bool):
+        self.names = names
+        self.widths = cfg.widths()
+        self.budget = cfg.step_budget
+        self.loop = loop
+        self.consts: list[int] = []
+        self.helpers: list[str] = []
+        self.params = ", ".join(names.values())
+        self.live = ", ".join([*names.values(), "s", *(["n"] if counted else [])])
+        self.reset: dict[str, None] = {}
+        self.assigned = frozenset(inputs)
+        self.pending = 0
+        self.dynamic = False
+        self.unchecked = False
+        self.depth = 0          # ``if``/``while`` statements open in the current function
+
+    def read(self, name: str) -> str:
+        x = self.names[name]
+        if name in self.assigned:
+            return x
+        self.reset[name] = None
+        return f"({x} if {x} is not None else _unset({name!r}))"
+
+    def expr(self, e: Expr) -> str:
+        return _source(e, self.read, self.consts, self.helpers, self.params)
+
+    def may_stop(self, e: Expr) -> bool:
+        return any(not _plain(n) or isinstance(n, Var) and n.name not in self.assigned
+                   for n, _ in _walk(e))
+
+    def check(self) -> list[str]:
+        if not self.dynamic:
+            return ["raise _Spent"] if self.pending > self.budget else []
+        lines = []
+        if self.pending:
+            lines.append(f"s += {self.pending}")
+            self.pending, self.unchecked = 0, True
+        if self.unchecked:
+            lines.append("if s > budget: raise _Spent")
+            self.unchecked = False
+        return lines
+
+    def block(self, s: Stmt) -> list[str]:
+        if isinstance(s, Seq):
+            return [line for sub in s.stmts for line in self.block(sub)]
+        if isinstance(s, Skip):
+            self.pending += 1
+            return []
+        if isinstance(s, Assign):
+            return self.assign(s)
+        if not isinstance(s, (If, While)):
+            raise TypeError(f"not a statement: {s!r}")
+        if self.depth == _STATEMENT_DEPTH:
+            return self.local_function(s)
+        self.depth += 1
+        lines = self.branch(s) if isinstance(s, If) else self.repeat(s)
+        self.depth -= 1
+        return lines
+
+    def assign(self, s: Assign) -> list[str]:
+        self.pending += 1
+        width = self.widths.get(s.name)
+        # ``_wrap`` can fault only past the shift limit.
+        wrap_may_stop = width is not None and width > _SHIFT_LIMIT
+        lines = self.check() if wrap_may_stop or self.may_stop(s.expr) else []
+        value = self.expr(s.expr)
+        if width is not None:
+            self.consts.append(width)
+            value = f"_wrap(c{len(self.consts) - 1}, {value})"
+        self.assigned |= {s.name}
+        return [*lines, f"{self.names[s.name]} = {value}"]
+
+    def branch(self, s: If) -> list[str]:
+        self.pending += 1
+        lines = self.check() if self.may_stop(s.cond) else []
+        lines.append(f"if {self.expr(s.cond)}:")
+        start = self.pending, self.dynamic, self.unchecked, self.assigned
+        then = self.block(s.then_branch)
+        ends = self.pending, self.dynamic, self.unchecked, self.assigned
+        self.pending, self.dynamic, self.unchecked, self.assigned = start
+        other = self.block(s.else_branch)
+        pending, dynamic, unchecked, assigned = ends
+        if pending != self.pending:
+            least = min(pending, self.pending)
+            longer = then if pending > least else other
+            longer.append(f"s += {max(pending, self.pending) - least}")
+            self.pending, dynamic, unchecked = least, True, True
+        self.dynamic |= dynamic
+        self.unchecked |= unchecked
+        self.assigned &= assigned
+        return [*lines, *_indent(then or ["pass"]), *(["else:", *_indent(other)] if other else [])]
+
+    def repeat(self, s: While) -> list[str]:
+        self.pending += 1
+        self.dynamic = True
+        lines = self.check()
+        before = self.assigned
+        lines.append(f"while {self.expr(s.cond)}:")
+        body = self.block(s.body)
+        if s is self.loop:
+            body.append("n += 1")
+        self.pending += 1
+        body += self.check()
+        self.assigned = before
+        return [*lines, *_indent(body)]
+
+    def local_function(self, s: If | While) -> list[str]:
+        """``s`` as a call of a local function that takes the live locals
+        and returns them."""
+        k = len(self.helpers)
+        self.helpers.append("")
+        depth, self.depth = self.depth, 0
+        body = self.block(s)
+        self.depth = depth
+        self.helpers[k] = "\n".join([f"def f{k}({self.live}):", *_indent(body),
+                                     f"    return {self.live}"])
+        return [f"{self.live} = f{k}({self.live})"]
+
+
+def _function(p: Program, inputs: tuple[str, ...], cfg: AttackerConfig,
+              loop: While | None) -> Callable:
+    """``p`` compiled into ``run(<input columns>, size)``, which takes each of
+    ``size`` atoms through the whole program, the initial value of each
+    variable of ``inputs`` read from its column.  It returns a column of
+    final values per observed variable, ``{atom: kind}`` for the atoms that
+    stopped, and the ``loop`` count of each atom, None where it ran out of
+    steps; a read of an unset variable raises ``ConfigError`` at once.  The
+    function is made once per (inputs, configuration, loop) and kept in
+    ``p.functions``, and compiled sources are shared through ``_compile``."""
+    key = inputs, cfg, loop and id(loop)
+    function = p.functions.get(key)
+    if function is not None:
+        return function
+    nodes = [n for n, _ in _walk(p)]
+    names = {name: f"x{k}" for k, name in enumerate(dict.fromkeys(
+        [*inputs, *(n.name for n in nodes if isinstance(n, (Var, Assign))), *cfg.observed_vars]))}
+    used = {n.name for n in nodes if isinstance(n, Var)}.union(cfg.observed_vars)
+    counted = any(n is loop for n in nodes)
+    writer = _Writer(names, inputs, cfg, loop, counted)
+    body = writer.block(p.body) + writer.check()
+    reset = [names[name] for name in dict.fromkeys(
+        [*writer.reset, *(name for name in cfg.observed_vars if name not in writer.assigned)])]
+    outs = [names[name] for name in cfg.observed_vars]
+    params = [*(f"c{k}" for k in range(len(writer.consts))), "budget",
+              *(f"in{j}" for j in range(len(inputs))), "size"]
+    loaded = [name for name in inputs if name in used]
+    lines = [
+        f"def run({', '.join(params)}):",
+        *_indent([line for helper in writer.helpers for line in helper.splitlines()]),
+        *(f"    {x} = None" for name, x in names.items() if name not in loaded),
+        *(f"    out{j} = [None] * size" for j in range(len(outs))),
+        "    counts = [0] * size",
+        "    stops = {}",
+        "    for i in range(size):",
+        *(f"        {names[name]} = in{inputs.index(name)}[i]" for name in loaded),
+        *(f"        {x} = None" for x in reset),
+        *(["        s = 0"] if any(isinstance(n, (If, While)) for n in nodes) else []),
+        *(["        n = 0"] if counted else []),
+        "        try:",
+        *_indent(_indent(_indent(body or ["pass"]))),
+        "        except _Spent:",
+        "            stops[i] = NON_TERMINATION",
+        "            counts[i] = None",
+        "        except _Fault:",
+        "            stops[i] = RUNTIME_ERROR",
+        *(["            counts[i] = n"] if counted else []),
+        "        else:",
+        *(f"            out{j}[i] = {x}" for j, x in enumerate(outs)),
+        *(["            counts[i] = n"] if counted else []),
+        f"    return [{', '.join(f'out{j}' for j in range(len(outs)))}], stops, counts"]
+    function = p.functions[key] = partial(_compile("\n".join(lines)), *writer.consts,
+                                          cfg.step_budget)
+    return function
+
+
+# Distinct program sources whose compiled functions stay cached.  A source
+# holds no literal, so programs that differ only in literals share their
+# functions.
 _COMPILED = 1024
 
 
@@ -816,364 +1019,25 @@ def _compile(source: str) -> Callable:
     return functions["run"]
 
 
-def _function(params: list[str], names: Mapping[str, int], helpers: list[str],
-              body: list[str]) -> Callable:
-    """``def run(<params>, store, ids):`` compiled: it sets the local
-    ``v<k>`` to the column ``store[name]`` of each (name, k) of ``names``,
-    defines the local functions ``helpers``, then runs the lines of
-    ``body``."""
-    lines = [f"def run({', '.join([*params, 'store', 'ids'])}):",
-             *(f"    v{k} = store[{name!r}]" for name, k in names.items()),
-             *(f"    {line}" for helper in helpers for line in helper.splitlines()),
-             *(f"    {line}" for line in body)]
-    return _compile("\n".join(lines))
-
-
-def _kernel(node: Assign | Expr, unset: frozenset[str], widths: Mapping[str, int]) -> partial:
-    """An assignment or a condition compiled into one loop over the atoms,
-    ``kernel(store, ids)``, that evaluates its expression on each atom of
-    ``ids`` inside ``try``.  An assignment kernel writes each value into
-    the target's column in place, wrapped first when ``widths`` declares
-    the target, and returns the stops; a condition kernel returns the atoms
-    where the condition holds, those where it fails, and the stops.  A stop
-    is (atom, arguments of its ``_Fault``) for each atom that faults or
-    reads a variable of ``unset`` where its column holds None: such a read
-    is checked where it stands, so evaluation stops at the first of them.
-    No stop keeps its exception, whose traceback would hold the loop's
-    frame."""
-    names: dict[str, int] = {}
-    consts: list[int] = []
-    helpers: list[str] = []
-
-    def read(name: str) -> str:
-        value = f"v{names.setdefault(name, len(names))}[i]"
-        if name in unset:
-            return f"({value} if {value} is not None else _unset({name!r}))"
-        return value
-
-    if isinstance(node, Assign):
-        value = _source(node.expr, read, consts, helpers)
-        if node.name in widths:
-            consts.append(widths[node.name])
-            value = f"_wrap(c{len(consts) - 1}, {value})"
-        lists = ["stops"]
-        each = [f"v{names.setdefault(node.name, len(names))}[i] = {value}"]
-    else:
-        lists = ["holds", "fails", "stops"]
-        each = [f"if {_source(node, read, consts, helpers)}:", "    holds.append(i)",
-                "else:", "    fails.append(i)"]
-    run = _function([f"c{k}" for k in range(len(consts))], names, helpers,
-                    [*(f"{name} = []" for name in lists),
-                     "for i in ids:",
-                     "    try:",
-                     *(f"        {line}" for line in each),
-                     "    except _Fault as fault:",
-                     "        stops.append((i, fault.args))",
-                     f"return {', '.join(lists)}"])
-    return partial(run, *consts)
-
-
-def _straight_line(s: Stmt) -> list[Skip | Assign] | None:
-    """The ``skip`` and assignment statements ``s`` runs, in order; None
-    when it holds an ``if`` or a ``while``."""
-    if isinstance(s, Seq):
-        out: list[Skip | Assign] = []
-        for sub in s.stmts:
-            part = _straight_line(sub)
-            if part is None:
-                return None
-            out += part
-        return out
-    return [s] if isinstance(s, (Skip, Assign)) else None
-
-
-def _loop_kernel(s: While, unset: frozenset[str], widths: Mapping[str, int]) -> partial | None:
-    """``s`` compiled into ``for i in ids: <load locals>; while <cond>:
-    <charge steps>; <body>; <write back>``, or None when it reads a
-    variable of ``unset``, its body holds an ``if`` or a ``while`` or
-    assigns a variable ``widths`` declares, or it holds an operator that
-    may fault.  Each variable reads as the local ``x<k>``, loaded from the
-    column ``v<k>``.  The kernel takes ``spent``, the steps each atom has
-    spent, the ``budget``, ``kinds``, the ``iterations`` column of a
-    counted loop or None, the store and the atoms; it returns the atoms
-    that left the loop, in the order given.  An atom whose next iteration
-    would pass the budget stops before it, marked ``NON_TERMINATION``: no
-    statement of the body can fault or read an unset variable, so where in
-    the iteration its steps run out is unseen."""
-    body = _straight_line(s.body)
-    if (unset or body is None
-            or any(stmt.name in widths for stmt in body if isinstance(stmt, Assign))
-            or not all(_plain(node) for node, _ in _walk(s))):
-        return None
-    names: dict[str, int] = {}
-    consts: list[int] = []
-    helpers: list[str] = []
-
-    def local(name: str) -> str:
-        return f"x{names.setdefault(name, len(names))}"
-
-    cond = _source(s.cond, local, consts, helpers)
-    assignments = [f"{local(stmt.name)} = {_source(stmt.expr, local, consts, helpers)}"
-                   for stmt in body if isinstance(stmt, Assign)]
-    steps = len(body) + 1       # a step per statement, and one after the body
-    written = [names[name] for name in
-               dict.fromkeys(stmt.name for stmt in body if isinstance(stmt, Assign))]
-    run = _function(
-        [*(f"c{k}" for k in range(len(consts))), "spent", "budget", "kinds", "counts"],
-        names, helpers,
-        ["left = []",
-         f"limit = budget - {steps}",
-         "for i in ids:",
-         *(f"    x{k} = v{k}[i]" for k in range(len(names))),
-         "    start = s = spent[i]",
-         f"    while {cond}:",
-         "        if s > limit:",
-         "            kinds[i] = NON_TERMINATION",
-         "            break",
-         f"        s += {steps}",
-         *(f"        {line}" for line in assignments),
-         "    else:",
-         *(f"        v{k}[i] = x{k}" for k in written),
-         "        spent[i] = s",
-         "        if counts is not None:",
-         f"            counts[i] += (s - start) // {steps}",
-         "        left.append(i)",
-         "return left"])
-    return partial(run, *consts)
-
-
-# Atoms one batch evaluation runs together.  A statement costs a few calls
-# per batch whatever its size, and a chunk's columns live until its
-# last run ends: larger chunks spread the first cost over more atoms,
-# smaller ones bound the second.
+# Atoms one call of a program's function runs.  A call costs the same
+# whatever its size, and a chunk's columns live until it returns: larger
+# chunks spread the first cost over more atoms, smaller ones bound the
+# second.
 CHUNK_SIZE = 1024
-
-class _Batch:
-    """The live atoms that run the same statements: their positions in the
-    chunk, ascending; the steps each has taken since ``_Chunk.spent`` last
-    recorded it (``pending``); and ``room``, a lower bound on the steps any
-    of them had left at that record."""
-
-    __slots__ = ("ids", "pending", "room")
-
-    def __init__(self, ids: list[int], pending: int, room: int):
-        self.ids = ids
-        self.pending = pending
-        self.room = room
-
-
-class _Chunk:
-    """A chunk of atoms run together, one statement at a time.
-
-    Each variable of the program is a column of the chunk's values, None
-    where an atom has not assigned it.  A statement runs once on the batch
-    of atoms that reached it, through a kernel compiled once for each set
-    of the names it reads whose columns may hold None: an assignment's
-    kernel writes the target's column in place, and a condition's splits
-    the batch, so ``if`` runs each branch on its part and ``while``
-    repeats on the part still in the loop.  A ``while`` with a loop kernel
-    runs it instead, each atom to the end of its loop; it has none when
-    its body holds an ``if`` or a ``while``, assigns a declared (wrapped)
-    variable or holds an operator that may fault, or when it reads a
-    column that may hold None.  Steps are counted per batch until the
-    cached ``room`` says some atom may be out of them.  An atom stops where
-    it faults, runs out of steps or reads a variable it never assigned: the
-    stop is recorded there and the atom leaves the batch, so nothing to the
-    right of that point is evaluated for it.
-    """
-
-    def __init__(self, columns: dict[str, list], size: int, widths: dict[str, int],
-                 budget: int, loop: While | None, kernels: dict, names: frozenset[str]):
-        # (id of an assignment, condition or while node, a set of names
-        # whose columns may hold None) -> its kernel, None for a while
-        # node without a loop kernel
-        self.kernels = kernels
-        self.store = columns
-        # Every name of ``names`` has a column, None where no input gives it.
-        self.unset = names.difference(columns)   # names whose column may hold None
-        columns.update((name, [None] * size) for name in self.unset)
-        self.size = size
-        self.widths = widths
-        self.budget = budget
-        self.loop = loop
-        self.counting: int | None = None    # bodies of ``loop`` done in its current run
-        self.spent = [0] * size
-        self.iterations = [0] * size
-        self.kinds = [TERMINATED] * size
-        self.unbound: dict[int, str] = {}   # atom -> variable it read before assignment
-
-    def _compiled(self, node: Assign | Expr | While, compile: Callable) -> Callable | None:
-        """``node``'s kernel for the columns that may hold None now,
-        ``compile(node, unset, widths)`` once for each set ``unset`` of
-        those the node reads."""
-        key = id(node), self.unset
-        try:
-            return self.kernels[key]
-        except KeyError:
-            narrow = id(node), self.unset and self.unset.intersection(read_vars(node))
-            if narrow not in self.kernels:
-                self.kernels[narrow] = compile(node, narrow[1], self.widths)
-            kernel = self.kernels[key] = self.kernels[narrow]
-            return kernel
-
-    def _stop(self, stops: list[tuple[int, tuple]]) -> set[int]:
-        """The atoms of ``stops``, each stopped as the arguments of its
-        ``_Fault`` say: at a read of the variable they name, else with a
-        runtime error."""
-        for i, fault in stops:
-            if fault:
-                self.unbound[i] = fault[0]
-            else:
-                self.kinds[i] = RUNTIME_ERROR
-                self.iterations[i] += self.counting or 0
-        return {i for i, _ in stops}
-
-    def _split(self, cond: Expr, batch: _Batch) -> tuple[list[int], list[int]]:
-        """The atoms of the batch where ``cond`` holds and those where it
-        fails, once the atoms it stopped have left both."""
-        holds, fails, stops = self._compiled(cond, _kernel)(self.store, batch.ids)
-        self._stop(stops)
-        return holds, fails
-
-    def spend(self, batch: _Batch) -> None:
-        batch.pending += 1
-        if batch.pending > batch.room:
-            self._settle(batch)
-
-    def _settle(self, batch: _Batch) -> None:
-        """Record the batch's pending steps per atom; atoms past the budget
-        leave it."""
-        spent, budget = self.spent, self.budget
-        for i in batch.ids:
-            spent[i] += batch.pending
-        batch.pending = 0
-        if any(spent[i] > budget for i in batch.ids):
-            for i in batch.ids:
-                if spent[i] > budget:
-                    self.kinds[i] = NON_TERMINATION
-            batch.ids = [i for i in batch.ids if spent[i] <= budget]
-        batch.room = budget - max(map(spent.__getitem__, batch.ids), default=0)
-
-    def _merge(self, batch: _Batch, parts: list[_Batch]) -> None:
-        """Make ``batch`` the union of ``parts``, pending the fewest steps any
-        part has pending; the other parts' excess is recorded per atom."""
-        parts = [part for part in parts if part.ids]
-        if not parts:
-            batch.ids = []
-            return
-        pending = min(part.pending for part in parts)
-        room = self.budget
-        for part in parts:
-            extra = part.pending - pending
-            if extra:
-                for i in part.ids:
-                    self.spent[i] += extra
-            room = min(room, part.room - extra)
-        batch.ids = (parts[0].ids if len(parts) == 1
-                     else sorted(itertools.chain.from_iterable(part.ids for part in parts)))
-        batch.pending, batch.room = pending, room
-
-    def run(self, s: Stmt, batch: _Batch) -> None:
-        if not batch.ids:
-            return
-        if isinstance(s, Seq):
-            for sub in s.stmts:
-                self.run(sub, batch)
-        elif isinstance(s, Assign):
-            self._assign(s, batch)
-        elif isinstance(s, If):
-            self._if(s, batch)
-        elif isinstance(s, While):
-            self._while(s, batch)
-        elif isinstance(s, Skip):
-            self.spend(batch)
-        else:
-            raise TypeError(f"not a statement: {s!r}")
-
-    def _assign(self, s: Assign, batch: _Batch) -> None:
-        self.spend(batch)
-        if stops := self._compiled(s, _kernel)(self.store, batch.ids):
-            stopped = self._stop(stops)
-            batch.ids = [i for i in batch.ids if i not in stopped]
-        if len(batch.ids) == self.size and s.name in self.unset:
-            self.unset = self.unset.difference((s.name,))
-
-    def _if(self, s: If, batch: _Batch) -> None:
-        self.spend(batch)
-        batch.ids, fails = self._split(s.cond, batch)
-        other = _Batch(fails, batch.pending, batch.room)
-        self.run(s.then_branch, batch)
-        self.run(s.else_branch, other)
-        self._merge(batch, [batch, other])
-
-    def _while(self, s: While, batch: _Batch) -> None:
-        counted = s is self.loop
-        if loop := self._compiled(s, _loop_kernel):
-            batch.pending += 1      # the step on entry
-            self._settle(batch)
-            batch.ids = loop(self.spent, self.budget, self.kinds,
-                             self.iterations if counted else None, self.store, batch.ids)
-            batch.room = self.budget - max(map(self.spent.__getitem__, batch.ids), default=0)
-            return
-        self.spend(batch)
-        exited = []         # the atoms that left the loop, one part per iteration
-        bodies = 0
-        while batch.ids:
-            if counted:
-                self.counting = bodies
-            batch.ids, leaving = self._split(s.cond, batch)
-            if leaving:
-                if counted:
-                    for i in leaving:
-                        self.iterations[i] += bodies
-                exited.append(_Batch(leaving, batch.pending, batch.room))
-            if not batch.ids:
-                break
-            self.run(s.body, batch)
-            bodies += 1
-            self.spend(batch)
-        if counted:
-            self.counting = None
-        self._merge(batch, exited)
-
-    def results(self, observed: tuple[str, ...]) -> tuple[list, list]:
-        """Each atom's key and ``loop`` count, or a ConfigError for the
-        lowest atom that read a variable before assigning it.  The key is
-        the tuple of the observed variables' final values for a run that
-        terminated, else its kind, a string that equals no tuple; the count
-        is None for a run out of steps."""
-        if self.unbound:
-            atom = min(self.unbound)
-            raise ConfigError(f"variable {self.unbound[atom]!r} read before assignment")
-        keys = list(zip(*(self.store.get(name, [None] * self.size) for name in observed)))
-        counts = self.iterations
-        if self.kinds.count(TERMINATED) < self.size:
-            for i, kind in enumerate(self.kinds):
-                if kind is not TERMINATED:
-                    keys[i] = kind
-                    if kind is NON_TERMINATION:
-                        counts[i] = None
-        return keys, counts
-
-
-def _variables(p: Program) -> frozenset[str]:
-    """The names ``p`` reads or assigns."""
-    return frozenset(n.name for n, _ in _walk(p) if isinstance(n, (Var, Assign)))
 
 
 def _evaluate(p: Program, columns: dict[str, list], size: int, cfg: AttackerConfig,
-              loop: While | None = None, kernels: dict | None = None,
-              variables: frozenset[str] | None = None) -> tuple[list, list]:
-    """Run ``p`` on ``size`` atoms at once, the initial value of each
-    variable given as a column, and return each atom's key and ``loop``
-    count as ``_Chunk.results`` gives them.  ``kernels`` holds the kernels
-    compiled so far for ``p``'s nodes and ``variables`` its ``_variables``,
-    for calls on further chunks."""
-    chunk = _Chunk(columns, size, cfg.widths(), cfg.step_budget, loop,
-                   {} if kernels is None else kernels,
-                   _variables(p) if variables is None else variables)
-    chunk.run(p.body, _Batch(list(range(size)), 0, chunk.budget))
-    return chunk.results(cfg.observed_vars)
+              loop: While | None = None) -> tuple[list, list]:
+    """Run ``p`` on ``size`` atoms, the initial value of each variable given
+    as a column, and return each atom's key and ``loop`` count.  The key is
+    the tuple of the observed variables' final values for a run that
+    terminated, else its kind, a string that equals no tuple; the count is
+    None for a run out of steps."""
+    outs, stops, counts = _function(p, tuple(columns), cfg, loop)(*columns.values(), size)
+    keys = list(zip(*outs))
+    for i, kind in stops.items():
+        keys[i] = kind
+    return keys, counts
 
 
 def eval_program(p: Program, initial: Mapping[str, int], cfg: AttackerConfig) -> Observable:
@@ -1187,7 +1051,7 @@ def run_counting_loop(p: Program, initial: Mapping[str, int], cfg: AttackerConfi
                       loop: While | None) -> tuple[Observable, int | None]:
     """Like ``eval_program`` but also reports how many complete body
     executions of ``loop`` (compared by identity) the run performed;
-    None when the run exhausts its budget.  It is a batch of one."""
+    None when the run exhausts its budget.  It is a run of one atom."""
     columns = {name: [value] for name, value in initial.items()}
     (key,), (count,) = _evaluate(p, columns, 1, cfg, loop)
     obs = Observable(TERMINATED, key) if isinstance(key, tuple) else Observable(key)
@@ -1247,9 +1111,10 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
          ) -> tuple[Domain, Iterator[tuple[list, list]]]:
     """The domain and an iterator over (keys, counts) column pairs, one pair
     per ``CHUNK_SIZE`` atoms in domain order: each atom's key and ``loop``
-    count as ``_Chunk.results`` gives them.  Each chunk runs as one batch
-    whose input columns are the next values of the columns of the
-    product of the value ranges, one per enumerated variable.  A passive
+    count as ``_evaluate`` gives them.  Each chunk runs as one call of the
+    program's function whose input columns are the next values of the
+    columns of the product of the value ranges, one per enumerated
+    variable.  A passive
     attacker also watches the public lows go in, so with enumerated lows
     an atom's key is paired with its low index, the atom index over the
     number of high values: atoms with different lows never share a key."""
@@ -1259,8 +1124,6 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
     highs = math.prod(map(len, ranges[n_lows:]))
 
     def chunks():
-        kernels: dict = {}
-        variables = _variables(p)
         columns = _Product(ranges).columns()
         low_index, _ = _Product((range(domain.size // highs), range(highs))).columns()
         for start in range(0, domain.size, CHUNK_SIZE):
@@ -1268,7 +1131,7 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
             inputs = {name: list(itertools.islice(column, size))
                       for name, column in zip(names, columns)}
             inputs.update((name, [value] * size) for name, value in pinned.items())
-            keys, counts = _evaluate(p, inputs, size, cfg, loop, kernels, variables)
+            keys, counts = _evaluate(p, inputs, size, cfg, loop)
             if n_lows:
                 keys = list(zip(itertools.islice(low_index, size), keys))
             yield keys, counts

@@ -539,6 +539,12 @@ def distribution_to_json(d: Distribution) -> dict:
 # small weights over one total).
 _ABSENT = object()
 _KNOWN_TEXTS = 4096
+# Widest least common denominator of the masses distribution_from_json
+# accepts, in bits.  Each exact measure the CLI prints is a ratio of two
+# integers no larger than the atom count times that denominator, so for any
+# domain of fewer than 2^1995 atoms both stay under CPython's default
+# int-string limit of 4300 digits (about 14284 bits).
+MAX_DENOMINATOR_BITS = 12288
 
 
 def distribution_from_json(obj, domain: Domain | None = None) -> Distribution:
@@ -552,8 +558,11 @@ def distribution_from_json(obj, domain: Domain | None = None) -> Distribution:
 
     Errors come in one order: a malformed file or domain; then, in file
     order, an unknown key or a mass that is no number or string; then the
-    first bad mass in domain order, the first negative one, and a total
-    other than 1.
+    first bad mass in domain order, the first negative one, a total other
+    than 1, and a least common denominator wider than
+    ``MAX_DENOMINATOR_BITS``, which names the mass that made it so.  A mass
+    that would widen such a denominator further stops the reading at once
+    with that last error, so reading takes bounded time per mass.
 
     Each weight is taken over the least common denominator d of the masses
     so far.  When d grows, the weights before it are scaled up once at the
@@ -569,7 +578,7 @@ def distribution_from_json(obj, domain: Domain | None = None) -> Distribution:
         listed = domain_from_json(obj["domain"])
         keys = _mass_keys(listed)
     weights: list[int] = []
-    grew: list[tuple[int, int]] = []    # (weights so far, d until then)
+    grew: list[tuple[int, int, object]] = []    # (weights so far, d until then, the mass)
     d = 1
     known: dict[str, int] = {}          # weight over d of a mass text
     absent = 0
@@ -592,7 +601,9 @@ def distribution_from_json(obj, domain: Domain | None = None) -> Distribution:
                 _ratio(text, listed.atoms[len(weights)])   # raises again, naming the atom
             negative = negative or p < 0
             if d % q:
-                grew.append((len(weights), d))
+                if d.bit_length() > MAX_DENOMINATOR_BITS:
+                    _too_fine(grew[-1], listed)
+                grew.append((len(weights), d, value))
                 d = math.lcm(d, q)
                 known.clear()
             w = p * (d // q)
@@ -602,12 +613,24 @@ def distribution_from_json(obj, domain: Domain | None = None) -> Distribution:
     if listed.size - absent != len(masses):
         _name_file_fault(masses, listed)       # a key for no atom
     start = 0
-    for end, was in grew:
+    for end, was, _ in grew:
         weights[start:end] = map((d // was).__mul__, weights[start:end])
         start = end
     if negative or sum(weights) != d:
         _check_weights(listed, weights, d)     # names the fault
+    if d.bit_length() > MAX_DENOMINATOR_BITS:
+        _too_fine(grew[-1], listed)
     return Distribution._checked(domain if listed == domain else listed, weights, d)
+
+
+def _too_fine(growth: tuple[int, int, object], listed: Domain) -> None:
+    """Raise for the mass that widened the least common denominator past
+    ``MAX_DENOMINATOR_BITS``: the last growth, (its atom's position, the
+    denominator before it, the mass)."""
+    i, _, value = growth
+    raise InvalidDistributionError(
+        f"bad mass {reprlib.repr(value)} for atom {listed.atoms[i]!r}: the least common "
+        f"denominator of the masses up to it is wider than {MAX_DENOMINATOR_BITS} bits")
 
 
 def _name_file_fault(masses: dict, listed: Domain) -> None:

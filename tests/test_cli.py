@@ -9,12 +9,12 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from loiqif import Distribution, Domain, loi, measures, parse
 from loiqif.cli import _SLICE, _distribution_text, _emit_json, main
 from loiqif.lang import MAX_DEPTH, AttackerConfig, config_from_json
-from loiqif.measures import distribution_to_json
+from loiqif.measures import MAX_DENOMINATOR_BITS, distribution_to_json
 from loiqif.ordering import witness_from_json
 
 from helpers import mass_strings
@@ -825,6 +825,63 @@ def test_entropy_of_block_counts_past_the_float_range(workspace, capsys, json_fl
         got = next(line for line in out.splitlines()
                    if line.startswith("entropy H (bits): ")).split(": ")[1]
     assert float(got) == pytest.approx(-math.fsum(p * math.log2(p) for p in masses), rel=1e-12)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_a_denominator_too_wide_to_print_exits_two(workspace, capsys, json_flag):
+    # Over the least common denominator 2AB, G_1 would be a ratio of two
+    # integers of about 8000 digits, past the int-string digit limit.  The
+    # first mass's denominator 2A alone is past the bound.
+    a, b = 10 ** 4000 + 19, 10 ** 4000 + 33
+    masses = [Fraction(1, 2 * a), Fraction(a - 1, 2 * a), Fraction(1, 2 * b),
+              Fraction(b - 1, 2 * b)]
+    assert sum(masses) == 1
+    program = workspace("id.wh", "o = h;\n")
+    cfg = workspace("cfg.json", CFG_2BIT)
+    dist = workspace("mu.json", {"domain": [0, 1, 2, 3],
+                                 "mass": {str(i): str(p) for i, p in enumerate(masses)}})
+    code, out, err = run_cli(capsys, "analyze", program, "--config", cfg, "--dist", dist,
+                             *json_flag)
+    assert code == 2 and out == ""
+    assert "for atom 0: the least common denominator of the masses up to it is wider than " \
+        f"{MAX_DENOMINATOR_BITS} bits" in err
+    assert "Traceback" not in err and len(err) < 300
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.builds(lambda digits, r: 10 ** digits + r, st.integers(0, 3000),
+                          st.integers(2, 1000)), min_size=4, max_size=4))
+def test_wide_denominators_exit_zero_or_two_in_bounded_time(tmp_path_factory, denominators):
+    # Four pairs 1/(4q), (q-1)/(4q) sum to 1; over 8 atoms they print or are rejected.
+    masses = [m for q in denominators for m in (Fraction(1, 4 * q), Fraction(q - 1, 4 * q))]
+    path = tmp_path_factory.mktemp("wide")
+    (path / "id.wh").write_text("o = h;\n")
+    (path / "cfg.json").write_text(json.dumps({"high": [{"name": "h", "bits": 3}],
+                                               "observe": ["o"]}))
+    (path / "mu.json").write_text(json.dumps(
+        {"domain": list(range(8)), "mass": {str(i): str(m) for i, m in enumerate(masses)}}))
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", str(path / "id.wh"), "--config", str(path / "cfg.json"),
+                     "--dist", str(path / "mu.json"), "--json"])
+    assert time.perf_counter() - started < 2.0
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+
+
+def test_many_wide_coprime_denominators_are_rejected_at_once(workspace, capsys):
+    base = 10 ** 999
+    dist = workspace("mu.json", {"domain": list(range(4096)),
+                                 "mass": {str(i): f"1/{base + i}" for i in range(4096)}})
+    program = workspace("id.wh", "o = h;\n")
+    cfg = workspace("cfg.json", {"high": [{"name": "h", "bits": 12}], "observe": ["o"]})
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", program, "--config", cfg, "--dist", dist)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert f"wider than {MAX_DENOMINATOR_BITS} bits" in err
 
 
 @pytest.mark.parametrize("mass", ["9" * 10_000, "1/" + "9" * 5000])

@@ -3,7 +3,6 @@ import random
 import sys
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 from unittest import mock
 
 import pytest
@@ -39,6 +38,7 @@ from loiqif.lang import (
     _UNARY_TEMPLATES,
     ACTIVE,
     CHUNK_SIZE,
+    DEFAULT_BUDGET,
     MAX_DEPTH,
     NON_TERMINATION,
     PASSIVE,
@@ -58,7 +58,7 @@ from loiqif.lang import (
     Var,
     While,
     _evaluate,
-    _KERNEL_DEPTH,
+    _EXPRESSION_DEPTH,
     _SHIFT_LIMIT,
     _Fault,
     _walk,
@@ -1036,6 +1036,17 @@ def test_batch_runs_match_the_reference(p, cfg, budget, chunk_size):
             assert (analysis.collision, analysis.result) == (collision, result)
 
 
+@settings(deadline=None, max_examples=150)
+@given(_batch_programs, st.sampled_from(_BATCH_CONFIGS), st.integers(5, 300))
+def test_local_functions_match_the_reference(p, cfg, budget):
+    # Every if and while inside another, and every operator inside another,
+    # runs as a local function.
+    loop = next((n for n, _ in _walk(p) if isinstance(n, While)), None)
+    with mock.patch.object(lang, "_STATEMENT_DEPTH", 1), \
+            mock.patch.object(lang, "_EXPRESSION_DEPTH", 1):
+        _assert_runs_match_reference(p, replace(cfg, step_budget=budget), loop)
+
+
 @settings(deadline=None)
 @given(_batch_programs, st.sampled_from(_BATCH_CONFIGS), st.integers(5, 300), st.integers(0, 99))
 def test_batch_partitions_refine_the_lows_so_leakage_needs_no_join(p, cfg, budget, seed):
@@ -1194,40 +1205,24 @@ def test_low_projection_groups_atoms_by_their_low_part(cfg, by_low):
 
 
 # ---------------------------------------------------------------------------
-# Statement kernels
+# One compiled function per program
 
 
-def _kernels_after(p: Program, cfg: AttackerConfig, columns: dict[str, list]) -> dict:
-    """The kernels one ``_evaluate`` of ``p`` compiled, by node id, after
-    checking its keys against the reference run of each atom."""
-    kernels: dict = {}
-    size = len(next(iter(columns.values())))
-    keys, counts = _evaluate(p, columns, size, cfg, None, kernels)
-    for atom, (obs, _) in enumerate(_as_reference(keys, counts)):
-        store = {name: column[atom] for name, column in columns.items()}
-        assert obs == run_counting_loop_reference(p, store, cfg, None)[0]
-    return kernels
-
-
-def _compiled_by_runs(p: Program, cfg: AttackerConfig, loop: While | None = None,
-                      calls: int = 1) -> list[tuple[int, frozenset[str]]]:
+def _built_by_runs(p: Program, cfg: AttackerConfig, loop: While | None = None,
+                   calls: int = 1) -> list[str]:
     """Check ``calls`` calls of ``runs`` of ``p`` against the reference,
-    three atoms a chunk, and return (node id, names that may hold None)
-    for each assignment, condition and loop kernel they compiled."""
-    compiled = []
+    three atoms a chunk, and return the source of each function they built."""
+    built = []
+    compile_source = lang._compile
 
-    def counted(compile):
-        def spy(node, unset, widths):
-            compiled.append((id(node), unset))
-            return compile(node, unset, widths)
-        return spy
+    def spy(source):
+        built.append(source)
+        return compile_source(source)
 
-    with mock.patch.object(lang, "CHUNK_SIZE", 3), \
-            mock.patch.object(lang, "_kernel", counted(lang._kernel)), \
-            mock.patch.object(lang, "_loop_kernel", counted(lang._loop_kernel)):
+    with mock.patch.object(lang, "CHUNK_SIZE", 3), mock.patch.object(lang, "_compile", spy):
         for _ in range(calls):
             _assert_runs_match_reference(p, cfg, loop)
-    return compiled
+    return built
 
 
 @pytest.mark.parametrize("source", [
@@ -1237,51 +1232,55 @@ def _compiled_by_runs(p: Program, cfg: AttackerConfig, loop: While | None = None
     # a right operand in parentheses holds four parser frames: the most parse accepts
     "o = " + "h + (" * 149 + "1 / h" + ")" * 149 + ";",
 ], ids=["sum", "faulting sum", "unary chain", "right-nested sum"])
-def test_trees_of_any_depth_compile_to_one_kernel(source):
+def test_trees_of_any_depth_run_in_one_function(source):
     # Past the README's sum, atom h = 0 faults at the deepest operator, the division.
     p = parse(source)
-    s = p.body.stmts[0]
-    assert max(d for _, d in _walk(s.expr)) > 2 * _KERNEL_DEPTH
-    assert _compiled_by_runs(p, cfg_high(bits=3)) == [(id(s), frozenset())]
-    kernels = _kernels_after(p, cfg_high(bits=3), {"h": list(range(8))})
-    assert isinstance(kernels[id(s), frozenset()], partial)
+    assert max(d for _, d in _walk(p.body.stmts[0].expr)) > 2 * _EXPRESSION_DEPTH
+    built = _built_by_runs(p, cfg_high(bits=3))
+    assert len(built) == 1 and "def f0(" in built[0]
 
 
-def test_a_kernel_takes_a_literal_past_the_digit_limit():
+def test_a_literal_past_the_digit_limit_is_a_parameter():
     mask = (1 << 20000) - 1     # self_compose's mask of a 20000-bit variable
     p = parse(f"o = (h + {hex(mask)}) & {hex(mask)};")
-    kernels = _kernels_after(p, cfg_high(bits=3), {"h": list(range(8))})
-    assert [k.args for k in set(kernels.values())] == [(mask, mask)]
+    _assert_runs_match_reference(p, cfg_high(bits=3), None)
+    assert [function.args for function in p.functions.values()] == [(mask, mask, DEFAULT_BUDGET)]
 
 
-def test_reads_of_columns_that_may_hold_none_are_checked_where_they_stand():
-    # y is unset on atom 1: the atoms that read it all set it first, then not.
+def test_reads_that_may_be_unset_are_checked_where_they_stand():
+    # y is unset on atom 1, which never reads it.
     cfg = cfg_high(bits=2)
-    p = parse("if (h != 1) y = h; if (h != 1) o = (y + 1) * 2; else o = 0;")
-    got = _assert_runs_match_reference(p, cfg, None)
+    source = "if (h != 1) y = h; if (h != 1) o = (y + 1) * 2; else o = 0;"
+    got = _assert_runs_match_reference(parse(source), cfg, None)
     assert [obs.values for obs, _ in got] == [(2,), (0,), (6,), (8,)]
-    kernels = _kernels_after(p, cfg, {"h": list(range(4))})
-    read = p.body.stmts[1].then_branch
-    assert isinstance(kernels[id(read), frozenset({"y"})], partial)
-    # Three atoms a chunk: y may hold None in the first chunk, not in the second.
-    assert [unset for node, unset in _compiled_by_runs(p, cfg) if node == id(read)] == \
-        [frozenset({"y"}), frozenset()]
+    [source] = _built_by_runs(parse(source), cfg)
+    assert source.count("_unset(") == 1
+    # Once every path assigns y, no read of it is checked.
+    [source] = _built_by_runs(parse("y = 0; if (h != 1) y = h; o = (y + 1) * 2;"), cfg)
+    assert "_unset(" not in source
     p = parse("if (h != 1) y = h; o = (y + 1) * 2;")
     assert _assert_runs_match_reference(p, cfg, None) == \
         "ConfigError: variable 'y' read before assignment"
 
 
-def test_runs_compiles_each_kernel_once_per_call():
-    # The first loop runs as a loop kernel; the second assigns the declared
-    # h, so it has none and its condition and body run as statement kernels.
+def test_runs_builds_one_function_per_program():
     p = parse("x = h; o = 0; while (x > 0) { x = x - 1; o = (o + 3) & 7; }"
               " while (h > 5) h = h - 1; o = o + 100 / (h - 9);")
-    first, second, loop, fallback, last = p.body.stmts
-    nodes = [first, second, loop, fallback, fallback.cond, fallback.body, last]
-    for calls in (1, 2):    # three chunks of 3, 3 and 2 atoms a call
-        compiled = _compiled_by_runs(p, cfg_high(bits=3), loop, calls)
-        assert sorted(node for node, _ in compiled) == sorted(map(id, nodes * calls))
-        assert {unset for _, unset in compiled} == {frozenset()}
+    loop = p.body.stmts[2]
+    # One function for three chunks of 3, 3 and 2 atoms; none for a second call.
+    assert len(_built_by_runs(p, cfg_high(bits=3), loop, calls=2)) == 1
+    # Another loop to count, or another configuration, is another function.
+    assert len(_built_by_runs(p, cfg_high(bits=3), p.body.stmts[3])) == 1
+    assert len(_built_by_runs(p, cfg_high(bits=2), loop)) == 1
+    assert len(_built_by_runs(p, cfg_high(bits=3), loop)) == 0
+
+
+def test_eval_program_called_again_builds_no_source():
+    p = parse("o = 0; x = h; while (x > 0) { x = x - 1; o = (o + 3) & 7; }")
+    cfg = cfg_high(bits=3)
+    assert eval_program(p, {"h": 5}, cfg) == Observable(TERMINATED, (7,))
+    with mock.patch.object(lang, "_Writer", None):
+        assert eval_program(p, {"h": 6}, cfg) == Observable(TERMINATED, (2,))
 
 
 def test_programs_that_differ_only_in_literals_share_one_function():
@@ -1297,31 +1296,13 @@ def test_programs_that_differ_only_in_literals_share_one_function():
 
 
 # ---------------------------------------------------------------------------
-# Loop kernels
+# Loops, budgets and nesting against the reference
 
-_LOOP_KERNEL_CONFIGS = [
+_LOOP_CONFIGS = [
     AttackerConfig(high_vars=(("h", 3),), low_vars=(("l", 2, 2),), observed_vars=("o",)),
     AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 2, None),), observed_vars=("o",),
                    mode=PASSIVE),
 ]
-
-
-def _loops_run_as_kernels(p: Program, cfg: AttackerConfig, loop: While | None) -> dict:
-    """Check ``runs`` of ``p`` against the reference, three atoms a chunk,
-    and return the atoms of each batch that each loop kernel ran, by the id
-    of its while node."""
-    ran: dict[int, list[int]] = {}
-    compile_loop = lang._loop_kernel
-
-    def spied(s, unset, widths):
-        kernel = compile_loop(s, unset, widths)
-        if kernel is None:
-            return None
-        return lambda *args: ran.setdefault(id(s), []).append(len(args[-1])) or kernel(*args)
-
-    with mock.patch.object(lang, "CHUNK_SIZE", 3), mock.patch.object(lang, "_loop_kernel", spied):
-        _assert_runs_match_reference(p, cfg, loop)
-    return ran
 
 
 @pytest.mark.parametrize("source", [
@@ -1329,25 +1310,34 @@ def _loops_run_as_kernels(p: Program, cfg: AttackerConfig, loop: While | None) -
     "o = 0; x = h + l; while (x > 0) { x = x - 1; skip; o = (o + 3) & 7; }",
     "o = h; while (o == 0) skip;",
     "o = h; if (h == 2) while (1) skip;",
-    # loops in branches run on part of a batch
+    # loops in branches
     "o = 0; x = h; if (h & 1) while (x > l) { x = x - 1; o = o + 2; }"
     " else { while (x < 6) x = x + 1; o = x; }",
     # t is first assigned in the loop, on the atoms that enter it
     "x = h; while (x > 1) { t = x & 1; x = x >> 1; } if (h > 1) o = t; else o = 9;",
     "x = h + 1; while (x > 0) { t = x; x = x - 1; } o = t + l;",
     "x = h; while (x > 0) { t = x; x = x - 1; } o = t;",
+    # l is declared: its assignment wraps
+    "o = 0; while (l < 3) { l = l + 1; o = o + h; }",
+    # x / y may fault: atom h = 1 divides by zero, h = 2 spins
+    "o = 0; y = h - 1; x = h + 4; while (x > 1) { x = x / y; o = o + 1; }",
+    # t is unset where h is even
+    "o = 0; if (h & 1) t = h; if (h == 1) while (o < t) o = o + 2;",
+    # an if or a while in the body
+    "o = 0; x = h; while (x > 0) { x = x - 1; if (x & 1) o = o + 1; }",
+    "o = 0; x = h; while (x > 0) { x = x - 1; y = x; while (y > 0) { y = y - 1; o = o + 1; } }",
+    # an if in the body writes the declared l, wrapped
+    "x = h; while (x > 0) { x = x - 1; if (x & 1) l = l + x; } o = l;",
 ])
-@pytest.mark.parametrize("cfg", _LOOP_KERNEL_CONFIGS, ids=[ACTIVE, PASSIVE])
-def test_loop_kernels_match_the_reference_at_every_budget(source, cfg):
+@pytest.mark.parametrize("cfg", _LOOP_CONFIGS, ids=[ACTIVE, PASSIVE])
+def test_loops_match_the_reference_at_every_budget(source, cfg):
     p = parse(source)
     loop = next(n for n, _ in _walk(p) if isinstance(n, While))
-    top_level = loop in p.body.stmts
-    ran: dict[int, list[int]] = {}
     for budget in range(1, 40):
         bounded = replace(cfg, step_budget=budget)
-        for node, batches in _loops_run_as_kernels(p, bounded, loop).items():
-            ran.setdefault(node, []).extend(batches)
-        if not top_level:
+        with mock.patch.object(lang, "CHUNK_SIZE", 3):
+            _assert_runs_match_reference(p, bounded, loop)
+        if loop not in p.body.stmts:
             continue
         want = _or_config_error(lambda: loop_analysis_reference(
             p, bounded, {a: store_of(bounded, a) for a in enumerate_domain(bounded).atoms}))
@@ -1355,41 +1345,69 @@ def test_loop_kernels_match_the_reference_at_every_budget(source, cfg):
             analysis = loop_analyze(p, bounded)
             assert (tuple(analysis.w_partitions), tuple(analysis.w_chain),
                     analysis.collision, analysis.result) == want
-    assert set(ran) == {id(n) for n, _ in _walk(p) if isinstance(n, While)}
-    if not top_level:
-        assert min(min(batches) for batches in ran.values()) < 3
 
 
-def test_a_loop_kernel_runs_an_atom_until_its_budget():
-    # h = 0 spins for the whole budget, taking two steps an iteration.
-    p = parse("o = 0; while (h == 0) skip;")
-    for budget in (10 ** 6, 10 ** 6 + 1):
-        got = _loops_run_as_kernels(p, cfg_high(step_budget=budget), None)
-        assert list(got.values()) == [[3, 1]]
-        obs = [eval_program(p, {"h": h}, cfg_high(step_budget=budget)) for h in range(4)]
-        assert obs == [Observable(NON_TERMINATION)] + [Observable(TERMINATED, (0,))] * 3
+def _nested(depth: int, inner: str) -> str:
+    """``depth`` statements, each the body of the last: ``while (o < h)``
+    at even levels and ``if (h != level)`` at odd ones, around ``inner``."""
+    return "".join("while (o < h) " if level % 2 == 0 else f"if (h != {level}) "
+                   for level in range(depth)) + inner
 
 
-@pytest.mark.parametrize("source, compiles", [
-    # l is declared: its assignment wraps
-    ("o = 0; while (l < 3) { l = l + 1; o = o + h; }", False),
-    # x / y may fault: atom h = 1 divides by zero, h = 2 spins
-    ("o = 0; y = h - 1; x = h + 4; while (x > 1) { x = x / y; o = o + 1; }", False),
-    # t is unset on the even atoms of every chunk that reaches the loop
-    ("o = 0; if (h & 1) t = h; if (h == 1) while (o < t) o = o + 2;", True),
-    # the body holds an if or a while: only the inner while runs as a kernel
-    ("o = 0; x = h; while (x > 0) { x = x - 1; if (x & 1) o = o + 1; }", False),
-    ("o = 0; x = h; while (x > 0) { x = x - 1; y = x; while (y > 0) { y = y - 1; o = o + 1; } }",
-     False),
-    # part of the batch writes the declared l in place, wrapped
-    ("x = h; while (x > 0) { x = x - 1; if (x & 1) l = l + x; } o = l;", False),
-])
-@pytest.mark.parametrize("cfg", _LOOP_KERNEL_CONFIGS, ids=[ACTIVE, PASSIVE])
-def test_loops_a_kernel_cannot_run_take_the_batch_path(source, compiles, cfg):
+@pytest.mark.parametrize("source, cfg", [
+    ("x = h; while (x > 0) { x = x - 1; if (x & 1) l = l + x; else l = l ^ 1; } o = l;",
+     _LOOP_CONFIGS[0]),
+    ("x = h; while (x > 0) { x = x - 1; if (x & 1) l = l + x; else l = l ^ 1; } o = l;",
+     _LOOP_CONFIGS[1]),
+    # the fault comes after the step that spends the budget
+    ("o = 0; while (o < h) o = o + 1; o = 1 / (h - h);", cfg_high(bits=3)),
+    ("o = 0; x = h; while (1) { if (x & 1) x = x + 1; else skip; o = 7 / (x - 8); }",
+     cfg_high(bits=3)),
+    # 25 nested whiles, past CPython's 20 nested blocks
+    ("o = 0; " + "while (o < h) " * 25 + "o = o + 1;", cfg_high(bits=3)),
+    ("o = 0; " + _nested(25, "{ o = o + 1; skip; }"), cfg_high(bits=3)),
+], ids=["if in while writes a declared low", "if in while writes a passive low",
+        "fault past the budget", "fault in a loop past the budget", "25 whiles",
+        "25 whiles and ifs"])
+def test_programs_match_the_reference_at_every_budget(source, cfg):
     p = parse(source)
-    fallback, *inner = [n for n, _ in _walk(p) if isinstance(n, While)]
-    assert (lang._loop_kernel(fallback, frozenset(), cfg.widths()) is not None) == compiles
-    ran: set[int] = set()
-    for budget in (5, 12, 40, 100):
-        ran |= set(_loops_run_as_kernels(p, replace(cfg, step_budget=budget), fallback))
-    assert ran == set(map(id, inner))
+    loops = [n for n, _ in _walk(p) if isinstance(n, While)]
+    for budget in range(1, 80):
+        bounded = replace(cfg, step_budget=budget)
+        for loop in (None, loops[0], loops[-1]):
+            with mock.patch.object(lang, "CHUNK_SIZE", 3):
+                _assert_runs_match_reference(p, bounded, loop)
+
+
+def test_a_fault_after_the_budget_is_spent_is_non_termination():
+    # Two steps, two for each of the h passes, then the faulting assignment.
+    p = parse("o = 0; while (o < h) o = o + 1; o = 1 / (h - h);")
+    for h in range(4):
+        steps = 2 + 2 * h + 1
+        assert eval_program(p, {"h": h}, cfg_high(step_budget=steps - 1)) == \
+            Observable(NON_TERMINATION)
+        assert eval_program(p, {"h": h}, cfg_high(step_budget=steps)) == \
+            Observable(RUNTIME_ERROR)
+
+
+def test_a_program_nested_to_the_depth_limit_matches_the_reference():
+    p = parse("o = 0; " + _nested(MAX_DEPTH - 5, "o = o + 1;"))
+    assert max(d for _, d in _walk(p)) == MAX_DEPTH
+    loops = [n for n, _ in _walk(p) if isinstance(n, While)]
+    for budget in (5, 300, 2000):
+        for loop in (None, loops[0], loops[-1]):
+            _assert_runs_match_reference(p, cfg_high(bits=3, step_budget=budget), loop)
+
+
+@pytest.mark.parametrize("source", [
+    "o = 0; while (h == 0) skip;",
+    "o = 0; while (h == 0) { if (o) skip; }",
+])
+def test_a_spinning_atom_stops_at_its_budget(source):
+    # h = 0 spins for the whole budget.
+    p = parse(source)
+    for budget in (10 ** 6, 10 ** 6 + 1):
+        cfg = cfg_high(step_budget=budget)
+        assert [eval_program(p, {"h": h}, cfg) for h in range(4)] == \
+            [Observable(NON_TERMINATION)] + [Observable(TERMINATED, (0,))] * 3
+        assert loi(p, cfg)[1] == relabel(enumerate_domain(cfg), [0, 1, 1, 1])
