@@ -825,7 +825,8 @@ class _Writer:
     ``if`` pend different counts, the longer one adds its excess to ``s``.
     While no branch has done so (``dynamic`` is False), ``s`` holds 0, every
     atom that gets here has taken ``pending`` steps, and the check is made
-    as the source is written.  ``assigned`` holds the variables that every
+    as the source is written, so a straight-line program counts no steps
+    at run time.  ``assigned`` holds the variables that every
     path to the current point assigns; a read of any other variable is
     checked for None and its local is reset to None for each atom
     (``reset``)."""
@@ -839,7 +840,8 @@ class _Writer:
         self.consts: list[int] = []
         self.helpers: list[str] = []
         self.params = ", ".join(names.values())
-        self.live = ", ".join([*names.values(), "s", *(["n"] if counted else [])])
+        self.live = ", ".join([*names.values(), "s"])
+        self.counted = counted
         self.reset: dict[str, None] = {}
         self.assigned = frozenset(inputs)
         self.pending = 0
@@ -939,14 +941,16 @@ class _Writer:
 
     def local_function(self, s: If | While) -> list[str]:
         """``s`` as a call of a local function that takes the live locals
-        and returns them."""
+        and returns them.  The loop count ``n`` is the enclosing function's,
+        so it stays counted when a fault leaves the local function."""
         k = len(self.helpers)
         self.helpers.append("")
         depth, self.depth = self.depth, 0
         body = self.block(s)
         self.depth = depth
-        self.helpers[k] = "\n".join([f"def f{k}({self.live}):", *_indent(body),
-                                     f"    return {self.live}"])
+        self.helpers[k] = "\n".join([f"def f{k}({self.live}):",
+                                     *(["    nonlocal n"] if self.counted else []),
+                                     *_indent(body), f"    return {self.live}"])
         return [f"{self.live} = f{k}({self.live})"]
 
 

@@ -60,6 +60,7 @@ from loiqif.lang import (
     _evaluate,
     _EXPRESSION_DEPTH,
     _SHIFT_LIMIT,
+    _STATEMENT_DEPTH,
     _Fault,
     _walk,
     assigned_vars,
@@ -68,6 +69,7 @@ from loiqif.lang import (
     expr_to_source,
     low_projection,
     read_vars,
+    run_counting_loop,
     runs,
 )
 from loiqif.partition import relabel
@@ -1333,7 +1335,7 @@ _LOOP_CONFIGS = [
 def test_loops_match_the_reference_at_every_budget(source, cfg):
     p = parse(source)
     loop = next(n for n, _ in _walk(p) if isinstance(n, While))
-    for budget in range(1, 40):
+    for budget in [*range(1, 40), 40, 100]:
         bounded = replace(cfg, step_budget=budget)
         with mock.patch.object(lang, "CHUNK_SIZE", 3):
             _assert_runs_match_reference(p, bounded, loop)
@@ -1397,6 +1399,19 @@ def test_a_program_nested_to_the_depth_limit_matches_the_reference():
     for budget in (5, 300, 2000):
         for loop in (None, loops[0], loops[-1]):
             _assert_runs_match_reference(p, cfg_high(bits=3, step_budget=budget), loop)
+
+
+def test_a_loop_in_a_local_function_keeps_its_count_through_a_fault():
+    # The counted loop lies past _STATEMENT_DEPTH; atom h faults after h - 2 passes.
+    p = parse("o = 0; x = h; " + "if (h != 9) " * _STATEMENT_DEPTH
+              + "while (x > 0) { x = x - 1; o = 5 / (x - 1); }")
+    loop = next(n for n, _ in _walk(p) if isinstance(n, While))
+    cfg = cfg_high(bits=3)
+    [source] = _built_by_runs(p, cfg, loop)
+    assert "def f0(" in source
+    assert run_counting_loop(p, {"h": 5}, cfg, loop) == (Observable(RUNTIME_ERROR), 3)
+    for budget in (20, 25, 40, 100):
+        _assert_runs_match_reference(p, replace(cfg, step_budget=budget), loop)
 
 
 @pytest.mark.parametrize("source", [
