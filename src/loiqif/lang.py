@@ -41,24 +41,24 @@ entry and one after each run of its body.
 
 Each program runs as one Python function (``_function``), written by
 ``_Writer`` and compiled once per program, input names, configuration
-and counted loop, then kept on the ``Program``.  It takes each atom of a
-chunk through the whole program in locals, one local per variable, with
-``if`` and ``while`` as Python's own, inside one ``try``: a fault or a
-spent budget stops that atom alone.  Steps go into a local counter that
-is compared with the budget before anything that can stop a run, on
-entering a loop, after each pass of its body and at the end; where no
-branch has yet taken a different number of steps, the count is known when
-the source is written and so is the comparison.  A read that a
-definite-assignment pass cannot prove assigned is checked for None.  An
-operator nested deeper than ``_EXPRESSION_DEPTH`` and an ``if`` or
-``while`` nested deeper than ``_STATEMENT_DEPTH`` are local functions, so
-every tree ``parse`` accepts fits CPython's nesting limits.  The source
-holds no literal, and compiled sources are cached by their text
-(``_compile``), so programs that differ only in literals share one
-function.  ``eval_program`` and ``run_counting_loop`` are runs of one
-atom.  A read of a variable not yet assigned is a ``ConfigError`` that
-names the variable the lowest such atom read first.  Every run is bounded
-by the configuration's ``step_budget``, the one place a budget is set.
+and counted loop, then kept on the ``Program``, the one cache.  It takes
+each atom of a chunk through the whole program in locals, one local per
+variable, with ``if`` and ``while`` as Python's own, inside one ``try``:
+a fault or a spent budget stops that atom alone.  A program that some
+run could take past the budget, one with a ``while`` or with more
+``skip``, assignment and ``if`` nodes than the budget, counts steps in a
+local that is compared with the budget before anything that can stop a
+run, on entering a loop, after each pass of its body and at the end; any
+other program counts none.  A read that a definite-assignment pass
+cannot prove assigned is checked for None.  An operator nested deeper
+than ``_EXPRESSION_DEPTH`` and an ``if`` or ``while`` nested deeper than
+``_STATEMENT_DEPTH`` are local functions that close over the enclosing
+function's locals, so every tree ``parse`` accepts fits CPython's
+nesting limits.  The source holds no literal: each is a parameter.
+``eval_program`` and ``run_counting_loop`` are runs of one atom.  A read
+of a variable not yet assigned is a ``ConfigError`` that names the
+variable the lowest such atom read first.  Every run is bounded by the
+configuration's ``step_budget``, the one place a budget is set.
 
 ``runs`` is the one place that runs a program on every input: it
 enumerates the attacker-facing input atoms (values of the high variables
@@ -81,7 +81,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterator, Mapping
 
 from .partition import Domain, Partition, QifError, _Product, relabel
@@ -780,30 +780,30 @@ def _plain(e: Expr) -> bool:
 
 
 def _source(e: Expr, var: Callable[[str], str], consts: list[int], helpers: list[str],
-            params: str, depth: int = 1) -> str:
+            depth: int = 1) -> str:
     """``e`` as Python source over the operator templates, an operator that
     may fault calling its checked form.  Each variable reads as
     ``var(name)`` and each literal is a parameter ``c<k>``, its value
     appended to ``consts``: ``repr`` of a literal fails past the int-string
     digit limit.  An operator nested deeper than ``_EXPRESSION_DEPTH`` reads
-    as a call ``f<k>(<params>)`` of a local function over the locals
-    ``params``, whose definition is appended to ``helpers``; the call
-    evaluates it where the operator stands."""
+    as a call ``f<k>()`` of a local function that closes over the
+    enclosing function's locals, whose definition is appended to
+    ``helpers``; the call evaluates it where the operator stands."""
     if isinstance(e, Var):
         return var(e.name)
     if isinstance(e, (IntLit, BoolLit)):
         consts.append(int(e.value))
         return f"c{len(consts) - 1}"
     if depth > _EXPRESSION_DEPTH:
-        body = _source(e, var, consts, helpers, params)
-        helpers.append(f"def f{len(helpers)}({params}):\n    return {body}")
-        return f"f{len(helpers) - 1}({params})"
+        body = _source(e, var, consts, helpers)
+        helpers.append(f"def f{len(helpers)}():\n    return {body}")
+        return f"f{len(helpers) - 1}()"
     if isinstance(e, Unary):
         template, operands = _UNARY_TEMPLATES[e.op], (e.operand,)
     else:
         template = _BINARY_TEMPLATES[e.op] if _plain(e) else _CHECKED[e.op]
         operands = (e.left, e.right)
-    return template.format(*(_source(operand, var, consts, helpers, params, depth + 1)
+    return template.format(*(_source(operand, var, consts, helpers, depth + 1)
                              for operand in operands))
 
 
@@ -815,38 +815,33 @@ class _Writer:
     """The statements of one program as Python source that runs one atom in
     locals, ``if`` and ``while`` as Python's own.
 
-    Each variable is a local of ``names``.  Steps are counted by the
-    language's rule, partly as the source is written: ``pending`` steps are
-    known here, and the local ``s`` holds the others.  ``check`` adds the
-    pending steps to ``s`` and stops the run past the budget; it runs before
-    anything that can stop a run (an operator that may fault, a read that
-    may be unset, an assignment whose wrap may fault), on entering a loop,
-    after each pass of its body and at the end.  Where two branches of an
-    ``if`` pend different counts, the longer one adds its excess to ``s``.
-    While no branch has done so (``dynamic`` is False), ``s`` holds 0, every
-    atom that gets here has taken ``pending`` steps, and the check is made
-    as the source is written, so a straight-line program counts no steps
-    at run time.  ``assigned`` holds the variables that every
-    path to the current point assigns; a read of any other variable is
-    checked for None and its local is reset to None for each atom
-    (``reset``)."""
+    Each variable is a local of ``names``.  When ``counting``, steps are
+    counted by the language's rule: ``pending`` steps are known as the
+    source is written, and ``check`` adds them to the local ``s`` and stops
+    the run past the budget.  It runs before anything that can stop a run
+    (an operator that may fault, a read that may be unset, an assignment
+    whose wrap may fault), on entering a loop, after each pass of its body
+    and at the end.  Where two branches of an ``if`` pend different counts,
+    the longer one adds its excess to ``s``.  A program that no run can take
+    past its budget is written with no count at all.  ``assigned`` holds the
+    variables that every path to the current point assigns; a read of any
+    other variable is checked for None and its local is reset to None for
+    each atom (``reset``)."""
 
     def __init__(self, names: dict[str, str], inputs: tuple[str, ...],
-                 cfg: AttackerConfig, loop: While | None, counted: bool):
+                 cfg: AttackerConfig, loop: While | None, counting: bool, counted: bool):
         self.names = names
         self.widths = cfg.widths()
-        self.budget = cfg.step_budget
         self.loop = loop
+        self.counting = counting
         self.consts: list[int] = []
         self.helpers: list[str] = []
-        self.params = ", ".join(names.values())
-        self.live = ", ".join([*names.values(), "s"])
-        self.counted = counted
+        # The enclosing function's locals a statement local function writes.
+        self.shared = ", ".join([*names.values(), *(["s"] if counting else []),
+                                 *(["n"] if counted else [])])
         self.reset: dict[str, None] = {}
         self.assigned = frozenset(inputs)
         self.pending = 0
-        self.dynamic = False
-        self.unchecked = False
         self.depth = 0          # ``if``/``while`` statements open in the current function
 
     def read(self, name: str) -> str:
@@ -857,23 +852,18 @@ class _Writer:
         return f"({x} if {x} is not None else _unset({name!r}))"
 
     def expr(self, e: Expr) -> str:
-        return _source(e, self.read, self.consts, self.helpers, self.params)
+        return _source(e, self.read, self.consts, self.helpers)
 
     def may_stop(self, e: Expr) -> bool:
         return any(not _plain(n) or isinstance(n, Var) and n.name not in self.assigned
                    for n, _ in _walk(e))
 
     def check(self) -> list[str]:
-        if not self.dynamic:
-            return ["raise _Spent"] if self.pending > self.budget else []
-        lines = []
-        if self.pending:
-            lines.append(f"s += {self.pending}")
-            self.pending, self.unchecked = 0, True
-        if self.unchecked:
-            lines.append("if s > budget: raise _Spent")
-            self.unchecked = False
-        return lines
+        if not self.counting:
+            return []
+        lines = [f"s += {self.pending}"] if self.pending else []
+        self.pending = 0
+        return [*lines, "if s > budget: raise _Spent"]
 
     def block(self, s: Stmt) -> list[str]:
         if isinstance(s, Seq):
@@ -909,25 +899,21 @@ class _Writer:
         self.pending += 1
         lines = self.check() if self.may_stop(s.cond) else []
         lines.append(f"if {self.expr(s.cond)}:")
-        start = self.pending, self.dynamic, self.unchecked, self.assigned
+        start = self.pending, self.assigned
         then = self.block(s.then_branch)
-        ends = self.pending, self.dynamic, self.unchecked, self.assigned
-        self.pending, self.dynamic, self.unchecked, self.assigned = start
+        pending, assigned = self.pending, self.assigned
+        self.pending, self.assigned = start
         other = self.block(s.else_branch)
-        pending, dynamic, unchecked, assigned = ends
-        if pending != self.pending:
+        if self.counting and pending != self.pending:
             least = min(pending, self.pending)
             longer = then if pending > least else other
             longer.append(f"s += {max(pending, self.pending) - least}")
-            self.pending, dynamic, unchecked = least, True, True
-        self.dynamic |= dynamic
-        self.unchecked |= unchecked
+            self.pending = least
         self.assigned &= assigned
         return [*lines, *_indent(then or ["pass"]), *(["else:", *_indent(other)] if other else [])]
 
     def repeat(self, s: While) -> list[str]:
         self.pending += 1
-        self.dynamic = True
         lines = self.check()
         before = self.assigned
         lines.append(f"while {self.expr(s.cond)}:")
@@ -940,18 +926,17 @@ class _Writer:
         return [*lines, *_indent(body)]
 
     def local_function(self, s: If | While) -> list[str]:
-        """``s`` as a call of a local function that takes the live locals
-        and returns them.  The loop count ``n`` is the enclosing function's,
-        so it stays counted when a fault leaves the local function."""
+        """``s`` as a call of a local function that closes over the
+        enclosing function's locals and writes them in place, so a fault
+        that leaves it keeps the loop count ``n``."""
         k = len(self.helpers)
         self.helpers.append("")
         depth, self.depth = self.depth, 0
         body = self.block(s)
         self.depth = depth
-        self.helpers[k] = "\n".join([f"def f{k}({self.live}):",
-                                     *(["    nonlocal n"] if self.counted else []),
-                                     *_indent(body), f"    return {self.live}"])
-        return [f"{self.live} = f{k}({self.live})"]
+        self.helpers[k] = "\n".join([f"def f{k}():", f"    nonlocal {self.shared}",
+                                     *_indent(body)])
+        return [f"f{k}()"]
 
 
 def _function(p: Program, inputs: tuple[str, ...], cfg: AttackerConfig,
@@ -961,9 +946,11 @@ def _function(p: Program, inputs: tuple[str, ...], cfg: AttackerConfig,
     variable of ``inputs`` read from its column.  It returns a column of
     final values per observed variable, ``{atom: kind}`` for the atoms that
     stopped, and the ``loop`` count of each atom, None where it ran out of
-    steps; a read of an unset variable raises ``ConfigError`` at once.  The
-    function is made once per (inputs, configuration, loop) and kept in
-    ``p.functions``, and compiled sources are shared through ``_compile``."""
+    steps; a read of an unset variable raises ``ConfigError`` at once.
+    Steps are counted only when some run could take more than the budget:
+    when the program has a ``while``, or more ``skip``, assignment and
+    ``if`` nodes than the budget.  The function is made once per (inputs,
+    configuration, loop) and kept in ``p.functions``."""
     key = inputs, cfg, loop and id(loop)
     function = p.functions.get(key)
     if function is not None:
@@ -972,8 +959,10 @@ def _function(p: Program, inputs: tuple[str, ...], cfg: AttackerConfig,
     names = {name: f"x{k}" for k, name in enumerate(dict.fromkeys(
         [*inputs, *(n.name for n in nodes if isinstance(n, (Var, Assign))), *cfg.observed_vars]))}
     used = {n.name for n in nodes if isinstance(n, Var)}.union(cfg.observed_vars)
+    counting = (any(isinstance(n, While) for n in nodes)
+                or sum(isinstance(n, (Skip, Assign, If)) for n in nodes) > cfg.step_budget)
     counted = any(n is loop for n in nodes)
-    writer = _Writer(names, inputs, cfg, loop, counted)
+    writer = _Writer(names, inputs, cfg, loop, counting, counted)
     body = writer.block(p.body) + writer.check()
     reset = [names[name] for name in dict.fromkeys(
         [*writer.reset, *(name for name in cfg.observed_vars if name not in writer.assigned)])]
@@ -991,7 +980,7 @@ def _function(p: Program, inputs: tuple[str, ...], cfg: AttackerConfig,
         "    for i in range(size):",
         *(f"        {names[name]} = in{inputs.index(name)}[i]" for name in loaded),
         *(f"        {x} = None" for x in reset),
-        *(["        s = 0"] if any(isinstance(n, (If, While)) for n in nodes) else []),
+        *(["        s = 0"] if counting else []),
         *(["        n = 0"] if counted else []),
         "        try:",
         *_indent(_indent(_indent(body or ["pass"]))),
@@ -1010,13 +999,6 @@ def _function(p: Program, inputs: tuple[str, ...], cfg: AttackerConfig,
     return function
 
 
-# Distinct program sources whose compiled functions stay cached.  A source
-# holds no literal, so programs that differ only in literals share their
-# functions.
-_COMPILED = 1024
-
-
-@lru_cache(maxsize=_COMPILED)
 def _compile(source: str) -> Callable:
     functions: dict = {}
     exec(source, globals(), functions)

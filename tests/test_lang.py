@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -1285,16 +1286,58 @@ def test_eval_program_called_again_builds_no_source():
         assert eval_program(p, {"h": 6}, cfg) == Observable(TERMINATED, (2,))
 
 
-def test_programs_that_differ_only_in_literals_share_one_function():
-    cfg = cfg_high(bits=3)
-    lang._compile.cache_clear()
-    assert loi(parse("o = h & 255;"), cfg) != loi(parse("o = h & 1;"), cfg)
-    assert lang._compile.cache_info().misses == 1
-    p = parse("o = 0; x = h; while (x > 0) { x = x - 1; o = (o + 3) & 7; }")
-    assert eval_program(p, {"h": 5}, cfg) == Observable(TERMINATED, (7,))
-    misses = lang._compile.cache_info().misses
-    assert eval_program(p, {"h": 6}, cfg) == Observable(TERMINATED, (2,))
-    assert lang._compile.cache_info().misses == misses
+@pytest.mark.parametrize("cfg", [
+    cfg_high(),
+    AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 1, None),), observed_vars=("o",),
+                   mode=PASSIVE),
+], ids=[ACTIVE, PASSIVE])
+def test_steps_are_counted_only_where_a_run_can_pass_the_budget(cfg):
+    # Six skip, assignment and if nodes, the missing else a skip; the longest
+    # path, an odd h, takes five steps and faults at the fifth, the division.
+    source = "o = 0; if (h & 1) { o = h; o = o + 1; } o = 100 / (o - 2);"
+    p = parse(source)
+    for budget in range(1, 9):
+        got = _assert_runs_match_reference(p, replace(cfg, step_budget=budget), None)
+        view, _ = got[1]
+        obs = view[1] if cfg.mode == PASSIVE else view
+        if budget == 4:
+            assert obs == Observable(NON_TERMINATION)
+        if budget == 5:
+            assert obs == Observable(RUNTIME_ERROR)
+    [counting] = _built_by_runs(parse(source), replace(cfg, step_budget=5))
+    assert "s +=" in counting
+    [uncounted] = _built_by_runs(parse(source), replace(cfg, step_budget=6))
+    assert re.search(r"\bs\b", uncounted) is None
+
+
+def test_local_functions_close_over_the_enclosing_locals():
+    # Every if and while inside another, and every operator two deep, is a
+    # local function.  A nested if assigns the o read after it, atom 5 spins
+    # in the inner while, and atom 6 faults in the fourth pass of the outer.
+    p = parse("o = 0; x = h;"
+              " if (h != 7) while (x > 0) {"
+              "   x = x - 1;"
+              "   if (h != 3) { if (x & 1) o = o + (x & 3) * 2 + 1; }"
+              "   if (h == 5) while (x < 9) skip;"
+              "   if (h == 6) o = o + 12 / (x - 2);"
+              " }"
+              " o = o * 3 + h;")
+    cfg = cfg_high(bits=3, step_budget=1000)
+    outer, inner = [n for n, _ in _walk(p) if isinstance(n, While)]
+    sources = []
+    with mock.patch.object(lang, "_STATEMENT_DEPTH", 1), \
+            mock.patch.object(lang, "_EXPRESSION_DEPTH", 2):
+        for loop in (None, outer, inner):
+            sources += _built_by_runs(p, cfg, loop)
+            for h in range(8):
+                assert run_counting_loop(p, {"h": h}, cfg, loop) == \
+                    run_counting_loop_reference(p, {"h": h}, cfg, loop)
+    want = runs_reference(p, cfg, outer)
+    assert want[5] == (Observable(NON_TERMINATION), None)
+    assert want[6] == (Observable(RUNTIME_ERROR), 3)
+    assert want[4] == (Observable(TERMINATED, (34,)), 4)
+    headers = [header for source in sources for header in re.findall(r"def f\d+\(.*?\)", source)]
+    assert len(headers) > 3 and all(header.endswith("()") for header in headers)
 
 
 # ---------------------------------------------------------------------------
