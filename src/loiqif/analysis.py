@@ -253,14 +253,16 @@ def loop_analyze(p: Program, cfg: AttackerConfig,
         raise AnalysisError("max_iterations must be >= 1")
 
     domain, chunks = runs(p, cfg, loop)
-    views: list = []
     counts: list[int | None] = []
-    for keys, chunk_counts in chunks:
-        views += keys
-        counts += chunk_counts
-    # Number the views 0, 1, ... and the low parts -1, -2, ... once: every
-    # key below is one of these integers, so no view meets a low part.
-    numbered = relabel(domain, views)
+
+    def keys():
+        for chunk_keys, chunk_counts in chunks:
+            counts.extend(chunk_counts)
+            yield from chunk_keys
+
+    # Number the views 0, 1, ... as they come and the low parts -1, -2, ...
+    # once: every key below is one of these integers, so no view meets a low part.
+    numbered = relabel(domain, keys())
     views, n_views = numbered.labels, numbered.n_blocks
     lows = low_projection(domain, cfg).labels
     elsewhere = [~low for low in lows]
@@ -345,7 +347,7 @@ def leakage(p: Program, cfg: AttackerConfig, mu: Distribution) -> float:
     """Leakage in bits under the given input distribution: H(X | L), the
     entropy of the program's partition X left to an attacker who already
     sees L = ``low_projection``.  X refines L (a passive key carries its
-    low index; an active attacker's L is the one-block ⊥), so X ⊔ L = X
+    low part; an active attacker's L is the one-block ⊥), so X ⊔ L = X
     and H(X | L) is H(X) − H(L), with no join built."""
     domain, part = loi(p, cfg)
     if mu.domain != domain:

@@ -40,15 +40,17 @@ takes one step before it evaluates anything; a ``while`` takes one on
 entry and one after each run of its body.
 
 Each program runs as one Python function (``_function``), written by
-``_Writer`` and compiled once per program, input names, configuration
-and counted loop, then kept on the ``Program``, the one cache.  It takes
-each atom of a chunk through the whole program in locals, one local per
-variable, with ``if`` and ``while`` as Python's own, inside one ``try``:
-a fault or a spent budget stops that atom alone.  A program that some
-run could take past the budget, one with a ``while`` or with more
-``skip``, assignment and ``if`` nodes than the budget, counts steps in a
-local that is compared with the budget before anything that can stop a
-run, on entering a loop, after each pass of its body and at the end; any
+``_Writer`` and compiled once per program, input names, configuration,
+counted loop and low count, then kept on the ``Program``, the one cache.
+It takes each atom of a chunk through the whole program in locals, one
+local per variable, with ``if`` and ``while`` as Python's own, inside
+one ``try``: a fault or a spent budget stops that atom alone.  It writes
+each atom's key, whose kernel is the program's partition, and the count
+of a chosen loop.  A program that some run could take past the budget,
+one with a ``while`` or with more ``skip``, assignment and ``if`` nodes
+than the budget, counts steps in a local that is compared with the
+budget before anything that can stop a run, on entering a loop, after
+each pass of its body and at the end unless a loop ends the program; any
 other program counts none.  A read that a definite-assignment pass
 cannot prove assigned is checked for None.  An operator nested deeper
 than ``_EXPRESSION_DEPTH`` and an ``if`` or ``while`` nested deeper than
@@ -62,17 +64,18 @@ configuration's ``step_budget``, the one place a budget is set.
 
 ``runs`` is the one place that runs a program on every input: it
 enumerates the attacker-facing input atoms (values of the high variables
-when the attacker fixes the lows; (low, high) pairs for an eavesdropper),
-runs them ``CHUNK_SIZE`` at a time and yields two columns per chunk: a
-key per atom, equal for two atoms exactly when the attacker sees their
-runs alike, and the iteration count of a chosen loop.  A key is the tuple
-of observed values or the kind of a stopped run, paired with the low
-index of the atom when the attacker sees enumerated lows go in.  ``loi``
-interprets a program as a partition of the secret space, the kernel of
-those keys — atoms are indistinguishable exactly when the program output
-looks the same.  It relabels the keys a chunk at a time, so only the
-distinct keys outlive their chunk.  An ``Observable`` is built only for
-the one run of ``eval_program`` or ``run_counting_loop``.
+when the attacker fixes the lows; (low, high) pairs for an
+eavesdropper), runs them ``CHUNK_SIZE`` at a time and yields two columns
+per chunk: a key per atom, equal for two atoms exactly when the attacker
+sees their runs alike, and the iteration count of a chosen loop, both as
+the program's function writes them.  A key is the tuple of observed
+values or the kind of a stopped run, paired with the low part of the
+atom when the attacker sees enumerated lows go in.  ``loi`` interprets a
+program as a partition of the secret space, the kernel of those keys —
+atoms are indistinguishable exactly when the program output looks the
+same.  It relabels the keys a chunk at a time, so only the distinct keys
+outlive their chunk.  An ``Observable`` is built only for the one run of
+``eval_program`` or ``run_counting_loop``.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ _UNARY_PREC = len(_BINARY_LEVELS) + 1
 
 
 # Deepest AST ``parse`` accepts.  Printing and self-composition recurse once
-# per level, evaluation and parsing the printed form at most twice, which
+# per level, compiling and parsing the printed form at most twice, which
 # stays well inside the interpreter's default recursion limit of 1000 frames.
 MAX_DEPTH = 300
 # The parser recurses once per open parenthesis (three frames), brace, if,
@@ -940,18 +943,19 @@ class _Writer:
 
 
 def _function(p: Program, inputs: tuple[str, ...], cfg: AttackerConfig,
-              loop: While | None) -> Callable:
+              loop: While | None, lows: int) -> Callable:
     """``p`` compiled into ``run(<input columns>, size)``, which takes each of
     ``size`` atoms through the whole program, the initial value of each
-    variable of ``inputs`` read from its column.  It returns a column of
-    final values per observed variable, ``{atom: kind}`` for the atoms that
-    stopped, and the ``loop`` count of each atom, None where it ran out of
-    steps; a read of an unset variable raises ``ConfigError`` at once.
-    Steps are counted only when some run could take more than the budget:
-    when the program has a ``while``, or more ``skip``, assignment and
-    ``if`` nodes than the budget.  The function is made once per (inputs,
-    configuration, loop) and kept in ``p.functions``."""
-    key = inputs, cfg, loop and id(loop)
+    variable of ``inputs`` read from its column.  It returns each atom's key
+    (its observed values' tuple, else the kind of its stop, paired with the
+    values of the first ``lows`` inputs, bare for one, when ``lows``) and
+    ``loop`` count, None where it ran out of steps; a read of an unset
+    variable raises ``ConfigError`` at once.  Steps are counted only when
+    some run could take more than the budget: when the program has a
+    ``while``, or more ``skip``, assignment and ``if`` nodes than the
+    budget.  The function is made once per (inputs, configuration, loop,
+    lows) and kept in ``p.functions``."""
+    key = inputs, cfg, loop and id(loop), lows
     function = p.functions.get(key)
     if function is not None:
         return function
@@ -963,10 +967,14 @@ def _function(p: Program, inputs: tuple[str, ...], cfg: AttackerConfig,
                 or sum(isinstance(n, (Skip, Assign, If)) for n in nodes) > cfg.step_budget)
     counted = any(n is loop for n in nodes)
     writer = _Writer(names, inputs, cfg, loop, counting, counted)
-    body = writer.block(p.body) + writer.check()
+    # A program that ends in a loop checked its count after the loop's last
+    # pass, and nothing since has moved it.
+    last = p.body.stmts[-1] if isinstance(p.body, Seq) and p.body.stmts else p.body
+    body = writer.block(p.body) + ([] if isinstance(last, While) else writer.check())
     reset = [names[name] for name in dict.fromkeys(
         [*writer.reset, *(name for name in cfg.observed_vars if name not in writer.assigned)])]
-    outs = [names[name] for name in cfg.observed_vars]
+    low = "in0[i]" if lows == 1 else f"({''.join(f'in{j}[i], ' for j in range(lows))})"
+    keyed = f"keys[i] = ({low}, {{}})" if lows else "keys[i] = {}"
     params = [*(f"c{k}" for k in range(len(writer.consts))), "budget",
               *(f"in{j}" for j in range(len(inputs))), "size"]
     loaded = [name for name in inputs if name in used]
@@ -974,9 +982,8 @@ def _function(p: Program, inputs: tuple[str, ...], cfg: AttackerConfig,
         f"def run({', '.join(params)}):",
         *_indent([line for helper in writer.helpers for line in helper.splitlines()]),
         *(f"    {x} = None" for name, x in names.items() if name not in loaded),
-        *(f"    out{j} = [None] * size" for j in range(len(outs))),
+        "    keys = [None] * size",
         "    counts = [0] * size",
-        "    stops = {}",
         "    for i in range(size):",
         *(f"        {names[name]} = in{inputs.index(name)}[i]" for name in loaded),
         *(f"        {x} = None" for x in reset),
@@ -985,15 +992,15 @@ def _function(p: Program, inputs: tuple[str, ...], cfg: AttackerConfig,
         "        try:",
         *_indent(_indent(_indent(body or ["pass"]))),
         "        except _Spent:",
-        "            stops[i] = NON_TERMINATION",
+        "            " + keyed.format("NON_TERMINATION"),
         "            counts[i] = None",
         "        except _Fault:",
-        "            stops[i] = RUNTIME_ERROR",
+        "            " + keyed.format("RUNTIME_ERROR"),
         *(["            counts[i] = n"] if counted else []),
         "        else:",
-        *(f"            out{j}[i] = {x}" for j, x in enumerate(outs)),
+        "            " + keyed.format(f"({''.join(names[x] + ', ' for x in cfg.observed_vars)})"),
         *(["            counts[i] = n"] if counted else []),
-        f"    return [{', '.join(f'out{j}' for j in range(len(outs)))}], stops, counts"]
+        "    return keys, counts"]
     function = p.functions[key] = partial(_compile("\n".join(lines)), *writer.consts,
                                           cfg.step_budget)
     return function
@@ -1012,20 +1019,6 @@ def _compile(source: str) -> Callable:
 CHUNK_SIZE = 1024
 
 
-def _evaluate(p: Program, columns: dict[str, list], size: int, cfg: AttackerConfig,
-              loop: While | None = None) -> tuple[list, list]:
-    """Run ``p`` on ``size`` atoms, the initial value of each variable given
-    as a column, and return each atom's key and ``loop`` count.  The key is
-    the tuple of the observed variables' final values for a run that
-    terminated, else its kind, a string that equals no tuple; the count is
-    None for a run out of steps."""
-    outs, stops, counts = _function(p, tuple(columns), cfg, loop)(*columns.values(), size)
-    keys = list(zip(*outs))
-    for i, kind in stops.items():
-        keys[i] = kind
-    return keys, counts
-
-
 def eval_program(p: Program, initial: Mapping[str, int], cfg: AttackerConfig) -> Observable:
     """Big-step evaluation of a program on one initial store, within
     ``cfg.step_budget`` steps."""
@@ -1037,9 +1030,10 @@ def run_counting_loop(p: Program, initial: Mapping[str, int], cfg: AttackerConfi
                       loop: While | None) -> tuple[Observable, int | None]:
     """Like ``eval_program`` but also reports how many complete body
     executions of ``loop`` (compared by identity) the run performed;
-    None when the run exhausts its budget.  It is a run of one atom."""
-    columns = {name: [value] for name, value in initial.items()}
-    (key,), (count,) = _evaluate(p, columns, 1, cfg, loop)
+    None when the run exhausts its budget.  It is one call of the
+    program's function on one atom, whose key carries no low part."""
+    (key,), (count,) = _function(p, tuple(initial), cfg, loop, 0)(
+        *([value] for value in initial.values()), 1)
     obs = Observable(TERMINATED, key) if isinstance(key, tuple) else Observable(key)
     return obs, count
 
@@ -1097,30 +1091,24 @@ def runs(p: Program, cfg: AttackerConfig, loop: While | None = None
          ) -> tuple[Domain, Iterator[tuple[list, list]]]:
     """The domain and an iterator over (keys, counts) column pairs, one pair
     per ``CHUNK_SIZE`` atoms in domain order: each atom's key and ``loop``
-    count as ``_evaluate`` gives them.  Each chunk runs as one call of the
-    program's function whose input columns are the next values of the
-    columns of the product of the value ranges, one per enumerated
-    variable.  A passive
-    attacker also watches the public lows go in, so with enumerated lows
-    an atom's key is paired with its low index, the atom index over the
-    number of high values: atoms with different lows never share a key."""
+    count as the program's function (``_function``) gives them.  Each chunk
+    runs as one call of that function, made once per call of ``runs``,
+    whose input columns are the next values of the columns of the product
+    of the value ranges, one per enumerated variable, and the pinned
+    values repeated.  A passive attacker also watches the public lows go
+    in, so with enumerated lows each key carries the atom's low part:
+    atoms with different lows never share a key."""
     validate_program(p, cfg)
     domain = enumerate_domain(cfg)
     names, ranges, n_lows, pinned = _plan(cfg)
-    highs = math.prod(map(len, ranges[n_lows:]))
+    function = _function(p, (*names, *pinned), cfg, loop, n_lows)
 
     def chunks():
         columns = _Product(ranges).columns()
-        low_index, _ = _Product((range(domain.size // highs), range(highs))).columns()
         for start in range(0, domain.size, CHUNK_SIZE):
             size = min(CHUNK_SIZE, domain.size - start)
-            inputs = {name: list(itertools.islice(column, size))
-                      for name, column in zip(names, columns)}
-            inputs.update((name, [value] * size) for name, value in pinned.items())
-            keys, counts = _evaluate(p, inputs, size, cfg, loop)
-            if n_lows:
-                keys = list(zip(itertools.islice(low_index, size), keys))
-            yield keys, counts
+            yield function(*(list(itertools.islice(column, size)) for column in columns),
+                           *([value] * size for value in pinned.values()), size)
 
     return domain, chunks()
 

@@ -58,7 +58,6 @@ from loiqif.lang import (
     Unary,
     Var,
     While,
-    _evaluate,
     _EXPRESSION_DEPTH,
     _SHIFT_LIMIT,
     _STATEMENT_DEPTH,
@@ -433,8 +432,8 @@ _stores = st.fixed_dictionaries({n: st.integers(-300, 300) for n in ("h", "l", "
 def test_operator_table_matches_reference(e, stores):
     # One batch runs every store: atoms that fault sit beside ones that do not.
     columns = {n: [store[n] for store in stores] for n in ("h", "l", "o")}
-    got = _as_reference(*_evaluate(Program(Seq((Assign("o", e),))), columns, len(stores),
-                                   cfg_high()))
+    got = _as_reference(*_run_columns(Program(Seq((Assign("o", e),))), columns, len(stores),
+                                      cfg_high()))
     for store, (obs, _) in zip(stores, got):
         try:
             want = Observable(TERMINATED, (eval_expr_reference(e, store),))
@@ -967,8 +966,8 @@ def test_each_operator_matches_the_reference_on_a_mixed_batch(op, arity, pairs, 
     right = Var("l") if literal is None else IntLit(literal)
     e = Binary(op, Var("h"), right) if arity == 2 else Unary(op, Var("h"))
     columns = {"h": [h for h, _ in pairs], "l": [l for _, l in pairs]}
-    got = _as_reference(*_evaluate(Program(Seq((Assign("o", e),))), columns, len(pairs),
-                                   cfg_high()))
+    got = _as_reference(*_run_columns(Program(Seq((Assign("o", e),))), columns, len(pairs),
+                                      cfg_high()))
     for (h, l), (obs, _) in zip(pairs, got):
         try:
             want = Observable(TERMINATED, (eval_expr_reference(e, {"h": h, "l": l}),))
@@ -985,30 +984,32 @@ def _or_config_error(f):
         return f"ConfigError: {exc}"
 
 
-def _as_reference(keys, counts, lows=None) -> list[tuple]:
+def _as_reference(keys, counts, sees_lows=False) -> list[tuple]:
     """Key and count columns in the shape of ``runs_reference``: per atom an
-    (Observable, count) pair.  With ``lows``, the distinct low parts in
-    domain order, each key is a (low index, key) pair and its Observable
-    is paired with the low part of that index."""
+    (Observable, count) pair.  With ``sees_lows``, each key is a (low part,
+    key) pair and its Observable is paired with that low part."""
     def observable(key):
         return Observable(TERMINATED, key) if isinstance(key, tuple) else Observable(key)
 
-    if lows is None:
+    if not sees_lows:
         return [(observable(key), count) for key, count in zip(keys, counts, strict=True)]
-    return [((lows[low], observable(key)), count)
+    return [((low, observable(key)), count)
             for (low, key), count in zip(keys, counts, strict=True)]
 
 
 def _runs_as_reference(p, cfg, loop=None) -> list[tuple]:
     """``runs`` read through ``_as_reference``, its columns joined."""
-    domain, chunks = runs(p, cfg, loop)
+    _, chunks = runs(p, cfg, loop)
     keys, counts = [], []
     for chunk_keys, chunk_counts in chunks:
         keys += chunk_keys
         counts += chunk_counts
-    lows = (list(dict.fromkeys(a[0] for a in domain.atoms))
-            if cfg.mode == PASSIVE and cfg.low_vars else None)
-    return _as_reference(keys, counts, lows)
+    return _as_reference(keys, counts, cfg.mode == PASSIVE and bool(cfg.low_vars))
+
+
+def _run_columns(p, columns: dict[str, list], size: int, cfg) -> tuple[list, list]:
+    """The key and count columns of ``size`` atoms, each input a column."""
+    return lang._function(p, tuple(columns), cfg, None, 0)(*columns.values(), size)
 
 
 def _assert_runs_match_reference(p, cfg, loop):
@@ -1089,7 +1090,7 @@ def test_steps_are_spent_before_evaluating_and_after_every_body():
     for budget in range(1, 10):
         bounded = replace(cfg, step_budget=budget)
         kinds = [obs.kind for obs, _ in
-                 _as_reference(*_evaluate(p, {"h": [0, 1, 2, 3]}, 4, bounded))]
+                 _as_reference(*_run_columns(p, {"h": [0, 1, 2, 3]}, 4, bounded))]
         assert kinds == [TERMINATED if 2 + 2 * h <= budget else NON_TERMINATION
                          for h in range(4)]
 
@@ -1308,6 +1309,44 @@ def test_steps_are_counted_only_where_a_run_can_pass_the_budget(cfg):
     assert "s +=" in counting
     [uncounted] = _built_by_runs(parse(source), replace(cfg, step_budget=6))
     assert re.search(r"\bs\b", uncounted) is None
+
+
+def test_a_program_ending_in_a_loop_is_not_checked_again_after_it():
+    # The popcount loop checks its budget on entry and after each pass.
+    built = []
+    compile_source = lang._compile
+    p = parse("x = h; o = 0; while (x > 0) { o = o + (x & 1); x = x >> 1; }")
+    with mock.patch.object(lang, "_compile", lambda source: built.append(source)
+                           or compile_source(source)):
+        _, part = loi(p, cfg_high(bits=16))
+    assert part.n_blocks == 17
+    [source] = built
+    assert source.count("if s > budget") == 2
+
+
+def test_runs_and_eval_program_build_functions_of_their_own():
+    # The same program, configuration and input names: runs keys each atom
+    # with its low part, eval_program does not.
+    cfg = AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 1, None),),
+                         observed_vars=("o",), mode=PASSIVE)
+    p = parse("o = h + l;")
+    _, chunks = runs(p, cfg)
+    assert next(chunks)[0][:2] == [(0, (0,)), (0, (1,))]
+    assert eval_program(p, {"l": 1, "h": 2}, cfg) == Observable(TERMINATED, (3,))
+
+
+def test_a_passive_key_carries_the_atoms_low_part():
+    # Atom h = 1 spins and h = 2 faults; m is pinned, so each low part is (l, 3).
+    cfg = AttackerConfig(high_vars=(("h", 2),), low_vars=(("l", 1, None), ("m", 2, 3)),
+                         observed_vars=("o",), mode=PASSIVE, step_budget=50)
+    p = parse("o = 0; while (h == 1) skip; o = l + m + 100 / (h - 2);")
+    with mock.patch.object(lang, "CHUNK_SIZE", 3):
+        _, chunks = runs(p, cfg)
+        keys = [key for chunk_keys, _ in chunks for key in chunk_keys]
+    atoms = enumerate_domain(cfg).atoms
+    assert [key[0] for key in keys] == [a[0] for a in atoms]
+    assert keys == [(low, NON_TERMINATION if h == 1 else RUNTIME_ERROR if h == 2
+                     else (low[0] + 3 + 100 // (h - 2),)) for low, h in atoms]
 
 
 def test_local_functions_close_over_the_enclosing_locals():
